@@ -1,8 +1,9 @@
 """Batch command-line interface with deterministic, machine-readable reports.
 
-Exit codes: 0 success, 2 unreadable input, 3 resource budget exhausted,
-4 weight vector with a non-monomial initial ideal, 5 point set that is not a
-configuration.  ``--strict`` turns flagged-partial results into exit 1.
+Exit codes: 0 success, 2 unreadable input or a malformed
+``VERONESE_GB_BUDGET``, 3 resource budget exhausted, 4 weight vector with a
+non-monomial initial ideal, 5 point set that is not a configuration.
+``--strict`` turns flagged-partial results into exit 1.
 Reports are byte-identical across runs except for the ``timing_ms`` field.
 """
 
@@ -18,10 +19,11 @@ from fractions import Fraction
 from .errors import (BudgetExceededError, DimensionError, DomainError,
                      NonMonomialInitialError, NotAConfigurationError,
                      ParseError, RingMismatchError)
-from .groebner import Budget, Ideal, MonomialIdeal
+from .groebner import Budget, Ideal, MonomialIdeal, eliminate
 from .orders import Block, GammaRevLex, GrevLex, Lex, Weighted
-from .polyring import (generic_ring, parse_polynomial, poly_from_json,
-                       poly_to_json, ring_from_json, ring_to_json)
+from .polyring import (format_terms, generic_ring, parse_polynomial,
+                       poly_from_json, poly_to_json, ring_from_json,
+                       ring_to_json)
 from .toric import Configuration, toric_ideal, verify_veronese_toric
 from .veronese import (PullbackResult, VeroneseMap, degree_bounds,
                        exchange_binomials, preimage_oracle,
@@ -150,43 +152,18 @@ def render_text(report):
                 lines.append(f"{prefix} ({len(value['polynomials'])} elements, "
                              f"order {value['metadata']['order']}):")
                 for p in value["polynomials"]:
-                    lines.append("  " + _poly_text(p))
+                    names = ring_from_json(p["ring"]).names
+                    lines.append("  " + format_terms(
+                        names, ((t["exps"], Fraction(t["coeff"]))
+                                for t in p["terms"])))
                 return
             for k in sorted(value):
                 walk(f"{prefix}.{k}" if prefix else k, value[k])
-        elif isinstance(value, list):
-            lines.append(f"{prefix}: {value}")
         else:
             lines.append(f"{prefix}: {value}")
 
     walk("", {k: v for k, v in report.items() if k != "command"})
     return "\n".join(lines)
-
-
-def _poly_text(poly_json):
-    """Text form honoring the term order the JSON was written under."""
-    ring = ring_from_json(poly_json["ring"])
-    parts = []
-    for t in poly_json["terms"]:
-        coeff = Fraction(t["coeff"])
-        factors = []
-        for i, e in enumerate(t["exps"]):
-            if e == 1:
-                factors.append(ring.names[i])
-            elif e > 1:
-                factors.append(f"{ring.names[i]}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = str(mag) + "*" + "*".join(factors)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +174,16 @@ def cmd_gbasis(args, budget):
     started = time.time()
     ideal = load_ideal_file(args.ideal)
     order = parse_order_spec(args.order, ideal.ring)
-    gb = list(ideal.groebner_basis(order, budget))
-    out_ring, out_order = ideal.ring, order
-    if args.eliminate:
-        if not isinstance(order, Block):
-            raise DomainError("--eliminate needs a block order")
-        front = order.front
-        out_ring = generic_ring(ideal.ring.names[front:])
-        position_map = [-1] * front + list(range(out_ring.nvars))
-        kept = [g for g in gb
-                if all(all(x == 0 for x in e[:front]) for e in g.terms)]
-        gb = [g.map_positions(out_ring, position_map) for g in kept]
+    if not args.eliminate:
+        out_ring, out_order = ideal.ring, order
+        gb = ideal.groebner_basis(order, budget)
+    elif isinstance(order, Block):
+        out_ring = generic_ring(ideal.ring.names[order.front:])
         out_order = order.back_order
+        gb = eliminate(ideal.generators, order.front, out_ring, out_order,
+                       budget=budget)
+    else:
+        raise DomainError("--eliminate needs a block order")
     outputs = {"groebner_basis": gb_block(gb, out_order, out_ring, budget),
                "eliminated": bool(args.eliminate)}
     return make_report("gbasis", {"file": args.ideal, "order": args.order,
@@ -403,8 +378,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = Budget(spair_cap=args.budget)
     try:
+        budget = Budget(spair_cap=args.budget)
         report = args.fn(args, budget)
     except _Partial as exc:
         emit(exc.args[0], args)

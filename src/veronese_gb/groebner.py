@@ -25,7 +25,13 @@ DEFAULT_COEFF_BITS = 1_000_000
 
 def default_spair_cap():
     raw = os.environ.get("VERONESE_GB_BUDGET")
-    return int(raw) if raw else DEFAULT_SPAIR_CAP
+    if not raw:
+        return DEFAULT_SPAIR_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(
+            f"VERONESE_GB_BUDGET must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -381,12 +387,15 @@ def eliminate(generators, front, back_ring, back_order, *, budget=None,
         raise DomainError("front block plus back ring must span the joint ring")
     order = Block(front, GrevLex(front), back_order)
     gb = buchberger(generators, order, budget=budget, seed_gb=seed_gb, stats=stats)
+    return _front_free(gb, front, back_ring)
+
+
+def _front_free(gb, front, back_ring):
+    """The elements free of the first ``front`` variables, re-indexed into
+    ``back_ring``; an ascending block-order basis stays ascending."""
     position_map = [-1] * front + list(range(back_ring.nvars))
-    out = []
-    for g in gb:
-        if all(all(x == 0 for x in e[:front]) for e in g.terms):
-            out.append(g.map_positions(back_ring, position_map))
-    return tuple(out)
+    return tuple(g.map_positions(back_ring, position_map) for g in gb
+                 if all(not any(e[:front]) for e in g.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +418,11 @@ class MonomialIdeal:
             if not any(mono_divides(g, e) for g in kept):
                 kept.append(e)
         return cls(ring, tuple(kept))
+
+    @classmethod
+    def of_leading_terms(cls, ring, polys, order):
+        """The ideal generated by the leading terms of nonzero polynomials."""
+        return cls.from_exponents(ring, (g.leading_term(order)[0] for g in polys))
 
     @property
     def is_zero(self):
@@ -475,9 +489,8 @@ class Ideal:
         return not self.normal_form(f, order, budget)
 
     def initial_ideal(self, order, budget=None):
-        gb = self.groebner_basis(order, budget)
-        return MonomialIdeal.from_exponents(
-            self.ring, (g.leading_term(order)[0] for g in gb))
+        return MonomialIdeal.of_leading_terms(
+            self.ring, self.groebner_basis(order, budget), order)
 
     def initial_forms(self, weights, tie=None, budget=None):
         """Ideal spanned by the top-weight forms of a weighted-order basis.

@@ -35,12 +35,6 @@ class TermOrder:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
-    def max_term(self, exps_iter):
-        return max(exps_iter, key=self.key)
-
-    def sort_ascending(self, exps_iter):
-        return sorted(exps_iter, key=self.key)
-
     @property
     def fingerprint(self):
         raise NotImplementedError

@@ -308,20 +308,16 @@ class Polynomial:
 # text form
 
 
-def format_polynomial(poly, order=None):
-    """Render with terms descending under ``order`` (ring default if omitted)."""
-    if not poly.terms:
-        return "0"
-    if order is None:
-        order = poly.ring.default_order()
+def format_terms(names, terms):
+    """Render (exponents, coefficient) pairs in the order given; "0" if none."""
     parts = []
-    for exps, coeff in poly.sorted_terms(order):
+    for exps, coeff in terms:
         factors = []
         for i, e in enumerate(exps):
             if e == 1:
-                factors.append(poly.ring.names[i])
+                factors.append(names[i])
             elif e > 1:
-                factors.append(f"{poly.ring.names[i]}^{e}")
+                factors.append(f"{names[i]}^{e}")
         mag = abs(coeff)
         if not factors:
             body = str(mag)
@@ -333,7 +329,14 @@ def format_polynomial(poly, order=None):
             parts.append(body if coeff > 0 else "-" + body)
         else:
             parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"
+
+
+def format_polynomial(poly, order=None):
+    """Render with terms descending under ``order`` (ring default if omitted)."""
+    if order is None:
+        order = poly.ring.default_order()
+    return format_terms(poly.ring.names, poly.sorted_terms(order))
 
 
 class _Tokenizer:

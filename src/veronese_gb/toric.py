@@ -19,21 +19,15 @@ from .veronese import (VeroneseMap, multi_indices, pullback_homogeneous_ideal,
                        quadratic_pullback_bound)
 
 
-def certify_grading(points):
-    """A rational vector hitting 1 on every point, by exact elimination.
-
-    Raises ``NotAConfigurationError`` when the linear system is inconsistent.
-    """
-    points = [tuple(p) for p in points]
-    if not points:
-        raise DomainError("empty point list")
-    n = len(points[0])
-    if any(len(p) != n for p in points):
-        raise DomainError("points of unequal dimension")
-    rows = [[Fraction(x) for x in p] + [Fraction(1)] for p in points]
+def _row_reduce(rows, ncols):
+    """Reduced row echelon form over the rationals, pivoting only on the
+    first ``ncols`` columns; returns the rows and the pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in rows]
     pivots = []
-    r = 0
-    for c in range(n):
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
@@ -45,13 +39,24 @@ def certify_grading(points):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][n]:
-            raise NotAConfigurationError(
-                "no grading vector evaluates to 1 on every point")
+    return rows, pivots
+
+
+def certify_grading(points):
+    """A rational vector hitting 1 on every point, by exact elimination.
+
+    Raises ``NotAConfigurationError`` when the linear system is inconsistent.
+    """
+    points = [tuple(p) for p in points]
+    if not points:
+        raise DomainError("empty point list")
+    n = len(points[0])
+    if any(len(p) != n for p in points):
+        raise DomainError("points of unequal dimension")
+    rows, pivots = _row_reduce([p + (1,) for p in points], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        raise NotAConfigurationError(
+            "no grading vector evaluates to 1 on every point")
     grading = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         grading[c] = rows[i][n]
@@ -97,20 +102,8 @@ class Configuration:
 
 def point_rank(points):
     """Rank of the point matrix over the rationals."""
-    rows = [[Fraction(x) for x in p] for p in points]
-    rank = 0
-    n = len(rows[0]) if rows else 0
-    for c in range(n):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c] / rows[rank][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    points = list(points)
+    return len(_row_reduce(points, len(points[0]) if points else 0)[1])
 
 
 def toric_groebner_basis(points, ring=None, order=None, budget=None):

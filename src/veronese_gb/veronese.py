@@ -18,8 +18,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import DomainError, NonMonomialInitialError, RingMismatchError
-from .groebner import (Budget, Ideal, MonomialIdeal, _reduce_basis, buchberger,
-                       eliminate, is_groebner_basis, normal_form)
+from .groebner import (Budget, Ideal, MonomialIdeal, _front_free,
+                       _reduce_basis, buchberger, eliminate, is_groebner_basis,
+                       normal_form)
 from .orders import Block, GammaRevLex, GrevLex, Weighted, multi_indices
 from .polyring import (Polynomial, base_ring, joint_ring, mono_divides,
                        veronese_ring)
@@ -166,9 +167,8 @@ def kernel_groebner_basis(s, d):
 def kernel_initial(s, d):
     """Leading-term ideal of the kernel under the chain revlex order."""
     vmap = VeroneseMap(s, d)
-    gb = kernel_groebner_basis(s, d)
-    return MonomialIdeal.from_exponents(
-        vmap.ring, (g.leading_term(vmap.order)[0] for g in gb))
+    return MonomialIdeal.of_leading_terms(
+        vmap.ring, kernel_groebner_basis(s, d), vmap.order)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +202,7 @@ def _joint_graph_gb(s, d):
 def kernel_oracle_basis(s, d):
     """Kernel reduced basis recomputed by elimination, independent of the
     constructive route."""
-    vmap = VeroneseMap(s, d)
-    gb = _joint_graph_gb(s, d)
-    position_map = [-1] * s + list(range(vmap.ring.nvars))
-    out = []
-    for g in gb:
-        if all(all(x == 0 for x in e[:s]) for e in g.terms):
-            out.append(g.map_positions(vmap.ring, position_map))
-    return tuple(sorted(out, key=lambda g: vmap.order.key(
-        g.leading_term(vmap.order)[0])))
+    return _front_free(_joint_graph_gb(s, d), s, VeroneseMap(s, d).ring)
 
 
 def preimage_oracle(ideal, vmap, order=None, budget=None):
@@ -289,10 +281,9 @@ def standard_monomials(s, d, degree, order=None):
 def _kernel_initial_for(s, d, order=None):
     if order is None or order == GammaRevLex(s, d):
         return kernel_initial(s, d)
-    vmap = VeroneseMap(s, d)
-    gb = buchberger(exchange_binomials(s, d), order)
-    return MonomialIdeal.from_exponents(
-        vmap.ring, (g.leading_term(order)[0] for g in gb))
+    return MonomialIdeal.of_leading_terms(
+        VeroneseMap(s, d).ring, buchberger(exchange_binomials(s, d), order),
+        order)
 
 
 def quadratic_pullback_bound(s, a):
@@ -495,18 +486,12 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
         bound = quadratic_pullback_bound(s, init.max_exponent())
         cert.update(bound=bound, meets_bound=d >= bound)
     if check_initial:
-        mono_res = pullback_monomial_ideal(init, d, budget=budget) \
-            if not init.is_zero else None
-        lhs = MonomialIdeal.from_exponents(
-            vmap.ring, (g.leading_term(order)[0] for g in reduced))
-        if mono_res is None:
-            rhs = MonomialIdeal.from_exponents(
-                vmap.ring, (g.leading_term(vmap.order)[0]
-                            for g in kernel_groebner_basis(s, d)))
+        lhs = MonomialIdeal.of_leading_terms(vmap.ring, reduced, order)
+        if init.is_zero:
+            rhs = kernel_initial(s, d)
         else:
-            rhs = MonomialIdeal.from_exponents(
-                vmap.ring, (g.leading_term(vmap.order)[0]
-                            for g in mono_res.reduced))
+            mono = pullback_monomial_ideal(init, d, budget=budget).reduced
+            rhs = MonomialIdeal.of_leading_terms(vmap.ring, mono, vmap.order)
         cert["initial_matches_monomial_pullback"] = lhs == rhs
     gb_of_base = ideal.groebner_basis(base.default_order(), budget)
     cert["members_in_target"] = all(

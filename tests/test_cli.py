@@ -117,10 +117,74 @@ def test_budget_env_variable():
     assert proc.returncode == 3
 
 
+def test_malformed_budget_env_variable_exit_code():
+    import os
+    env = dict(os.environ, VERONESE_GB_BUDGET="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "veronese_gb.cli", "bounds",
+         "tests/data/square_square.json"],
+        capture_output=True, text=True, cwd=HERE.parent, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: VERONESE_GB_BUDGET")
+    assert "Traceback" not in proc.stderr
+
+
 def test_text_mode_mentions_basis():
     proc = run_cli("veronese", "--s", "2", "--d", "2")
     assert proc.returncode == 0
     assert "x[2,0]*x[0,2] - x[1,1]^2" in proc.stdout
+
+
+TEXT_CASES = [
+    (["gbasis", "tests/data/rational.json"], """\
+# gbasis
+budget.spair_cap: 1000000
+budget.spairs_used: 0
+inputs_digest: 3f56616d4174ce8db80b30fe45c6dbd19024f482489262d1d868749fb99c20c8
+outputs.eliminated: False
+outputs.groebner_basis (1 elements, order grevlex[0,1,2]):
+  y1^2 - 3/2*y2*y3 - 2
+"""),
+    (["pullback", "tests/data/square_square.json", "--d", "3"], """\
+# pullback
+budget.spair_cap: 1000000
+budget.spairs_used: 0
+inputs_digest: 4cfc69af8f00d26e04e5eb0d0270f94139b398e3ba38144f57c42be2fa820f76
+outputs.certificate.bound: 3
+outputs.certificate.complete: True
+outputs.certificate.degree_cap: 2
+outputs.certificate.meets_bound: True
+outputs.certificate.members_in_target: True
+outputs.certificate.method_note: exchange binomials plus standard-monomial generators
+outputs.groebner_basis (6 elements, order gamma[s=2,d=3]):
+  x[1,2]^2 - x[2,1]*x[0,3]
+  x[1,2]*x[3,0] - x[2,1]^2
+  x[3,0]*x[0,3] - x[2,1]*x[1,2]
+  x[2,1]^2
+  x[2,1]*x[1,2]
+  x[2,1]*x[0,3]
+outputs.max_degree: 2
+outputs.method: constructive
+outputs.partial: False
+outputs.reduced (6 elements, order gamma[s=2,d=3]):
+  x[2,1]^2
+  x[2,1]*x[1,2]
+  x[2,1]*x[0,3]
+  x[1,2]^2
+  x[1,2]*x[3,0]
+  x[3,0]*x[0,3]
+"""),
+]
+
+
+@pytest.mark.parametrize("args,expected", TEXT_CASES,
+                         ids=[c[0][0] for c in TEXT_CASES])
+def test_text_report_verbatim(args, expected):
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines()
+             if not ln.startswith("timing_ms: ")]
+    assert "\n".join(lines) + "\n" == expected
 
 
 def test_single_variable_basis_is_empty():

@@ -21,6 +21,9 @@ def test_certify_grading_examples():
     assert certify_grading([(5,)]) == (Fraction(1, 5),)
     with pytest.raises(DomainError):
         certify_grading([])
+    # fewer rows than columns, and a column with no pivot
+    assert certify_grading([(1, 2, 3)]) == (Fraction(1), Fraction(0), Fraction(0))
+    assert certify_grading([(0, 1), (0, 1)]) == (Fraction(0), Fraction(1))
 
 
 def test_configuration_checks_supplied_grading():
@@ -92,6 +95,9 @@ def test_rank_is_preserved_by_layers():
         r = point_rank(cfg.points)
         for d in (1, 2, 3):
             assert point_rank(veronese_layer(cfg, d).configuration.points) == r
+    # dependent and zero rows, and a column with no pivot
+    assert point_rank([(1, 2), (2, 4), (0, 0)]) == 1
+    assert point_rank([(0, 1), (0, 2), (0, 3)]) == 1
 
 
 def test_layer_kernel_equals_pullback():
