@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 unreadable input or a malformed
 ``VERONESE_GB_BUDGET``, 3 resource budget exhausted, 4 weight vector with a
-non-monomial initial ideal, 5 point set that is not a configuration.
+non-monomial initial ideal, 5 point set that is not a configuration, 6 a
+result that failed an internal consistency check (a defect in the package).
 ``--strict`` turns flagged-partial results into exit 1.
 Reports are byte-identical across runs except for the ``timing_ms`` field.
 """
@@ -17,8 +18,8 @@ import time
 from fractions import Fraction
 
 from .errors import (BudgetExceededError, DimensionError, DomainError,
-                     NonMonomialInitialError, NotAConfigurationError,
-                     ParseError, RingMismatchError)
+                     InternalCheckError, NonMonomialInitialError,
+                     NotAConfigurationError, ParseError, RingMismatchError)
 from .groebner import Budget, Ideal, MonomialIdeal, eliminate
 from .orders import Block, GammaRevLex, GrevLex, Lex, Weighted
 from .polyring import (format_terms, generic_ring, parse_polynomial,
@@ -30,7 +31,8 @@ from .veronese import (PullbackResult, VeroneseMap, degree_bounds,
                        pullback_homogeneous_ideal, pullback_monomial_ideal,
                        verify_exchange_basis)
 
-INPUT_ERROR, BUDGET_ERROR, WEIGHT_ERROR, CONFIG_ERROR = 2, 3, 4, 5
+INPUT_ERROR, BUDGET_ERROR, WEIGHT_ERROR, CONFIG_ERROR, CHECK_ERROR = \
+    2, 3, 4, 5, 6
 
 
 class _Partial(Exception):
@@ -222,8 +224,8 @@ def cmd_pullback(args, budget):
         res = pullback_homogeneous_ideal(ideal, args.d, omega,
                                          method=args.method, budget=budget)
     elif monomial_input:
-        mono = MonomialIdeal.from_exponents(
-            ideal.ring, (next(iter(g.terms)) for g in ideal.generators))
+        mono = MonomialIdeal.of_leading_terms(
+            ideal.ring, ideal.generators, ideal.ring.default_order())
         if ideal.generators and args.method in ("constructive", "both"):
             res = pullback_monomial_ideal(mono, args.d, degree_cap=args.cap,
                                           verify=args.verify, budget=budget,
@@ -234,7 +236,8 @@ def cmd_pullback(args, budget):
                 res.certificate["matches_oracle"] = \
                     tuple(res.reduced) == tuple(oracle)
                 if not res.certificate["matches_oracle"]:
-                    raise RuntimeError("constructive and oracle pullbacks disagree")
+                    raise InternalCheckError(
+                        "constructive and oracle pullbacks disagree")
         elif ideal.generators:
             vmap = VeroneseMap(ideal.ring.s, args.d)
             oracle = preimage_oracle(ideal, vmap, budget=budget)
@@ -304,8 +307,8 @@ def cmd_bounds(args, budget):
         raise DomainError("bounds need a nonzero monomial ideal")
     if not all(g.is_monomial() for g in ideal.generators):
         raise DomainError("bounds need monomial generators")
-    mono = MonomialIdeal.from_exponents(
-        ideal.ring, (next(iter(g.terms)) for g in ideal.generators))
+    mono = MonomialIdeal.of_leading_terms(ideal.ring, ideal.generators,
+                                          ideal.ring.default_order())
     rep = degree_bounds(mono)
     outputs = {"s": rep.s,
                "max_exponent": rep.max_exponent,
@@ -398,6 +401,9 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_ERROR
+    except InternalCheckError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return CHECK_ERROR
     emit(report, args)
     return 0
 

@@ -26,6 +26,10 @@ class BudgetExceededError(RuntimeError):
     """A resource cap (S-pair count or coefficient size) was hit."""
 
 
+class InternalCheckError(RuntimeError):
+    """A result failed an internal consistency check; a defect, not bad input."""
+
+
 class NotAConfigurationError(ValueError):
     """Point set admits no grading vector hitting 1 on every point."""
 

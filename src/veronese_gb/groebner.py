@@ -12,9 +12,11 @@ import heapq
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .errors import BudgetExceededError, DomainError, RingMismatchError
+from .errors import (BudgetExceededError, DomainError, InternalCheckError,
+                     RingMismatchError)
 from .orders import Block, GrevLex, TermOrder, Weighted
 from .polyring import (Polynomial, mono_deg, mono_div, mono_divides,
                        mono_gcd_is_one, mono_lcm)
@@ -65,57 +67,77 @@ def _support_mask(exps):
     return mask
 
 
+class _SupportBuckets:
+    """Exponent vectors with attached items, looked up by divisibility.
+
+    Entries live in buckets named by the smallest position in their vector's
+    support and carry a support bitmask, so a lookup scans only the buckets
+    of the target's support and drops most candidates with a single integer
+    test.
+    """
+
+    def __init__(self):
+        self.buckets = {}
+
+    def add(self, exps, item):
+        slot = next((i for i, x in enumerate(exps) if x), -1)
+        # a vector with no exponent above 1 divides exactly where its
+        # support does, so the mask test alone decides it
+        check = exps if max(exps, default=0) > 1 else None
+        self.buckets.setdefault(slot, []).append(
+            (_support_mask(exps), check, item))
+
+    def divisors(self, exps):
+        """Items whose exponent vector divides ``exps``, lazily."""
+        for _, _, item in self.buckets.get(-1, ()):
+            yield item
+        outside = ~_support_mask(exps)
+        for i, x in enumerate(exps):
+            if not x:
+                continue
+            for mask, check, item in self.buckets.get(i, ()):
+                if not mask & outside and \
+                        (check is None or mono_divides(check, exps)):
+                    yield item
+
+
 class _DivisorIndex:
     """Picks, for a monomial, the dividing basis element with least leading term.
 
-    Entries live in buckets named by the smallest position in their leading
-    term's support and carry a support bitmask, so a lookup scans only the
-    buckets of the target's support and drops most candidates with a single
-    integer test.
+    Items are (lt_key, seq, lt_exps, poly), bucketed by leading term; ``seq``
+    is the insertion position, so among equal leading terms the earliest
+    element wins.
     """
 
     def __init__(self, order):
         self.order = order
-        self.buckets = {}
-        self.entries = []  # (lt_key, seq, lt_exps, poly, support_mask)
+        self.items = []
+        self.buckets = _SupportBuckets()
 
-    def add(self, poly):
-        lt, _ = poly.leading_term(self.order)
-        seq = len(self.entries)
-        entry = (self.order.key(lt), seq, lt, poly, _support_mask(lt))
-        self.entries.append(entry)
-        slot = next((i for i, x in enumerate(lt) if x), -1)
-        self.buckets.setdefault(slot, []).append(entry)
+    @classmethod
+    def of(cls, polys, order, ring):
+        """Index over a fixed divisor list, each leading term computed once."""
+        index = cls(order)
+        for g in polys:
+            if g.ring != ring:
+                raise RingMismatchError("divisor lives in a different ring")
+            if not g:
+                raise DomainError("zero polynomial among divisors")
+            index.add(g, g.leading_term(order)[0])
+        return index
+
+    def add(self, poly, lt):
+        item = (self.order.key(lt), len(self.items), lt, poly)
+        self.items.append(item)
+        self.buckets.add(lt, item)
 
     def find(self, exps):
-        best = None
-        const = self.buckets.get(-1)
-        if const:
-            best = const[0]
-        outside = ~_support_mask(exps)
-        for i, x in enumerate(exps):
-            if not x:
-                continue
-            for entry in self.buckets.get(i, ()):
-                if not entry[4] & outside and \
-                        (best is None or entry[:2] < best[:2]) and \
-                        mono_divides(entry[2], exps):
-                    best = entry
-        return best
+        return min(self.buckets.divisors(exps), default=None)
 
-    def iter_divisor_seqs(self, exps):
-        """Sequence numbers of entries whose leading term divides, lazily."""
-        const = self.buckets.get(-1)
-        if const:
-            for entry in const:
-                yield entry[1]
-        outside = ~_support_mask(exps)
-        for i, x in enumerate(exps):
-            if not x:
-                continue
-            for entry in self.buckets.get(i, ()):
-                if not entry[4] & outside and mono_divides(entry[2], exps):
-                    yield entry[1]
+    def remainder(self, f, budget=None):
+        """Remainder of f on division by the indexed elements."""
+        return Polynomial(f.ring, _reduce_terms(f.terms, self, self.order,
+                                                budget), _clean=True)
 
 
 def _content_scale(values):
@@ -194,15 +216,7 @@ def normal_form(f, divisors, order, budget=None):
     The divisor picked at each step is the dividing element with the least
     leading term, so the remainder is deterministic.
     """
-    index = _DivisorIndex(order)
-    for g in sorted(divisors, key=lambda g: order.key(g.leading_term(order)[0])):
-        if g.ring != f.ring:
-            raise RingMismatchError("divisor lives in a different ring")
-        if not g:
-            raise DomainError("zero polynomial among divisors")
-        index.add(g)
-    return Polynomial(f.ring, _reduce_terms(f.terms, index, order, budget),
-                      _clean=True)
+    return _DivisorIndex.of(divisors, order, f.ring).remainder(f, budget)
 
 
 def s_polynomial(f, g, order):
@@ -211,11 +225,14 @@ def s_polynomial(f, g, order):
         raise RingMismatchError("S-polynomial of polynomials in different rings")
     if not f or not g:
         raise DomainError("S-polynomial of the zero polynomial")
-    ltf, cf = f.leading_term(order)
-    ltg, cg = g.leading_term(order)
+    return _spoly(f, f.leading_term(order)[0], g, g.leading_term(order)[0])
+
+
+def _spoly(f, ltf, g, ltg):
+    """The S-polynomial of f and g given their leading exponents."""
     lcm = mono_lcm(ltf, ltg)
-    return f.mul_term(Fraction(1) / cf, mono_div(lcm, ltf)) \
-        - g.mul_term(Fraction(1) / cg, mono_div(lcm, ltg))
+    return f.mul_term(Fraction(1) / f.terms[ltf], mono_div(lcm, ltf)) \
+        - g.mul_term(Fraction(1) / g.terms[ltg], mono_div(lcm, ltg))
 
 
 @dataclass
@@ -269,7 +286,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
     def append(poly):
         lt, _ = poly.leading_term(order)
         basis.append((poly, lt, order.key(lt)))
-        index.add(poly)
+        index.add(poly, lt)
         push_pairs(len(basis) - 1)
         stats.basis_peak = max(stats.basis_peak, len(basis))
 
@@ -280,7 +297,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
         for g in seed_gb:
             lt, _ = g.leading_term(order)
             basis.append((g, lt, order.key(lt)))
-            index.add(g)
+            index.add(g, lt)
         m = len(basis)
         done.update((i, j) for j in range(m) for i in range(j))
     for f in generators:
@@ -302,7 +319,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
         done.add((i, j))
         lcm = mono_lcm(basis[i][1], basis[j][1])
         chained = False
-        for k in index.iter_divisor_seqs(lcm):
+        for _, k, _, _ in index.buckets.divisors(lcm):
             if k != i and k != j and \
                     (min(i, k), max(i, k)) in done and \
                     (min(j, k), max(j, k)) in done:
@@ -313,7 +330,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
             continue
         budget.charge_spair()
         stats.spairs += 1
-        s = s_polynomial(basis[i][0], basis[j][0], order)
+        s = _spoly(basis[i][0], basis[i][1], basis[j][0], basis[j][1])
         r = Polynomial(ring,
                        _reduce_terms(s.terms, index, order, budget,
                                      scale_ok=True),
@@ -321,25 +338,35 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
         if r:
             append(_primitive(r, order))
 
-    return _reduce_basis([b[0] for b in basis], order)
+    return _reduce_basis([b[0] for b in basis], order, budget)
 
 
-def _reduce_basis(polys, order):
-    """Minimalize and tail-reduce a Gröbner basis; output is monic, ascending."""
-    entries = sorted(((order.key(p.leading_term(order)[0]),
-                       p.leading_term(order)[0], p) for p in polys if p),
+def _reduce_basis(polys, order, budget=None):
+    """Minimalize and tail-reduce a Gröbner basis; output is monic, ascending.
+
+    Each kept element's leading term divides no other kept leading term and
+    no term below itself, so reducing its tail by the index over all kept
+    elements is division by all the others.
+    """
+    key = order.key
+    entries = sorted(((key(lt), lt, p) for p in polys if p
+                      for lt in (p.leading_term(order)[0],)),
                      key=lambda t: t[0])
+    index = _DivisorIndex(order)
     kept = []
-    for key_, lt, p in entries:
-        if any(mono_divides(klt, lt) for _, klt in kept):
-            continue
-        kept.append((p, lt))
+    for _, lt, p in entries:
+        if next(index.buckets.divisors(lt), None) is None:
+            index.add(p, lt)
+            kept.append((lt, p))
     out = []
-    for i, (p, lt) in enumerate(kept):
-        others = [q for j, (q, _) in enumerate(kept) if j != i]
-        r = normal_form(p, others, order) if others else p
-        out.append(r.monic(order))
-    out.sort(key=lambda p: order.key(p.leading_term(order)[0]))
+    for lt, p in kept:
+        c = p.terms[lt]
+        tail = {e: v for e, v in p.terms.items() if e != lt}
+        terms = {lt: c}
+        terms.update(_reduce_terms(tail, index, order, budget))
+        if c != 1:
+            terms = {e: v / c for e, v in terms.items()}
+        out.append(Polynomial(p.ring, terms, _clean=True))
     return tuple(out)
 
 
@@ -358,17 +385,17 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
     polys = [p for p in polys if p]
     if budget is None:
         budget = Budget()
+    index = _DivisorIndex.of(polys, order, polys[0].ring if polys else None)
+    lts = [item[2] for item in index.items]
     count = 0
     for j in range(len(polys)):
-        ltj, _ = polys[j].leading_term(order)
         for i in range(j):
-            lti, _ = polys[i].leading_term(order)
-            if skip_coprime and mono_gcd_is_one(lti, ltj):
+            if skip_coprime and mono_gcd_is_one(lts[i], lts[j]):
                 continue
             budget.charge_spair()
             count += 1
-            r = normal_form(s_polynomial(polys[i], polys[j], order), polys, order,
-                            budget)
+            r = index.remainder(_spoly(polys[i], lts[i], polys[j], lts[j]),
+                                budget)
             if r:
                 return GBCheck(False, count, (polys[i], polys[j]), r)
     return GBCheck(True, count)
@@ -428,8 +455,17 @@ class MonomialIdeal:
     def is_zero(self):
         return not self.gens
 
+    @cached_property
+    def _buckets(self):
+        # Built on first lookup; kept in the instance dict, outside the
+        # dataclass fields, so equality and hashing ignore it.
+        buckets = _SupportBuckets()
+        for g in self.gens:
+            buckets.add(g, g)
+        return buckets
+
     def contains(self, exps):
-        return any(mono_divides(g, exps) for g in self.gens)
+        return next(self._buckets.divisors(exps), None) is not None
 
     def max_total_degree(self):
         """Largest total degree among the minimal generators."""
@@ -481,7 +517,7 @@ class Ideal:
         return gb
 
     def normal_form(self, f, order, budget=None):
-        return normal_form(f, self.groebner_basis(order, budget), order)
+        return normal_form(f, self.groebner_basis(order, budget), order, budget)
 
     def contains(self, f, order=None, budget=None):
         if order is None:
@@ -586,12 +622,12 @@ def find_weight_vector(ideal, order, budget=None):
                 rows.add((tuple(a - b for a, b in zip(lt, e)), 1))
     point = _fm_feasible_point(sorted(rows), n)
     if point is None:
-        raise RuntimeError("weight system unexpectedly infeasible")
+        raise InternalCheckError("weight system unexpectedly infeasible")
     scale = math.lcm(*[Fraction(v).denominator for v in point])
     omega = tuple(int(v * scale) for v in point)
     for g in gb:
         lt, _ = g.leading_term(order)
         form = g.initial_form(omega)
         if list(form.terms) != [lt]:
-            raise RuntimeError("weight vector failed post-hoc verification")
+            raise InternalCheckError("weight vector failed post-hoc verification")
     return omega

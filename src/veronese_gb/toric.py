@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotAConfigurationError
-from .groebner import Ideal, eliminate, find_weight_vector, normal_form
+from .groebner import Ideal, _DivisorIndex, eliminate, find_weight_vector
 from .polyring import Polynomial, base_ring, generic_ring, joint_ring
 from .veronese import (VeroneseMap, multi_indices, pullback_homogeneous_ideal,
                        quadratic_pullback_bound)
@@ -258,11 +258,12 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
             break
 
     duplicates_linear = True
-    for i, j in layer.duplicate_pairs:
-        rel = vmap.ring.variable(i) - vmap.ring.variable(j)
-        if normal_form(rel, pb.reduced, pb.order):
-            duplicates_linear = False
-            break
+    if layer.duplicate_pairs:
+        index = _DivisorIndex.of(pb.reduced, pb.order, vmap.ring)
+        duplicates_linear = all(
+            not index.remainder(vmap.ring.variable(i) - vmap.ring.variable(j),
+                                budget)
+            for i, j in layer.duplicate_pairs)
 
     return ToricVeroneseCertificate(
         config, d, ideal.generators, omega, bound, meets, pb,

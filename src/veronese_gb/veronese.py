@@ -17,10 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .errors import DomainError, NonMonomialInitialError, RingMismatchError
-from .groebner import (Budget, Ideal, MonomialIdeal, _front_free,
-                       _reduce_basis, buchberger, eliminate, is_groebner_basis,
-                       normal_form)
+from .errors import (DomainError, InternalCheckError, NonMonomialInitialError,
+                     RingMismatchError)
+from .groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
+                       _SupportBuckets, _front_free, _reduce_basis, buchberger,
+                       eliminate, is_groebner_basis)
 from .orders import Block, GammaRevLex, GrevLex, Weighted, multi_indices
 from .polyring import (Polynomial, base_ring, joint_ring, mono_divides,
                        veronese_ring)
@@ -307,12 +308,14 @@ def monomial_pullback_generators(ideal, d, order=None, degree_cap=2,
     s = ideal.ring.s
     vmap = VeroneseMap(s, d)
     accepted = []
+    found = _SupportBuckets()
     for degree in range(1, degree_cap + 1):
         for e in standard_monomials(s, d, degree, order):
-            if any(mono_divides(g, e) for g in accepted):
+            if next(found.divisors(e), None) is not None:
                 continue
             if ideal.contains(vmap.image_exps(e)):
                 accepted.append(e)
+                found.add(e, e)
     gamma_order = order is None or order == vmap.order
     bound = quadratic_pullback_bound(s, ideal.max_exponent())
     complete = gamma_order and d >= bound and degree_cap >= 2
@@ -364,7 +367,7 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
                                                       budget=budget)
         complete = complete or oracle_gb is not None
         basis = tuple(kernel) + tuple(vmap.ring.monomial(e) for e in gens)
-        reduced = _reduce_basis(list(basis), order)
+        reduced = _reduce_basis(list(basis), order, budget)
         cert.update(bound=bound, meets_bound=d >= bound, complete=complete,
                     degree_cap=cap)
     if ideal.is_zero:
@@ -463,8 +466,8 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
         raise NonMonomialInitialError(
             "the weight initial ideal is not monomial; derive the weights "
             "with find_weight_vector first")
-    init = MonomialIdeal.from_exponents(
-        base, (next(iter(f.terms)) for f in forms_ideal.generators))
+    init = MonomialIdeal.of_leading_terms(base, forms_ideal.generators,
+                                          base.default_order())
 
     order = pullback_order(vmap, omega)
     seed = list(kernel_groebner_basis(s, d))
@@ -476,7 +479,7 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
     if method in ("oracle", "both"):
         reduced_o = preimage_oracle(ideal, vmap, order, budget=budget)
     if method == "both" and tuple(reduced_c) != tuple(reduced_o):
-        raise RuntimeError("constructive and oracle pullbacks disagree")
+        raise InternalCheckError("constructive and oracle pullbacks disagree")
     reduced = reduced_c if reduced_c is not None else reduced_o
 
     cert = {}
@@ -493,11 +496,11 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
             mono = pullback_monomial_ideal(init, d, budget=budget).reduced
             rhs = MonomialIdeal.of_leading_terms(vmap.ring, mono, vmap.order)
         cert["initial_matches_monomial_pullback"] = lhs == rhs
-    gb_of_base = ideal.groebner_basis(base.default_order(), budget)
+    base_order = base.default_order()
+    base_index = _DivisorIndex.of(ideal.groebner_basis(base_order, budget),
+                                  base_order, base)
     cert["members_in_target"] = all(
-        not normal_form(vmap.image(g), gb_of_base, base.default_order())
-        if gb_of_base else not vmap.image(g)
-        for g in reduced)
+        not base_index.remainder(vmap.image(g), budget) for g in reduced)
     basis = reduced
     return PullbackResult(s, d, order, basis, reduced,
                           max((g.total_degree() for g in reduced), default=0),

@@ -129,6 +129,48 @@ def test_malformed_budget_env_variable_exit_code():
     assert "Traceback" not in proc.stderr
 
 
+def _fm_never(rows, n):
+    return None
+
+
+def _fm_all_ones(rows, n):
+    return (1,) * n
+
+
+def _no_oracle_basis(*args, **kwargs):
+    return ()
+
+
+CHECK_FAILURES = [
+    ("weight-infeasible", "veronese_gb.groebner._fm_feasible_point",
+     _fm_never, ["toric", "curve_config.json", "--veronese", "2"],
+     "weight system unexpectedly infeasible"),
+    ("weight-unverified", "veronese_gb.groebner._fm_feasible_point",
+     _fm_all_ones, ["toric", "curve_config.json", "--veronese", "2"],
+     "weight vector failed post-hoc verification"),
+    ("monomial-oracle", "veronese_gb.cli.preimage_oracle", _no_oracle_basis,
+     ["pullback", "square_square.json", "--d", "3", "--method", "both"],
+     "constructive and oracle pullbacks disagree"),
+    ("weighted-oracle", "veronese_gb.veronese.preimage_oracle",
+     _no_oracle_basis, ["pullback", "conic.json", "--d", "2", "--omega",
+                        "2,1,1", "--method", "both"],
+     "constructive and oracle pullbacks disagree"),
+]
+
+
+@pytest.mark.parametrize("site,target,fake,argv,message", CHECK_FAILURES,
+                         ids=[c[0] for c in CHECK_FAILURES])
+def test_internal_check_failure_exit_code(site, target, fake, argv, message,
+                                          monkeypatch, capsys):
+    from veronese_gb import cli
+    monkeypatch.setattr(target, fake)
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 6
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == f"error: internal check failed: {message}\n"
+
+
 def test_text_mode_mentions_basis():
     proc = run_cli("veronese", "--s", "2", "--d", "2")
     assert proc.returncode == 0

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from veronese_gb.errors import BudgetExceededError, DomainError
-from veronese_gb.groebner import (Budget, Ideal, MonomialIdeal, buchberger,
-                                  eliminate, find_weight_vector, initial_ideal,
-                                  is_groebner_basis, normal_form, s_polynomial)
+from veronese_gb.groebner import (Budget, Ideal, MonomialIdeal, _reduce_basis,
+                                  buchberger, eliminate, find_weight_vector,
+                                  initial_ideal, is_groebner_basis,
+                                  normal_form, s_polynomial)
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, Lex, Weighted
-from veronese_gb.polyring import (base_ring, generic_ring,
-                                  parse_polynomial, veronese_ring)
+from veronese_gb.polyring import (Polynomial, base_ring, generic_ring,
+                                  mono_divides, parse_polynomial,
+                                  veronese_ring)
 from veronese_gb.veronese import exchange_binomials
 
 
@@ -98,6 +100,10 @@ def test_is_groebner_basis_certificates():
     check = is_groebner_basis(bad, Lex(3))
     assert not check.ok
     assert check.pair is not None and check.remainder
+    # the witness is the first failing pair's remainder by the whole list
+    assert check.spairs == 1 and check.pair == (bad[0], bad[1])
+    assert check.remainder == normal_form(
+        s_polynomial(bad[0], bad[1], Lex(3)), bad, Lex(3))
 
 
 def test_initial_ideal_examples():
@@ -136,6 +142,86 @@ def test_find_weight_vector_examples():
     assert all(x >= 1 for x in w3)
 
     assert find_weight_vector(Ideal(S2, []), GrevLex(2)) == (1, 1)
+
+
+def _random_poly(rng, ring, terms=3, top=3):
+    return Polynomial(ring, {
+        tuple(rng.randrange(top) for _ in range(ring.nvars)):
+            Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
+        for _ in range(terms)})
+
+
+def _reduce_basis_reference(polys, order):
+    """Minimalize, then divide each kept element by all the others."""
+    def lt(p):
+        return p.leading_term(order)[0]
+
+    kept = []
+    for p in sorted((p for p in polys if p), key=lambda p: order.key(lt(p))):
+        if not any(mono_divides(lt(q), lt(p)) for q in kept):
+            kept.append(p)
+    out = [normal_form(p, kept[:i] + kept[i + 1:], order).monic(order)
+           for i, p in enumerate(kept)]
+    return tuple(sorted(out, key=lambda p: order.key(lt(p))))
+
+
+@pytest.mark.parametrize("order", [
+    Lex(3), GrevLex(3), Weighted((1, 2, 3), GrevLex(3)),
+    Block(1, GrevLex(1), GrevLex(2))], ids=["lex", "grevlex", "weighted",
+                                            "block"])
+def test_reduce_basis_matches_division_by_the_others(order, rng):
+    S = base_ring(3)
+    for _ in range(8):
+        gens = [p for p in (_random_poly(rng, S) for _ in range(2)) if p]
+        gb = buchberger(gens, order)
+        # redundant members of the ideal, unreduced and unnormalized
+        extra = [g.mul_term(rng.randrange(1, 4), (rng.randrange(2), 0, 1))
+                 + h * Fraction(rng.randrange(-3, 4)) for g in gb for h in gb]
+        polys = list(gb) + extra
+        rng.shuffle(polys)
+        assert _reduce_basis(polys, order) == \
+            _reduce_basis_reference(polys, order) == gb
+        # also on lists that are not Gröbner bases
+        loose = [p for p in (_random_poly(rng, S) for _ in range(5)) if p]
+        assert _reduce_basis(loose, order) == \
+            _reduce_basis_reference(loose, order)
+
+
+def test_monomial_ideal_contains_matches_brute_force(rng):
+    S = base_ring(4)
+    ideals = [MonomialIdeal.from_exponents(S, []),
+              MonomialIdeal.from_exponents(S, [(0, 0, 0, 0), (1, 2, 0, 0)])]
+    for _ in range(20):
+        ideals.append(MonomialIdeal.from_exponents(S, [
+            tuple(rng.randrange(3) for _ in range(4))
+            for _ in range(rng.randrange(1, 7))]))
+    for M in ideals:
+        for _ in range(60):
+            e = tuple(rng.randrange(4) for _ in range(4))
+            assert M.contains(e) == any(mono_divides(g, e) for g in M.gens)
+    assert not ideals[0].contains((0, 0, 0, 0))
+    assert ideals[1].contains((0, 0, 0, 0))
+
+    a = MonomialIdeal.from_exponents(S, [(2, 0, 1, 0), (0, 1, 0, 0)])
+    b = MonomialIdeal.from_exponents(S, [(0, 1, 0, 0), (2, 0, 1, 0)])
+    assert a.contains((2, 0, 1, 3))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_coefficient_cap_covers_interreduction_and_ideal_normal_form():
+    S = base_ring(2)
+    gens = [parse_polynomial("y1 + 7*y2", S), parse_polynomial("y2", S)]
+    # no S-pair reduction multiplies anything; only the final tail
+    # reduction of y1 + 7*y2 by y2 does, by 7
+    assert buchberger(gens, GrevLex(2), budget=Budget(coeff_bits=4))
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, GrevLex(2), budget=Budget(coeff_bits=3))
+
+    I = Ideal(S, [parse_polynomial("y1^2 - y2", S)])
+    f = parse_polynomial("5*y1^2", S)
+    assert I.normal_form(f, GrevLex(2)) == parse_polynomial("5*y2", S)
+    with pytest.raises(BudgetExceededError):
+        I.normal_form(f, GrevLex(2), Budget(coeff_bits=2))
 
 
 def test_monomial_ideal_basics():
