@@ -5,6 +5,8 @@ Exit codes: 0 success, 2 unreadable input or a malformed
 non-monomial initial ideal, 5 point set that is not a configuration, 6 a
 result that failed an internal consistency check (a defect in the package).
 ``--strict`` turns flagged-partial results into exit 1.
+``pullback --method both`` runs the elimination oracle once and counts its
+S-pairs once in ``spairs_used``.
 Reports are byte-identical across runs except for the ``timing_ms`` field.
 """
 
@@ -26,8 +28,7 @@ from .polyring import (format_terms, generic_ring, parse_polynomial,
                        poly_from_json, poly_to_json, ring_from_json,
                        ring_to_json)
 from .toric import Configuration, toric_ideal, verify_veronese_toric
-from .veronese import (PullbackResult, VeroneseMap, degree_bounds,
-                       exchange_binomials, preimage_oracle,
+from .veronese import (VeroneseMap, degree_bounds, exchange_binomials,
                        pullback_homogeneous_ideal, pullback_monomial_ideal,
                        verify_exchange_basis)
 
@@ -218,37 +219,17 @@ def cmd_pullback(args, budget):
     ideal = load_ideal_file(args.ideal)
     if ideal.ring.kind != "S":
         raise DomainError("pullback input must live in a base ring y1..ys")
-    monomial_input = all(g.is_monomial() for g in ideal.generators)
     if args.omega:
         omega = tuple(int(x) for x in args.omega.split(","))
         res = pullback_homogeneous_ideal(ideal, args.d, omega,
                                          method=args.method, budget=budget)
-    elif monomial_input:
+    elif all(g.is_monomial() for g in ideal.generators):
         mono = MonomialIdeal.of_leading_terms(
             ideal.ring, ideal.generators, ideal.ring.default_order())
-        if ideal.generators and args.method in ("constructive", "both"):
-            res = pullback_monomial_ideal(mono, args.d, degree_cap=args.cap,
-                                          verify=args.verify, budget=budget,
-                                          use_oracle=not args.no_oracle)
-            if args.method == "both":
-                oracle = preimage_oracle(ideal, VeroneseMap(ideal.ring.s, args.d),
-                                         budget=budget)
-                res.certificate["matches_oracle"] = \
-                    tuple(res.reduced) == tuple(oracle)
-                if not res.certificate["matches_oracle"]:
-                    raise InternalCheckError(
-                        "constructive and oracle pullbacks disagree")
-        elif ideal.generators:
-            vmap = VeroneseMap(ideal.ring.s, args.d)
-            oracle = preimage_oracle(ideal, vmap, budget=budget)
-            res = PullbackResult(ideal.ring.s, args.d, vmap.order, oracle,
-                                 oracle,
-                                 max((g.total_degree() for g in oracle),
-                                     default=0),
-                                 "elimination-oracle", {})
-        else:
-            res = pullback_monomial_ideal(
-                MonomialIdeal(ideal.ring, ()), args.d, budget=budget)
+        res = pullback_monomial_ideal(mono, args.d, degree_cap=args.cap,
+                                      verify=args.verify, budget=budget,
+                                      use_oracle=not args.no_oracle,
+                                      method=args.method)
     else:
         raise DomainError("non-monomial input needs --omega")
     vmap = VeroneseMap(ideal.ring.s, args.d)
@@ -388,14 +369,14 @@ def main(argv=None):
         emit(exc.args[0], args)
         print("partial result under --strict", file=sys.stderr)
         return 1
+    except NonMonomialInitialError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return WEIGHT_ERROR
+    except NotAConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
     except (ParseError, DomainError, DimensionError, RingMismatchError,
             KeyError, ValueError) as exc:
-        if isinstance(exc, NonMonomialInitialError):
-            print(f"error: {exc}", file=sys.stderr)
-            return WEIGHT_ERROR
-        if isinstance(exc, NotAConfigurationError):
-            print(f"error: {exc}", file=sys.stderr)
-            return CONFIG_ERROR
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except BudgetExceededError as exc:

@@ -59,23 +59,17 @@ class VeroneseMap:
             out = out + self.base.monomial(self.image_exps(e), coeff)
         return out
 
-    def min_divisor_variable(self, u, order=None):
+    def min_divisor_variable(self, u):
         """Least variable whose image divides the image of the monomial u."""
         if not any(u):
             raise DomainError("the constant monomial has no dividing variable")
-        c = self.image_exps(u)
-        return self.min_divisor_of_image(c, order)
+        return self.min_divisor_of_image(self.image_exps(u))
 
-    def min_divisor_of_image(self, c, order=None):
+    def min_divisor_of_image(self, c):
         """Least variable whose image divides the base monomial c."""
-        positions = range(self.ring.nvars)
-        if order is not None and order != self.order:
-            units = [tuple(1 if j == i else 0 for j in range(self.ring.nvars))
-                     for i in positions]
-            positions = sorted(positions, key=lambda i: order.key(units[i]))
-        for i in positions:
-            if mono_divides(self.ring.indices[i], c):
-                return self.ring.indices[i]
+        for a in self.ring.indices:
+            if mono_divides(a, c):
+                return a
         raise DomainError("no variable image divides the given monomial")
 
     def min_preimage(self, c):
@@ -292,14 +286,13 @@ def quadratic_pullback_bound(s, a):
     return math.ceil(Fraction(s * (a + 1), 2))
 
 
-def monomial_pullback_generators(ideal, d, order=None, degree_cap=2,
-                                 budget=None):
+def monomial_pullback_generators(ideal, d, degree_cap=2):
     """Minimal generators, up to the degree cap, of the ideal of standard
     monomials whose image lands in the given monomial ideal.
 
-    Returns (generators, complete).  The result is complete when the chain
-    revlex order is in force and d meets the quadratic bound, in which case
-    a cap of 2 suffices; otherwise the caller owns choosing a sufficient cap.
+    Returns (generators, complete).  The result is complete when d meets the
+    quadratic bound, in which case a cap of 2 suffices; otherwise the caller
+    owns choosing a sufficient cap.
     """
     if ideal.is_zero:
         raise DomainError("the zero ideal has no pullback generators")
@@ -310,15 +303,14 @@ def monomial_pullback_generators(ideal, d, order=None, degree_cap=2,
     accepted = []
     found = _SupportBuckets()
     for degree in range(1, degree_cap + 1):
-        for e in standard_monomials(s, d, degree, order):
+        for e in standard_monomials(s, d, degree):
             if next(found.divisors(e), None) is not None:
                 continue
             if ideal.contains(vmap.image_exps(e)):
                 accepted.append(e)
                 found.add(e, e)
-    gamma_order = order is None or order == vmap.order
     bound = quadratic_pullback_bound(s, ideal.max_exponent())
-    complete = gamma_order and d >= bound and degree_cap >= 2
+    complete = d >= bound and degree_cap >= 2
     return tuple(accepted), complete
 
 
@@ -331,19 +323,26 @@ class PullbackResult:
     order: object
     groebner_basis: tuple
     reduced: tuple
-    max_degree: int
     method: str
     certificate: dict
 
+    @property
+    def max_degree(self):
+        return max((g.total_degree() for g in self.groebner_basis), default=0)
+
 
 def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
-                            use_oracle=True):
+                            use_oracle=True, method="constructive"):
     """Pullback of a monomial ideal: exchange binomials plus the standard
     monomial generators form a Gröbner basis under the chain revlex order.
 
     Below the quadratic bound the degree cap is raised to the oracle's
     maximal generator degree so the construction stays complete; with
-    ``use_oracle`` off the result is flagged partial instead.
+    ``use_oracle`` off the result is flagged partial instead.  With
+    ``method="oracle"`` the elimination basis is returned; "both" builds the
+    constructive basis and raises :class:`InternalCheckError` when it differs
+    from the elimination basis.  The elimination runs at most once, and the
+    zero ideal pulls back to the kernel under every method.
     """
     ring = ideal.ring
     s = ring.s
@@ -359,31 +358,31 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
     else:
         bound = quadratic_pullback_bound(s, ideal.max_exponent())
         cap = degree_cap
-        if d < bound and use_oracle:
+        below = d < bound and use_oracle
+        if below or method != "constructive":
             oracle_gb = preimage_oracle(Ideal(ring, ideal.polynomials()), vmap,
                                         budget=budget)
+        if method == "oracle":
+            return PullbackResult(s, d, order, oracle_gb, oracle_gb,
+                                  "elimination-oracle", {})
+        if below:
             cap = max(cap, max((g.total_degree() for g in oracle_gb), default=1))
-        gens, complete = monomial_pullback_generators(ideal, d, degree_cap=cap,
-                                                      budget=budget)
-        complete = complete or oracle_gb is not None
+        gens, complete = monomial_pullback_generators(ideal, d, degree_cap=cap)
         basis = tuple(kernel) + tuple(vmap.ring.monomial(e) for e in gens)
         reduced = _reduce_basis(list(basis), order, budget)
-        cert.update(bound=bound, meets_bound=d >= bound, complete=complete,
-                    degree_cap=cap)
-    if ideal.is_zero:
-        cert["members_in_target"] = all(not vmap.image(g) for g in basis)
-    else:
-        cert["members_in_target"] = all(_maps_into_monomial(vmap, g, ideal)
-                                        for g in basis)
+        cert.update(bound=bound, meets_bound=d >= bound,
+                    complete=complete or below, degree_cap=cap)
+    cert["members_in_target"] = all(_maps_into_monomial(vmap, g, ideal)
+                                    for g in basis)
     if verify:
         check = is_groebner_basis(basis, order, budget=budget)
         cert["is_groebner"] = check.ok
         cert["spairs_checked"] = check.spairs
     if oracle_gb is not None:
         cert["matches_oracle"] = tuple(reduced) == tuple(oracle_gb)
-    return PullbackResult(s, d, order, basis, reduced,
-                          max((g.total_degree() for g in basis), default=0),
-                          "constructive", cert)
+        if method == "both" and not cert["matches_oracle"]:
+            raise InternalCheckError("constructive and oracle pullbacks disagree")
+    return PullbackResult(s, d, order, basis, reduced, "constructive", cert)
 
 
 def _maps_into_monomial(vmap, g, ideal):
@@ -406,7 +405,7 @@ def pullback_order(vmap, omega):
     return Weighted(weight_pullback(tuple(omega), vmap), vmap.order)
 
 
-def homogeneous_pullback_generators(ideal, vmap, omega=None, budget=None):
+def homogeneous_pullback_generators(ideal, vmap, omega, budget=None):
     """A generating set of the preimage ideal: the exchange binomials plus
     lifts of padded generator multiples.
 
@@ -418,11 +417,8 @@ def homogeneous_pullback_generators(ideal, vmap, omega=None, budget=None):
     if not ideal.is_homogeneous():
         raise DomainError("generators must be homogeneous")
     base = ideal.ring
-    if omega is None:
-        source = ideal.generators
-    else:
-        source = ideal.groebner_basis(Weighted(tuple(omega), base.default_order()),
-                                      budget)
+    source = ideal.groebner_basis(Weighted(tuple(omega), base.default_order()),
+                                  budget)
     lifts = []
     d = vmap.d
     for f in source:
@@ -440,13 +436,13 @@ def homogeneous_pullback_generators(ideal, vmap, omega=None, budget=None):
 
 
 def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
-                               budget=None, check_initial=True):
+                               budget=None):
     """Pullback of a homogeneous ideal under a weight vector whose initial
     ideal is monomial, with the weighted chain revlex order.
 
     The certificate records the quadratic bound for the weight initial ideal
-    and, when ``check_initial`` is set, that the pullback's leading-term
-    ideal agrees with the pullback of the weight initial ideal.
+    and that the pullback's leading-term ideal agrees with the pullback of
+    the weight initial ideal.
     """
     if budget is None:
         budget = Budget()
@@ -488,23 +484,19 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
     else:
         bound = quadratic_pullback_bound(s, init.max_exponent())
         cert.update(bound=bound, meets_bound=d >= bound)
-    if check_initial:
-        lhs = MonomialIdeal.of_leading_terms(vmap.ring, reduced, order)
-        if init.is_zero:
-            rhs = kernel_initial(s, d)
-        else:
-            mono = pullback_monomial_ideal(init, d, budget=budget).reduced
-            rhs = MonomialIdeal.of_leading_terms(vmap.ring, mono, vmap.order)
-        cert["initial_matches_monomial_pullback"] = lhs == rhs
+    lhs = MonomialIdeal.of_leading_terms(vmap.ring, reduced, order)
+    if init.is_zero:
+        rhs = kernel_initial(s, d)
+    else:
+        mono = pullback_monomial_ideal(init, d, budget=budget).reduced
+        rhs = MonomialIdeal.of_leading_terms(vmap.ring, mono, vmap.order)
+    cert["initial_matches_monomial_pullback"] = lhs == rhs
     base_order = base.default_order()
     base_index = _DivisorIndex.of(ideal.groebner_basis(base_order, budget),
                                   base_order, base)
     cert["members_in_target"] = all(
         not base_index.remainder(vmap.image(g), budget) for g in reduced)
-    basis = reduced
-    return PullbackResult(s, d, order, basis, reduced,
-                          max((g.total_degree() for g in reduced), default=0),
-                          method, cert)
+    return PullbackResult(s, d, order, reduced, reduced, method, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,17 @@ def test_budget_exit_code():
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("method", ["constructive", "both"])
+def test_budget_charges_one_elimination(method):
+    # below the bound the oracle raises the degree cap; "both" compares with
+    # that same elimination instead of running it a second time
+    proc = run_cli("--json", "--budget", "5", "pullback",
+                   "tests/data/square_square.json", "--d", "2",
+                   "--method", method)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["budget"]["spairs_used"] == 5
+
+
 def test_budget_env_variable():
     import os
     env = dict(os.environ, VERONESE_GB_BUDGET="1")
@@ -148,7 +159,7 @@ CHECK_FAILURES = [
     ("weight-unverified", "veronese_gb.groebner._fm_feasible_point",
      _fm_all_ones, ["toric", "curve_config.json", "--veronese", "2"],
      "weight vector failed post-hoc verification"),
-    ("monomial-oracle", "veronese_gb.cli.preimage_oracle", _no_oracle_basis,
+    ("monomial-oracle", "veronese_gb.veronese.preimage_oracle", _no_oracle_basis,
      ["pullback", "square_square.json", "--d", "3", "--method", "both"],
      "constructive and oracle pullbacks disagree"),
     ("weighted-oracle", "veronese_gb.veronese.preimage_oracle",
@@ -249,6 +260,15 @@ def test_pullback_of_zero_ideal_is_kernel_basis():
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert len(obj["outputs"]["groebner_basis"]["polynomials"]) == 3
+
+
+def test_pullback_of_zero_ideal_verifies():
+    proc = run_cli("--json", "pullback", "tests/data/empty_ideal.json",
+                   "--d", "3", "--verify")
+    assert proc.returncode == 0
+    cert = json.loads(proc.stdout)["outputs"]["certificate"]
+    assert cert["is_groebner"] is True
+    assert cert["spairs_checked"] == 2
 
 
 def test_pullback_with_weights_certifies_quadratic():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from veronese_gb.errors import DomainError, NonMonomialInitialError
+from veronese_gb.errors import (DomainError, InternalCheckError,
+                                NonMonomialInitialError)
 from veronese_gb.groebner import (Ideal, MonomialIdeal, buchberger,
                                   find_weight_vector)
 from veronese_gb.orders import GammaRevLex, GrevLex
@@ -198,9 +199,11 @@ def test_pullback_monomial_examples():
     assert set(res1.reduced) == {parse_polynomial("x[2,0]", R2),
                                  parse_polynomial("x[1,1]", R2)}
 
-    zero = pullback_monomial_ideal(MonomialIdeal(S2, ()), 3)
-    assert zero.groebner_basis == exchange_binomials(2, 3)
-    assert zero.reduced == kernel_groebner_basis(2, 3)
+    for method in ("constructive", "oracle", "both"):
+        zero = pullback_monomial_ideal(MonomialIdeal(S2, ()), 3, method=method)
+        assert zero.groebner_basis == exchange_binomials(2, 3)
+        assert zero.reduced == kernel_groebner_basis(2, 3)
+        assert zero.method == "constructive"
 
 
 def test_pullback_monomial_below_bound_uses_oracle():
@@ -213,6 +216,38 @@ def test_pullback_monomial_below_bound_uses_oracle():
     # an honest partial result when the oracle is disabled and the cap is low
     res_partial = pullback_monomial_ideal(M, 2, degree_cap=1, use_oracle=False)
     assert res_partial.certificate["complete"] is False
+
+
+def test_pullback_monomial_oracle_method():
+    S2 = base_ring(2)
+    M = MonomialIdeal.from_exponents(S2, [(2, 2)])
+    res = pullback_monomial_ideal(M, 2, method="oracle")
+    oracle = preimage_oracle(Ideal(S2, M.polynomials()), VeroneseMap(2, 2))
+    assert res.groebner_basis == res.reduced == oracle
+    assert res.method == "elimination-oracle"
+    assert res.certificate == {}
+    assert res.max_degree == max(g.total_degree() for g in oracle)
+
+
+def test_pullback_monomial_both_runs_the_oracle_once(monkeypatch):
+    from veronese_gb import veronese
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return preimage_oracle(*args, **kwargs)
+
+    S2 = base_ring(2)
+    M = MonomialIdeal.from_exponents(S2, [(2, 2)])  # bound is 3
+    monkeypatch.setattr(veronese, "preimage_oracle", counting)
+    res = pullback_monomial_ideal(M, 2, method="both")
+    assert len(calls) == 1
+    assert res.method == "constructive"
+    assert res.certificate["complete"] and res.certificate["matches_oracle"]
+
+    monkeypatch.setattr(veronese, "preimage_oracle", lambda *a, **k: ())
+    with pytest.raises(InternalCheckError, match="disagree"):
+        pullback_monomial_ideal(M, 3, method="both")
 
 
 def test_pullback_monomial_verify_spairs():
