@@ -6,7 +6,11 @@ non-monomial initial ideal, 5 point set that is not a configuration, 6 a
 result that failed an internal consistency check (a defect in the package).
 ``--strict`` turns flagged-partial results into exit 1.
 ``pullback --method both`` runs the elimination oracle once and counts its
-S-pairs once in ``spairs_used``.
+S-pairs once in ``spairs_used``; it exits 6 only when a complete
+constructive basis disagrees with the oracle, and a basis that ``--cap`` or
+``--no-oracle`` left partial is flagged partial instead.  ``--cap`` and
+``--no-oracle`` shape only the constructive route; ``--verify`` checks the
+returned basis under every method.
 Reports are byte-identical across runs except for the ``timing_ms`` field.
 """
 
@@ -340,7 +344,7 @@ def build_parser():
     p.add_argument("--no-oracle", action="store_true",
                    help="never fall back to elimination below the bound")
     p.add_argument("--verify", action="store_true",
-                   help="check all S-pairs of the constructed basis")
+                   help="check all S-pairs of the returned basis")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when the result is flagged partial")
     p.set_defaults(fn=cmd_pullback)

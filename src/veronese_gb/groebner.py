@@ -18,8 +18,9 @@ from fractions import Fraction
 from .errors import (BudgetExceededError, DomainError, InternalCheckError,
                      RingMismatchError)
 from .orders import Block, GrevLex, TermOrder, Weighted
-from .polyring import (Polynomial, mono_deg, mono_div, mono_divides,
-                       mono_gcd_is_one, mono_lcm)
+from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
+                       mono_deg, mono_div, mono_divides, mono_gcd_is_one,
+                       mono_lcm)
 
 DEFAULT_SPAIR_CAP = 10**6
 DEFAULT_COEFF_BITS = 1_000_000
@@ -104,9 +105,10 @@ class _SupportBuckets:
 class _DivisorIndex:
     """Picks, for a monomial, the dividing basis element with least leading term.
 
-    Items are (lt_key, seq, lt_exps, poly), bucketed by leading term; ``seq``
-    is the insertion position, so among equal leading terms the earliest
-    element wins.
+    Items are (lt_key, seq, lt_exps, lt_coeff, tail, poly), bucketed by
+    leading term, where ``tail`` holds the terms below the leading one;
+    ``seq`` is the insertion position, so among equal leading terms the
+    earliest element wins.
     """
 
     def __init__(self, order):
@@ -127,7 +129,9 @@ class _DivisorIndex:
         return index
 
     def add(self, poly, lt):
-        item = (self.order.key(lt), len(self.items), lt, poly)
+        tail = {e: c for e, c in poly.terms.items() if e != lt}
+        item = (self.order.key(lt), len(self.items), lt, poly.terms[lt], tail,
+                poly)
         self.items.append(item)
         self.buckets.add(lt, item)
 
@@ -187,20 +191,11 @@ def _reduce_terms(terms, index, order, budget=None, scale_ok=False):
         if hit is None:
             r[u] = c
             continue
-        lt, g = hit[2], hit[3]
-        shift = mono_div(u, lt)
-        factor = c / g.terms[lt]
+        _, _, lt, lc, tail, _ = hit
+        factor = c / lc
         if budget is not None:
             budget.check_coeff(factor)
-        for e, ce in g.terms.items():
-            if e == lt:
-                continue
-            m = tuple(a + b for a, b in zip(e, shift))
-            v = p.get(m, 0) - factor * ce
-            if v:
-                p[m] = v
-            else:
-                p.pop(m, None)
+        add_terms(p, tail, -factor, mono_div(u, lt))
         if scale_ok:
             steps += 1
             if steps % 16 == 0:
@@ -225,14 +220,17 @@ def s_polynomial(f, g, order):
         raise RingMismatchError("S-polynomial of polynomials in different rings")
     if not f or not g:
         raise DomainError("S-polynomial of the zero polynomial")
-    return _spoly(f, f.leading_term(order)[0], g, g.leading_term(order)[0])
+    return Polynomial(f.ring, _spoly(f, f.leading_term(order)[0],
+                                     g, g.leading_term(order)[0]), _clean=True)
 
 
 def _spoly(f, ltf, g, ltg):
-    """The S-polynomial of f and g given their leading exponents."""
+    """The terms of the S-polynomial of f and g given their leading exponents."""
     lcm = mono_lcm(ltf, ltg)
-    return f.mul_term(Fraction(1) / f.terms[ltf], mono_div(lcm, ltf)) \
-        - g.mul_term(Fraction(1) / g.terms[ltg], mono_div(lcm, ltg))
+    terms = {}
+    add_terms(terms, f.terms, 1 / f.terms[ltf], mono_div(lcm, ltf))
+    add_terms(terms, g.terms, -1 / g.terms[ltg], mono_div(lcm, ltg))
+    return terms
 
 
 @dataclass
@@ -319,7 +317,8 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
         done.add((i, j))
         lcm = mono_lcm(basis[i][1], basis[j][1])
         chained = False
-        for _, k, _, _ in index.buckets.divisors(lcm):
+        for item in index.buckets.divisors(lcm):
+            k = item[1]
             if k != i and k != j and \
                     (min(i, k), max(i, k)) in done and \
                     (min(j, k), max(j, k)) in done:
@@ -332,8 +331,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
         stats.spairs += 1
         s = _spoly(basis[i][0], basis[i][1], basis[j][0], basis[j][1])
         r = Polynomial(ring,
-                       _reduce_terms(s.terms, index, order, budget,
-                                     scale_ok=True),
+                       _reduce_terms(s, index, order, budget, scale_ok=True),
                        _clean=True)
         if r:
             append(_primitive(r, order))
@@ -353,15 +351,11 @@ def _reduce_basis(polys, order, budget=None):
                       for lt in (p.leading_term(order)[0],)),
                      key=lambda t: t[0])
     index = _DivisorIndex(order)
-    kept = []
     for _, lt, p in entries:
         if next(index.buckets.divisors(lt), None) is None:
             index.add(p, lt)
-            kept.append((lt, p))
     out = []
-    for lt, p in kept:
-        c = p.terms[lt]
-        tail = {e: v for e, v in p.terms.items() if e != lt}
+    for _, _, lt, c, tail, p in index.items:
         terms = {lt: c}
         terms.update(_reduce_terms(tail, index, order, budget))
         if c != 1:
@@ -394,10 +388,11 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
                 continue
             budget.charge_spair()
             count += 1
-            r = index.remainder(_spoly(polys[i], lts[i], polys[j], lts[j]),
-                                budget)
+            r = _reduce_terms(_spoly(polys[i], lts[i], polys[j], lts[j]),
+                              index, order, budget)
             if r:
-                return GBCheck(False, count, (polys[i], polys[j]), r)
+                return GBCheck(False, count, (polys[i], polys[j]),
+                               Polynomial(polys[i].ring, r, _clean=True))
     return GBCheck(True, count)
 
 
@@ -423,6 +418,33 @@ def _front_free(gb, front, back_ring):
     position_map = [-1] * front + list(range(back_ring.nvars))
     return tuple(g.map_positions(back_ring, position_map) for g in gb
                  if all(not any(e[:front]) for e in g.terms))
+
+
+def graph_ideal(points, ring):
+    """The graph ideal of the monomial map sending variable i of ``ring`` to
+    the Laurent monomial z^points[i], as (joint ring, generators).
+
+    The joint ring puts z1..zn, plus an inverse-product variable w when a
+    coordinate is negative, in front of ``ring``; eliminating that block
+    leaves the kernel of the map.  The generators are x_i * z^neg(p_i) -
+    z^pos(p_i) in point order, then w * z1*...*zn - 1 when w is present.
+    """
+    n = len(points[0])
+    negative = any(x < 0 for p in points for x in p)
+    names = tuple(f"z{j + 1}" for j in range(n)) + (("w",) if negative else ())
+    joint = joint_ring(generic_ring(names), ring)
+    pad = (0,) * (len(names) - n)
+    no_x = (0,) * ring.nvars
+    gens = []
+    for i, p in enumerate(points):
+        x = tuple(1 if j == i else 0 for j in range(ring.nvars))
+        gens.append(Polynomial(joint, {
+            tuple(max(-v, 0) for v in p) + pad + x: Fraction(1),
+            tuple(max(v, 0) for v in p) + pad + no_x: Fraction(-1)}))
+    if negative:
+        gens.append(Polynomial(joint, {(1,) * len(names) + no_x: Fraction(1),
+                                       joint.zero_exps: Fraction(-1)}))
+    return joint, gens
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,23 @@ def _check_len(exps, n):
 
 @dataclass(frozen=True)
 class TermOrder:
-    """Base class; subclasses fill in _key and fingerprint."""
+    """Base class; subclasses fill in _key and fingerprint.
+
+    ``key`` memoizes ``_key`` in ``_cache``, which equality ignores.  Each
+    subclass binds ``key = TermOrder.key`` in its own class dict, because
+    ``perfbench/tracing.py`` patches ``cls.__dict__["key"]`` to count calls.
+    """
+
+    _cache: dict = field(default_factory=dict, compare=False, repr=False,
+                         kw_only=True)
 
     def key(self, exps):
+        k = self._cache.get(exps)
+        if k is None:
+            k = self._cache[exps] = self._key(exps)
+        return k
+
+    def _key(self, exps):
         raise NotImplementedError
 
     def cmp(self, a, b):
@@ -46,7 +60,6 @@ class Lex(TermOrder):
 
     nvars: int
     priority: tuple = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.priority is None:
@@ -54,13 +67,11 @@ class Lex(TermOrder):
         if sorted(self.priority) != list(range(self.nvars)):
             raise DimensionError("priority must be a permutation of the positions")
 
-    def key(self, exps):
-        k = self._cache.get(exps)
-        if k is None:
-            _check_len(exps, self.nvars)
-            k = tuple(exps[i] for i in self.priority)
-            self._cache[exps] = k
-        return k
+    key = TermOrder.key
+
+    def _key(self, exps):
+        _check_len(exps, self.nvars)
+        return tuple(exps[i] for i in self.priority)
 
     @property
     def fingerprint(self):
@@ -78,7 +89,6 @@ class GrevLex(TermOrder):
 
     nvars: int
     chain: tuple = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.chain is None:
@@ -87,13 +97,11 @@ class GrevLex(TermOrder):
             raise DimensionError("chain must be a permutation of the positions")
         object.__setattr__(self, "_scan", tuple(reversed(self.chain)))
 
-    def key(self, exps):
-        k = self._cache.get(exps)
-        if k is None:
-            _check_len(exps, self.nvars)
-            k = (sum(exps), tuple(-exps[i] for i in self._scan))
-            self._cache[exps] = k
-        return k
+    key = TermOrder.key
+
+    def _key(self, exps):
+        _check_len(exps, self.nvars)
+        return (sum(exps), tuple(-exps[i] for i in self._scan))
 
     @property
     def fingerprint(self):
@@ -114,18 +122,15 @@ class GammaRevLex(TermOrder):
 
     s: int
     d: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nvars", math.comb(self.d + self.s - 1, self.s - 1))
 
-    def key(self, exps):
-        k = self._cache.get(exps)
-        if k is None:
-            _check_len(exps, self.nvars)
-            k = (sum(exps), tuple(-e for e in exps))
-            self._cache[exps] = k
-        return k
+    key = TermOrder.key
+
+    def _key(self, exps):
+        _check_len(exps, self.nvars)
+        return (sum(exps), tuple(-e for e in exps))
 
     @property
     def fingerprint(self):
@@ -138,20 +143,17 @@ class Weighted(TermOrder):
 
     weights: tuple
     tie: TermOrder
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if any(w < 0 for w in self.weights):
             raise DimensionError("weights must be nonnegative")
 
-    def key(self, exps):
-        k = self._cache.get(exps)
-        if k is None:
-            _check_len(exps, len(self.weights))
-            w = sum(wi * ei for wi, ei in zip(self.weights, exps))
-            k = (w, self.tie.key(exps))
-            self._cache[exps] = k
-        return k
+    key = TermOrder.key
+
+    def _key(self, exps):
+        _check_len(exps, len(self.weights))
+        w = sum(wi * ei for wi, ei in zip(self.weights, exps))
+        return (w, self.tie.key(exps))
 
     @property
     def fingerprint(self):
@@ -171,15 +173,12 @@ class Block(TermOrder):
     front: int
     front_order: TermOrder
     back_order: TermOrder
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def key(self, exps):
-        k = self._cache.get(exps)
-        if k is None:
-            k = (self.front_order.key(exps[: self.front]),
-                 self.back_order.key(exps[self.front:]))
-            self._cache[exps] = k
-        return k
+    key = TermOrder.key
+
+    def _key(self, exps):
+        return (self.front_order.key(exps[: self.front]),
+                self.back_order.key(exps[self.front:]))
 
     @property
     def fingerprint(self):

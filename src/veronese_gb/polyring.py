@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .errors import DimensionError, DomainError, ParseError, RingMismatchError
 from .orders import GammaRevLex, GrevLex, multi_indices
@@ -127,6 +128,22 @@ def mono_deg(a):
     return sum(a)
 
 
+def add_terms(acc, terms, coeff, shift=None):
+    """acc += coeff * x^shift * terms, in place, dropping cancelled terms.
+
+    ``coeff`` must be nonzero.  Exponents are not range-checked; the
+    products that can overflow check before they accumulate.
+    """
+    for e, c in terms.items():
+        if shift is not None:
+            e = tuple(map(add, e, shift))
+        v = acc.get(e, 0) + coeff * c
+        if v:
+            acc[e] = v
+        else:
+            del acc[e]
+
+
 class Polynomial:
     """Sparse polynomial over exact rationals in a fixed ring."""
 
@@ -190,27 +207,23 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring.names, frozenset(self.terms.items())))
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._same_ring(other)
         res = dict(self.terms)
-        for e, c in other.terms.items():
-            v = res.get(e, 0) + c
-            if v:
-                res[e] = v
-            else:
-                res.pop(e, None)
+        add_terms(res, other.terms, sign)
         return Polynomial(self.ring, res, _clean=True)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
 
     def __neg__(self):
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()},
                           _clean=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.constant(other)
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -221,15 +234,11 @@ class Polynomial:
                               {e: c * v for e, v in self.terms.items()},
                               _clean=True)
         self._same_ring(other)
+        # some product overflows exactly when the columnwise maxima do
+        mono_mul(*(tuple(map(max, zip(*p.terms))) for p in (self, other)))
         res = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                v = res.get(e, 0) + c1 * c2
-                if v:
-                    res[e] = v
-                else:
-                    del res[e]
+        for e, c in self.terms.items():
+            add_terms(res, other.terms, c, e)
         return Polynomial(self.ring, res, _clean=True)
 
     __rmul__ = __mul__

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotAConfigurationError
-from .groebner import Ideal, _DivisorIndex, eliminate, find_weight_vector
-from .polyring import Polynomial, base_ring, generic_ring, joint_ring
+from .groebner import (Ideal, _DivisorIndex, eliminate, find_weight_vector,
+                       graph_ideal)
+from .polyring import base_ring
 from .veronese import (VeroneseMap, multi_indices, pullback_homogeneous_ideal,
                        quadratic_pullback_bound)
 
@@ -114,38 +115,14 @@ def toric_groebner_basis(points, ring=None, order=None, budget=None):
     """
     points = [tuple(p) for p in points]
     s = len(points)
-    n = len(points[0])
     if ring is None:
         ring = base_ring(s)
     if ring.nvars != s:
         raise DomainError("ring must have one variable per point")
     if order is None:
         order = ring.default_order()
-    negative = any(x < 0 for p in points for x in p)
-    front_names = tuple(f"z{j + 1}" for j in range(n))
-    if negative:
-        front_names += ("w",)
-    front = len(front_names)
-    joint = joint_ring(generic_ring(front_names), ring)
-
-    def joint_exps(z_part, y_part):
-        return tuple(z_part) + tuple(y_part)
-
-    gens = []
-    zero_y = (0,) * s
-    for i, p in enumerate(points):
-        pos = [x if x > 0 else 0 for x in p] + [0] * (front - n)
-        neg = [-x if x < 0 else 0 for x in p] + [0] * (front - n)
-        y = tuple(1 if j == i else 0 for j in range(s))
-        gens.append(Polynomial(joint, {
-            joint_exps(neg, y): Fraction(1),
-            joint_exps(pos, zero_y): Fraction(-1)}))
-    if negative:
-        prod = tuple([1] * n + [1])
-        gens.append(Polynomial(joint, {
-            joint_exps(prod, zero_y): Fraction(1),
-            joint_exps((0,) * front, zero_y): Fraction(-1)}))
-    return eliminate(gens, front, ring, order, budget=budget)
+    joint, gens = graph_ideal(points, ring)
+    return eliminate(gens, joint.nvars - s, ring, order, budget=budget)
 
 
 def toric_ideal(config, budget=None):
@@ -184,14 +161,7 @@ def veronese_layer(config, d):
     deduplicated support alongside."""
     if d < 1:
         raise DomainError("d must be at least 1")
-    pts = []
-    for a in multi_indices(config.size, d):
-        v = [0] * config.dim
-        for ai, p in zip(a, config.points):
-            if ai:
-                for j in range(config.dim):
-                    v[j] += ai * p[j]
-        pts.append(tuple(v))
+    pts = [config.image_exps(a) for a in multi_indices(config.size, d)]
     grading = tuple(g / d for g in config.grading)
     layer = Configuration(tuple(pts), grading)
     unique, index_of = [], []

@@ -21,10 +21,9 @@ from .errors import (DomainError, InternalCheckError, NonMonomialInitialError,
                      RingMismatchError)
 from .groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
                        _SupportBuckets, _front_free, _reduce_basis, buchberger,
-                       eliminate, is_groebner_basis)
+                       eliminate, graph_ideal, is_groebner_basis)
 from .orders import Block, GammaRevLex, GrevLex, Weighted, multi_indices
-from .polyring import (Polynomial, base_ring, joint_ring, mono_divides,
-                       veronese_ring)
+from .polyring import Polynomial, base_ring, mono_divides, veronese_ring
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,11 @@ class VeroneseMap:
     def image(self, poly):
         if poly.ring != self.ring:
             raise RingMismatchError("polynomial is not in the Veronese ring")
-        out = self.base.zero
+        terms = {}
         for e, coeff in poly.terms.items():
-            out = out + self.base.monomial(self.image_exps(e), coeff)
-        return out
+            c = self.image_exps(e)
+            terms[c] = terms.get(c, 0) + coeff
+        return Polynomial(self.base, terms)
 
     def min_divisor_variable(self, u):
         """Least variable whose image divides the image of the monomial u."""
@@ -170,27 +170,12 @@ def kernel_initial(s, d):
 # elimination oracle
 
 
-def _graph_generators(vmap):
-    """Generators tying each Veronese variable to its image, in the joint ring."""
-    joint = joint_ring(vmap.base, vmap.ring)
-    s = vmap.s
-    gens = []
-    for i, a in enumerate(vmap.ring.indices):
-        e_x = [0] * joint.nvars
-        e_x[s + i] = 1
-        e_y = tuple(a) + (0,) * vmap.ring.nvars
-        gens.append(Polynomial(joint, {tuple(e_x): Fraction(1),
-                                       e_y: Fraction(-1)}))
-    return joint, gens
-
-
 @lru_cache(maxsize=None)
 def _joint_graph_gb(s, d):
     """Reduced basis of the graph ideal under the elimination block order."""
     vmap = VeroneseMap(s, d)
-    joint, gens = _graph_generators(vmap)
-    order = Block(s, GrevLex(s), vmap.order)
-    return buchberger(gens, order)
+    _, gens = graph_ideal(vmap.ring.indices, vmap.ring)
+    return buchberger(gens, Block(s, GrevLex(s), vmap.order))
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +194,7 @@ def preimage_oracle(ideal, vmap, order=None, budget=None):
     """
     if ideal.ring != vmap.base:
         raise RingMismatchError("ideal must live in the base ring")
-    joint, gens = _graph_generators(vmap)
+    joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
     position_map = list(range(vmap.s)) + [-1] * vmap.ring.nvars
     embedded = [g.map_positions(joint, position_map) for g in ideal.generators]
     gb = eliminate(embedded + gens, vmap.s, vmap.ring, vmap.order,
@@ -340,8 +325,10 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
     maximal generator degree so the construction stays complete; with
     ``use_oracle`` off the result is flagged partial instead.  With
     ``method="oracle"`` the elimination basis is returned; "both" builds the
-    constructive basis and raises :class:`InternalCheckError` when it differs
-    from the elimination basis.  The elimination runs at most once, and the
+    constructive basis, records in ``matches_oracle`` whether it equals the
+    elimination basis, and raises :class:`InternalCheckError` when a
+    complete one does not.  ``verify`` checks the S-pairs of the returned
+    basis under every method.  The elimination runs at most once, and the
     zero ideal pulls back to the kernel under every method.
     """
     ring = ideal.ring
@@ -349,7 +336,9 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
     vmap = VeroneseMap(s, d)
     order = vmap.order
     kernel = exchange_binomials(s, d)
-    cert = {"method_note": "exchange binomials plus standard-monomial generators"}
+    constructive = ideal.is_zero or method != "oracle"
+    cert = {"method_note": "exchange binomials plus standard-monomial "
+                           "generators"} if constructive else {}
     oracle_gb = None
     if ideal.is_zero:
         basis = tuple(kernel)
@@ -362,27 +351,33 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
         if below or method != "constructive":
             oracle_gb = preimage_oracle(Ideal(ring, ideal.polynomials()), vmap,
                                         budget=budget)
-        if method == "oracle":
-            return PullbackResult(s, d, order, oracle_gb, oracle_gb,
-                                  "elimination-oracle", {})
-        if below:
-            cap = max(cap, max((g.total_degree() for g in oracle_gb), default=1))
-        gens, complete = monomial_pullback_generators(ideal, d, degree_cap=cap)
-        basis = tuple(kernel) + tuple(vmap.ring.monomial(e) for e in gens)
-        reduced = _reduce_basis(list(basis), order, budget)
-        cert.update(bound=bound, meets_bound=d >= bound,
-                    complete=complete or below, degree_cap=cap)
-    cert["members_in_target"] = all(_maps_into_monomial(vmap, g, ideal)
-                                    for g in basis)
+        if constructive:
+            if below:
+                cap = max(cap, max((g.total_degree() for g in oracle_gb),
+                                   default=1))
+            gens, complete = monomial_pullback_generators(ideal, d,
+                                                          degree_cap=cap)
+            basis = tuple(kernel) + tuple(vmap.ring.monomial(e) for e in gens)
+            reduced = _reduce_basis(list(basis), order, budget)
+            cert.update(bound=bound, meets_bound=d >= bound,
+                        complete=complete or below, degree_cap=cap)
+        else:
+            basis = reduced = oracle_gb
+    if constructive:
+        cert["members_in_target"] = all(_maps_into_monomial(vmap, g, ideal)
+                                        for g in basis)
     if verify:
         check = is_groebner_basis(basis, order, budget=budget)
         cert["is_groebner"] = check.ok
         cert["spairs_checked"] = check.spairs
-    if oracle_gb is not None:
+    if constructive and oracle_gb is not None:
         cert["matches_oracle"] = tuple(reduced) == tuple(oracle_gb)
-        if method == "both" and not cert["matches_oracle"]:
+        if method == "both" and cert["complete"] and \
+                not cert["matches_oracle"]:
             raise InternalCheckError("constructive and oracle pullbacks disagree")
-    return PullbackResult(s, d, order, basis, reduced, "constructive", cert)
+    return PullbackResult(s, d, order, basis, reduced,
+                          "constructive" if constructive else
+                          "elimination-oracle", cert)
 
 
 def _maps_into_monomial(vmap, g, ideal):

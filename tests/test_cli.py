@@ -102,6 +102,40 @@ def test_strict_partial_exit():
     assert strict.returncode == 1
 
 
+@pytest.mark.parametrize("args,code", [
+    (["--d", "3", "--verify", "--cap", "1"], 0),
+    (["--d", "2", "--no-oracle", "--cap", "1", "--strict"], 1),
+], ids=["capped", "capped-no-oracle-strict"])
+def test_method_both_capped_result_is_partial_not_a_defect(args, code):
+    # the capped constructive basis misses generators the oracle has; the
+    # certificate says so, and --strict, not exit 6, decides the exit code
+    proc = run_cli("--json", "pullback", "tests/data/square_square.json",
+                   "--method", "both", *args)
+    assert proc.returncode == code, proc.stderr
+    out = json.loads(proc.stdout)["outputs"]
+    assert out["partial"] is True
+    assert out["certificate"]["complete"] is False
+    assert out["certificate"]["matches_oracle"] is False
+
+
+@pytest.mark.parametrize("method", ["constructive", "oracle", "both"])
+def test_pullback_verify_under_every_method(method):
+    args = ["pullback", "tests/data/square_square.json", "--d", "3",
+            "--method", method]
+    plain = json.loads(run_cli("--json", *args).stdout)
+    proc = run_cli("--json", *args, "--verify")
+    assert proc.returncode == 0, proc.stderr
+    verified = json.loads(proc.stdout)
+    cert = verified["outputs"]["certificate"]
+    assert cert["is_groebner"] is True
+    assert cert["spairs_checked"] > 0
+    # the check's S-pairs are charged to the budget
+    assert verified["budget"]["spairs_used"] == \
+        plain["budget"]["spairs_used"] + cert["spairs_checked"]
+    assert verified["outputs"]["reduced"]["polynomials"] == \
+        plain["outputs"]["reduced"]["polynomials"]
+
+
 def test_budget_exit_code():
     proc = run_cli("--budget", "1", "toric", "tests/data/curve_config.json")
     assert proc.returncode == 3

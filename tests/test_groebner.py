@@ -165,10 +165,76 @@ def _reduce_basis_reference(polys, order):
     return tuple(sorted(out, key=lambda p: order.key(lt(p))))
 
 
-@pytest.mark.parametrize("order", [
+ORDERS = pytest.mark.parametrize("order", [
     Lex(3), GrevLex(3), Weighted((1, 2, 3), GrevLex(3)),
     Block(1, GrevLex(1), GrevLex(2))], ids=["lex", "grevlex", "weighted",
                                             "block"])
+
+
+def _dict_sum(*scaled):
+    """Sum of coeff * x^shift * terms over (coeff, shift, terms) triples,
+    as a plain dict; zero coefficients are dropped at the end."""
+    out = {}
+    for coeff, shift, terms in scaled:
+        for e, c in terms.items():
+            m = tuple(a + b for a, b in zip(e, shift))
+            out[m] = out.get(m, 0) + coeff * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _dict_spoly(f, g, order):
+    ltf, ltg = max(f, key=order.key), max(g, key=order.key)
+    lcm = tuple(max(a, b) for a, b in zip(ltf, ltg))
+    return _dict_sum(
+        (1 / f[ltf], tuple(a - b for a, b in zip(lcm, ltf)), f),
+        (-1 / g[ltg], tuple(a - b for a, b in zip(lcm, ltg)), g))
+
+
+def _dict_normal_form(f, divisors, order):
+    """Division by the dividing element with the least leading term, the
+    earliest one among equal leading terms."""
+    divisors = sorted(((max(g, key=order.key), g) for g in divisors),
+                      key=lambda t: order.key(t[0]))
+    p, r = dict(f), {}
+    while p:
+        u = max(p, key=order.key)
+        hit = next(((lt, g) for lt, g in divisors if mono_divides(lt, u)), None)
+        if hit is None:
+            r[u] = p.pop(u)
+            continue
+        lt, g = hit
+        p = _dict_sum((1, (0,) * len(u), p),
+                      (-p[u] / g[lt], tuple(a - b for a, b in zip(u, lt)), g))
+    return r
+
+
+@ORDERS
+def test_term_primitives_match_dict_reference(order, rng):
+    S = base_ring(3)
+    zero = S.zero_exps
+    for _ in range(30):
+        f, g = _random_poly(rng, S, terms=4), _random_poly(rng, S, terms=4)
+        assert (f + g).terms == _dict_sum((1, zero, f.terms),
+                                          (1, zero, g.terms))
+        assert (f - g).terms == _dict_sum((1, zero, f.terms),
+                                          (-1, zero, g.terms))
+        assert (f * g).terms == _dict_sum(*((c, e, g.terms)
+                                            for e, c in f.terms.items()))
+        # full cancellation leaves no zero terms behind
+        assert (f - f).terms == (f + (-1) * f).terms == {}
+        assert ((f + g) - g) == f
+        if not f or not g:
+            continue
+        assert s_polynomial(f, g, order).terms == \
+            _dict_spoly(f.terms, g.terms, order)
+        divisors = [p for p in (_random_poly(rng, S, terms=2, top=2)
+                                for _ in range(3)) if p]
+        h = f * g + f
+        assert normal_form(h, divisors, order).terms == \
+            _dict_normal_form(h.terms, [d.terms for d in divisors], order)
+
+
+@ORDERS
 def test_reduce_basis_matches_division_by_the_others(order, rng):
     S = base_ring(3)
     for _ in range(8):

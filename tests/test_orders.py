@@ -122,6 +122,29 @@ def test_initial_form_examples():
         f.initial_form((1, 1))
 
 
+def test_key_memo_contract():
+    # perfbench/tracing.py counts key calls by patching each class's own
+    # ``key`` and reads ``order._cache`` to tell hits from misses
+    from veronese_gb.orders import Block
+
+    def make():
+        return [(Lex(3, (2, 0, 1)), 3), (GrevLex(3), 3), (GammaRevLex(2, 2), 3),
+                (Weighted((1, 2, 3), GrevLex(3)), 3),
+                (Block(1, GrevLex(1), GrevLex(2)), 3)]
+
+    assert {type(o) for o, _ in make()} == {Lex, GrevLex, GammaRevLex,
+                                            Weighted, Block}
+    fresh, filled = make(), make()
+    for order, n in filled:
+        assert "key" in type(order).__dict__
+        exps = tuple(range(1, n + 1))
+        k = order.key(exps)
+        assert order._cache[exps] == k
+        assert order.key(exps) is k
+    for (a, _), (b, _) in zip(fresh, filled):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 def test_block_order_elimination_property(rng):
     from veronese_gb.orders import Block
     block = Block(2, GrevLex(2), GrevLex(3))

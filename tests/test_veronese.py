@@ -8,8 +8,9 @@ from veronese_gb.errors import (DomainError, InternalCheckError,
                                 NonMonomialInitialError)
 from veronese_gb.groebner import (Ideal, MonomialIdeal, buchberger,
                                   find_weight_vector)
-from veronese_gb.orders import GammaRevLex, GrevLex
+from veronese_gb.orders import GammaRevLex, GrevLex, multi_indices
 from veronese_gb.polyring import base_ring, parse_polynomial, veronese_ring
+from veronese_gb.toric import toric_groebner_basis
 from veronese_gb.veronese import (VeroneseMap, degree_bounds,
                                   exchange_binomials, kernel_groebner_basis,
                                   kernel_initial, kernel_oracle_basis,
@@ -100,8 +101,13 @@ def test_verify_exchange_basis_small():
 
 
 def test_kernel_matches_oracle():
-    for s, d in ((2, 2), (2, 3), (3, 2)):
-        assert kernel_groebner_basis(s, d) == kernel_oracle_basis(s, d)
+    for s, d in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        vmap = VeroneseMap(s, d)
+        # the kernel is the toric ideal of the degree-d multi-indices
+        toric = toric_groebner_basis(multi_indices(s, d), ring=vmap.ring,
+                                     order=vmap.order)
+        assert kernel_groebner_basis(s, d) == kernel_oracle_basis(s, d) \
+            == toric, (s, d)
 
 
 def test_kernel_size_matches_dimension_count():
