@@ -1,9 +1,11 @@
 """Division, Buchberger's algorithm, elimination, and initial ideals.
 
-All computations are exact.  Buchberger uses the normal selection strategy
-(smallest lcm degree first) with the coprimality and chain criteria, a hard
-cap on processed S-pairs, and a guard on coefficient size; hitting either cap
-raises ``BudgetExceededError`` instead of returning a truncated basis.
+All computations are exact.  Buchberger takes the pair with the smallest
+lcm first: smallest degree, ties broken by the order, under a ``Block``
+order, and smallest under the order itself otherwise.  It drops pairs by the
+coprimality and chain criteria, caps the processed S-pairs, and guards the
+coefficient size; hitting either cap raises ``BudgetExceededError`` instead
+of returning a truncated basis.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .errors import (BudgetExceededError, DomainError, InternalCheckError,
                      RingMismatchError)
 from .orders import Block, GrevLex, TermOrder, Weighted
 from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
-                       mono_deg, mono_div, mono_divides, mono_gcd_is_one,
-                       mono_lcm)
+                       mono_deg, mono_div, mono_divides, mono_lcm)
 
 DEFAULT_SPAIR_CAP = 10**6
 DEFAULT_COEFF_BITS = 1_000_000
@@ -88,11 +89,15 @@ class _SupportBuckets:
         self.buckets.setdefault(slot, []).append(
             (_support_mask(exps), check, item))
 
-    def divisors(self, exps):
-        """Items whose exponent vector divides ``exps``, lazily."""
+    def divisors(self, exps, mask=None):
+        """Items whose exponent vector divides ``exps``, lazily.
+
+        ``mask`` is the support mask of ``exps`` when the caller already has
+        it (the mask of an lcm is the union of its factors' masks).
+        """
         for _, _, item in self.buckets.get(-1, ()):
             yield item
-        outside = ~_support_mask(exps)
+        outside = ~(_support_mask(exps) if mask is None else mask)
         for i, x in enumerate(exps):
             if not x:
                 continue
@@ -246,6 +251,13 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
 
     ``seed_gb`` may carry a list already known to be a Gröbner basis under
     ``order``; its internal S-pairs are then skipped.
+
+    Each basis entry carries the support mask of its leading term, so the
+    coprimality test is one ``&`` (gcd 1 exactly when the supports are
+    disjoint) and the chain lookup gets the lcm's mask as ``mi | mj``.  Heap
+    entries stay ``(selection_key, i, j)``: the lcm is recomputed when a pair
+    is popped, since keeping it in the heap holds one tuple per pending pair
+    that the order-key memo would otherwise share.
     """
     if budget is None:
         budget = Budget()
@@ -256,7 +268,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
     if seed_gb:
         ring = seed_gb[0].ring
 
-    basis = []            # (poly, lt_exps, lt_key)
+    basis = []            # (poly, lt_exps, lt_key, lt_mask)
     index = None
     done = set()
     # Selection: smallest lcm under the order (what the tie-sensitive plain
@@ -271,19 +283,18 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
     queue = []            # heap of (selection_key(lcm), i, j)
 
     def push_pairs(j):
-        ltj = basis[j][1]
+        _, ltj, _, mj = basis[j]
         for i in range(j):
-            lti = basis[i][1]
-            if mono_gcd_is_one(lti, ltj):
+            _, lti, _, mi = basis[i]
+            if not mi & mj:
                 stats.skipped_coprime += 1
                 done.add((i, j))
                 continue
-            lcm = mono_lcm(lti, ltj)
-            heapq.heappush(queue, (selection_key(lcm), i, j))
+            heapq.heappush(queue, (selection_key(mono_lcm(lti, ltj)), i, j))
 
     def append(poly):
         lt, _ = poly.leading_term(order)
-        basis.append((poly, lt, order.key(lt)))
+        basis.append((poly, lt, order.key(lt), _support_mask(lt)))
         index.add(poly, lt)
         push_pairs(len(basis) - 1)
         stats.basis_peak = max(stats.basis_peak, len(basis))
@@ -294,7 +305,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
     if seed_gb:
         for g in seed_gb:
             lt, _ = g.leading_term(order)
-            basis.append((g, lt, order.key(lt)))
+            basis.append((g, lt, order.key(lt), _support_mask(lt)))
             index.add(g, lt)
         m = len(basis)
         done.update((i, j) for j in range(m) for i in range(j))
@@ -315,13 +326,14 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
         if (i, j) in done:
             continue
         done.add((i, j))
-        lcm = mono_lcm(basis[i][1], basis[j][1])
+        fi, lti, _, mi = basis[i]
+        fj, ltj, _, mj = basis[j]
         chained = False
-        for item in index.buckets.divisors(lcm):
+        for item in index.buckets.divisors(mono_lcm(lti, ltj), mi | mj):
             k = item[1]
             if k != i and k != j and \
-                    (min(i, k), max(i, k)) in done and \
-                    (min(j, k), max(j, k)) in done:
+                    ((k, i) if k < i else (i, k)) in done and \
+                    ((k, j) if k < j else (j, k)) in done:
                 chained = True
                 break
         if chained:
@@ -329,7 +341,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
             continue
         budget.charge_spair()
         stats.spairs += 1
-        s = _spoly(basis[i][0], basis[i][1], basis[j][0], basis[j][1])
+        s = _spoly(fi, lti, fj, ltj)
         r = Polynomial(ring,
                        _reduce_terms(s, index, order, budget, scale_ok=True),
                        _clean=True)
@@ -381,10 +393,11 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
         budget = Budget()
     index = _DivisorIndex.of(polys, order, polys[0].ring if polys else None)
     lts = [item[2] for item in index.items]
+    masks = [_support_mask(lt) for lt in lts]
     count = 0
     for j in range(len(polys)):
         for i in range(j):
-            if skip_coprime and mono_gcd_is_one(lts[i], lts[j]):
+            if skip_coprime and not masks[i] & masks[j]:
                 continue
             budget.charge_spair()
             count += 1
@@ -486,8 +499,10 @@ class MonomialIdeal:
             buckets.add(g, g)
         return buckets
 
-    def contains(self, exps):
-        return next(self._buckets.divisors(exps), None) is not None
+    def contains(self, exps, mask=None):
+        """Whether a generator divides ``exps``; ``mask`` as for
+        ``_SupportBuckets.divisors``."""
+        return next(self._buckets.divisors(exps, mask), None) is not None
 
     def max_total_degree(self):
         """Largest total degree among the minimal generators."""
@@ -513,9 +528,14 @@ class MonomialIdeal:
 
 
 class Ideal:
-    """Generator list plus a cache of reduced Gröbner bases keyed by order."""
+    """Generator list plus a cache of reduced Gröbner bases keyed by order.
 
-    __slots__ = ("ring", "generators", "_cache")
+    Next to each cached basis, ``_indexes`` keeps the divisor index over it,
+    built by the first ``normal_form`` under that order and shared by every
+    later one.
+    """
+
+    __slots__ = ("ring", "generators", "_cache", "_indexes")
 
     def __init__(self, ring, generators=()):
         object.__setattr__(self, "ring", ring)
@@ -527,6 +547,7 @@ class Ideal:
                 gens.append(g)
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_indexes", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -539,7 +560,13 @@ class Ideal:
         return gb
 
     def normal_form(self, f, order, budget=None):
-        return normal_form(f, self.groebner_basis(order, budget), order, budget)
+        if f.ring != self.ring:
+            raise RingMismatchError("polynomial outside the ideal's ring")
+        index = self._indexes.get(order)
+        if index is None:
+            index = self._indexes[order] = _DivisorIndex.of(
+                self.groebner_basis(order, budget), order, self.ring)
+        return index.remainder(f, budget)
 
     def contains(self, f, order=None, budget=None):
         if order is None:

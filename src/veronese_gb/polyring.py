@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, le, sub
 
 from .errors import DimensionError, DomainError, ParseError, RingMismatchError
 from .orders import GammaRevLex, GrevLex, multi_indices
@@ -109,19 +109,15 @@ def mono_mul(a, b):
 
 def mono_div(a, b):
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_gcd_is_one(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a):

@@ -245,16 +245,30 @@ def verify_exchange_basis(s, d, budget=None):
 
 def standard_monomials(s, d, degree, order=None):
     """Monomials of the Veronese ring of the given degree outside the kernel's
-    leading-term ideal, in ascending position order."""
+    leading-term ideal, in ascending position order.
+
+    A monomial grows depth first by raising positions in ascending order,
+    which is the order of ``combinations_with_replacement``, and carries its
+    support mask along.  A prefix inside the ideal is dropped with everything
+    grown from it: a monomial ideal is closed under multiplication.
+    """
     init = _kernel_initial_for(s, d, order)
     n = VeroneseMap(s, d).ring.nvars
-    for combo in combinations_with_replacement(range(n), degree):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        e = tuple(e)
-        if not init.contains(e):
-            yield e
+
+    def grow(e, mask, start, left):
+        for i in range(start, n):
+            f = e[:i] + (e[i] + 1,) + e[i + 1:]
+            m = mask | 1 << i
+            if init.contains(f, m):
+                continue
+            if left == 1:
+                yield f
+            else:
+                yield from grow(f, m, i, left - 1)
+
+    zero = (0,) * n
+    if not init.contains(zero):
+        yield from grow(zero, 0, 0, degree) if degree else (zero,)
 
 
 @lru_cache(maxsize=None)

@@ -1,18 +1,21 @@
 """Division, Buchberger, elimination, initial ideals, and weight synthesis."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from veronese_gb.errors import BudgetExceededError, DomainError
-from veronese_gb.groebner import (Budget, Ideal, MonomialIdeal, _reduce_basis,
-                                  buchberger, eliminate, find_weight_vector,
+from veronese_gb.errors import (BudgetExceededError, DomainError,
+                                RingMismatchError)
+from veronese_gb.groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
+                                  _reduce_basis, _support_mask, buchberger,
+                                  eliminate, find_weight_vector,
                                   initial_ideal, is_groebner_basis,
                                   normal_form, s_polynomial)
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, Lex, Weighted
 from veronese_gb.polyring import (Polynomial, base_ring, generic_ring,
-                                  mono_divides, parse_polynomial,
-                                  veronese_ring)
+                                  mono_div, mono_divides, mono_lcm,
+                                  parse_polynomial, veronese_ring)
 from veronese_gb.veronese import exchange_binomials
 
 
@@ -264,7 +267,8 @@ def test_monomial_ideal_contains_matches_brute_force(rng):
     for M in ideals:
         for _ in range(60):
             e = tuple(rng.randrange(4) for _ in range(4))
-            assert M.contains(e) == any(mono_divides(g, e) for g in M.gens)
+            assert M.contains(e) == M.contains(e, _support_mask(e)) == \
+                any(mono_divides(g, e) for g in M.gens)
     assert not ideals[0].contains((0, 0, 0, 0))
     assert ideals[1].contains((0, 0, 0, 0))
 
@@ -367,3 +371,52 @@ def test_binomial_closure_of_binomial_input():
     R = veronese_ring(2, 4)
     gb = buchberger(list(exchange_binomials(2, 4)), GammaRevLex(2, 4))
     assert all(g.is_binomial_pm1() for g in gb)
+
+
+def test_ideal_keeps_one_divisor_index_per_order(monkeypatch):
+    R = veronese_ring(3, 3)
+    order = GammaRevLex(3, 3)
+    I = Ideal(R, exchange_binomials(3, 3))
+    gb = I.groebner_basis(order)
+    rng = random.Random(7)
+    fs = [Polynomial(R, {tuple(rng.randrange(3) for _ in range(R.nvars)):
+                         Fraction(rng.randrange(1, 5)) for _ in range(3)})
+          for _ in range(50)]
+    fs += [g.mul_term(rng.randrange(1, 5),
+                      tuple(rng.randrange(2) for _ in range(R.nvars))) + h
+           for g, h in zip(rng.choices(gb, k=50), rng.choices(gb, k=50))]
+    expected = [normal_form(f, gb, order) for f in fs]
+    assert any(expected) and not all(expected)
+
+    builds = []
+    of = _DivisorIndex.of.__func__
+
+    def counting_of(cls, *args):
+        builds.append(args)
+        return of(cls, *args)
+
+    monkeypatch.setattr(_DivisorIndex, "of", classmethod(counting_of))
+    assert [I.contains(f, order) for f in fs] == [not r for r in expected]
+    assert [I.normal_form(f, order) for f in fs] == expected
+    assert len(builds) == 1
+    # a second order gets an index of its own
+    I.normal_form(fs[0], GrevLex(R.nvars))
+    assert len(builds) == 2
+    with pytest.raises(RingMismatchError):
+        I.normal_form(base_ring(2).one, order)
+
+
+def test_mono_helpers_match_zip_references():
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = rng.randrange(8)
+        a = tuple(rng.randrange(4) for _ in range(n))
+        b = tuple(rng.randrange(4) for _ in range(n))
+        lcm = tuple(max(x, y) for x, y in zip(a, b))
+        assert mono_lcm(a, b) == lcm
+        assert mono_divides(a, b) == all(x <= y for x, y in zip(a, b))
+        assert mono_divides(a, lcm) and mono_divides(b, lcm)
+        assert mono_div(lcm, a) == tuple(x - y for x, y in zip(lcm, a))
+        coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
+        assert (not _support_mask(a) & _support_mask(b)) == coprime
+        assert _support_mask(lcm) == _support_mask(a) | _support_mask(b)

@@ -1,19 +1,22 @@
 """The Veronese map, kernel bases, pullbacks, and the degree bounds."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from veronese_gb.errors import (DomainError, InternalCheckError,
                                 NonMonomialInitialError)
-from veronese_gb.groebner import (Ideal, MonomialIdeal, buchberger,
-                                  find_weight_vector)
-from veronese_gb.orders import GammaRevLex, GrevLex, multi_indices
+from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
+                                  buchberger, find_weight_vector,
+                                  graph_ideal)
+from veronese_gb.orders import Block, GammaRevLex, GrevLex, multi_indices
 from veronese_gb.polyring import base_ring, parse_polynomial, veronese_ring
 from veronese_gb.toric import toric_groebner_basis
-from veronese_gb.veronese import (VeroneseMap, degree_bounds,
-                                  exchange_binomials, kernel_groebner_basis,
-                                  kernel_initial, kernel_oracle_basis,
+from veronese_gb.veronese import (VeroneseMap, _kernel_initial_for,
+                                  degree_bounds, exchange_binomials,
+                                  kernel_groebner_basis, kernel_initial,
+                                  kernel_oracle_basis,
                                   monomial_pullback_generators,
                                   preimage_oracle, pullback_homogeneous_ideal,
                                   pullback_monomial_ideal,
@@ -374,3 +377,67 @@ def test_standard_monomials_enumeration():
     assert len(mons) == 7
     init = kernel_initial(2, 3)
     assert all(not init.contains(e) for e in mons)
+
+
+def _standard_monomials_reference(s, d, degree, order=None):
+    """Every degree-``degree`` monomial in ascending position order, kept
+    when no minimal generator of the initial ideal divides it."""
+    gens = _kernel_initial_for(s, d, order).gens
+    n = VeroneseMap(s, d).ring.nvars
+    out = []
+    for combo in combinations_with_replacement(range(n), degree):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        if not any(all(x <= y for x, y in zip(g, e)) for g in gens):
+            out.append(tuple(e))
+    return out
+
+
+def test_standard_monomials_match_exhaustive_filter():
+    for s, d in ((2, 3), (2, 6), (3, 3), (4, 2), (5, 2)):
+        for degree in range(5):
+            assert list(standard_monomials(s, d, degree)) == \
+                _standard_monomials_reference(s, d, degree), (s, d, degree)
+    order = GrevLex(VeroneseMap(2, 3).ring.nvars)
+    assert _kernel_initial_for(2, 3, order) != kernel_initial(2, 3)
+    for degree in range(5):
+        assert list(standard_monomials(2, 3, degree, order)) == \
+            _standard_monomials_reference(2, 3, degree, order), degree
+
+
+# (spairs, skipped_coprime, skipped_chain, basis_peak, output size) of the
+# unseeded elimination run; a change to pair selection or to either
+# criterion moves them
+GRAPH_IDEAL_COUNTERS = {
+    (2, 3): (31, 36, 24, 14, 10),
+    (3, 3): (1123, 10440, 11657, 216, 52),
+    (4, 2): (380, 3050, 1226, 97, 50),
+    (2, 6): (412, 1181, 1488, 79, 28),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GRAPH_IDEAL_COUNTERS),
+                         ids=lambda shape: "%d-%d" % shape)
+def test_graph_ideal_buchberger_counters(shape):
+    s, d = shape
+    vmap = VeroneseMap(s, d)
+    _, gens = graph_ideal(vmap.ring.indices, vmap.ring)
+    stats = GBStats()
+    gb = buchberger(gens, Block(s, GrevLex(s), vmap.order), stats=stats)
+    assert (stats.spairs, stats.skipped_coprime, stats.skipped_chain,
+            stats.basis_peak, len(gb)) == GRAPH_IDEAL_COUNTERS[shape]
+
+
+@pytest.mark.parametrize("s, d, gens, spairs", [
+    (2, 2, ["y1^3"], 14),
+    (2, 3, ["y1^2*y2", "y2^3"], 11),
+    (3, 3, ["y1^2*y2", "y3^3"], 191),
+    (4, 2, ["y1*y2*y3"], 56),
+], ids=["2-2", "2-3", "3-3", "4-2"])
+def test_seeded_preimage_oracle_spairs(s, d, gens, spairs):
+    S = base_ring(s)
+    budget = Budget()
+    preimage_oracle(Ideal(S, [parse_polynomial(g, S) for g in gens]),
+                    VeroneseMap(s, d), budget=budget)
+    assert budget.spairs == spairs
