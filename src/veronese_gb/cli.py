@@ -28,9 +28,9 @@ from .errors import (BudgetExceededError, DimensionError, DomainError,
                      NotAConfigurationError, ParseError, RingMismatchError)
 from .groebner import Budget, Ideal, MonomialIdeal, eliminate
 from .orders import Block, GammaRevLex, GrevLex, Lex, Weighted
-from .polyring import (format_terms, generic_ring, parse_polynomial,
-                       poly_from_json, poly_to_json, ring_from_json,
-                       ring_to_json)
+from .polyring import (SCALAR, format_terms, generic_ring, json_shape,
+                       parse_polynomial, poly_from_json, poly_to_json,
+                       ring_from_json, ring_to_json)
 from .toric import Configuration, toric_ideal, verify_veronese_toric
 from .veronese import (VeroneseMap, degree_bounds, exchange_binomials,
                        pullback_homogeneous_ideal, pullback_monomial_ideal,
@@ -44,10 +44,14 @@ class _Partial(Exception):
     """Raised under --strict when a result is flagged partial."""
 
 
+def _reject_constant(name):
+    raise DomainError(f"{name} is not a JSON number")
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh), fh.name
+            return json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise DomainError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
@@ -55,10 +59,10 @@ def _load_json(path):
 
 
 def load_ideal_file(path):
-    obj, _ = _load_json(path)
+    obj = json_shape(_load_json(path), dict, "ideal file")
     ring = ring_from_json(obj["ring"])
     gens = []
-    for item in obj.get("generators", []):
+    for item in json_shape(obj.get("generators", []), list, "generators"):
         if isinstance(item, str):
             gens.append(parse_polynomial(item, ring))
         else:
@@ -67,8 +71,13 @@ def load_ideal_file(path):
 
 
 def load_configuration_file(path):
-    obj, _ = _load_json(path)
-    return Configuration.from_points(obj["points"], obj.get("lambda"))
+    obj = json_shape(_load_json(path), dict, "configuration file")
+    points = [json_shape(p, list, "each point", SCALAR)
+              for p in json_shape(obj["points"], list, "points")]
+    grading = obj.get("lambda")
+    if grading is not None:
+        json_shape(grading, list, "lambda", SCALAR)
+    return Configuration.from_points(points, grading)
 
 
 def parse_order_spec(spec, ring):

@@ -86,8 +86,9 @@ class _SupportBuckets:
         # a vector with no exponent above 1 divides exactly where its
         # support does, so the mask test alone decides it
         check = exps if max(exps, default=0) > 1 else None
-        self.buckets.setdefault(slot, []).append(
-            (_support_mask(exps), check, item))
+        mask = _support_mask(exps)
+        self.buckets.setdefault(slot, []).append((mask, check, item))
+        return mask
 
     def divisors(self, exps, mask=None):
         """Items whose exponent vector divides ``exps``, lazily.
@@ -113,12 +114,14 @@ class _DivisorIndex:
     Items are (lt_key, seq, lt_exps, lt_coeff, tail, poly), bucketed by
     leading term, where ``tail`` holds the terms below the leading one;
     ``seq`` is the insertion position, so among equal leading terms the
-    earliest element wins.
+    earliest element wins.  ``masks[seq]`` is the support mask of the
+    leading term.
     """
 
     def __init__(self, order):
         self.order = order
         self.items = []
+        self.masks = []
         self.buckets = _SupportBuckets()
 
     @classmethod
@@ -138,7 +141,7 @@ class _DivisorIndex:
         item = (self.order.key(lt), len(self.items), lt, poly.terms[lt], tail,
                 poly)
         self.items.append(item)
-        self.buckets.add(lt, item)
+        self.masks.append(self.buckets.add(lt, item))
 
     def find(self, exps):
         return min(self.buckets.divisors(exps), default=None)
@@ -252,12 +255,16 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
     ``seed_gb`` may carry a list already known to be a Gröbner basis under
     ``order``; its internal S-pairs are then skipped.
 
-    Each basis entry carries the support mask of its leading term, so the
-    coprimality test is one ``&`` (gcd 1 exactly when the supports are
-    disjoint) and the chain lookup gets the lcm's mask as ``mi | mj``.  Heap
-    entries stay ``(selection_key, i, j)``: the lcm is recomputed when a pair
-    is popped, since keeping it in the heap holds one tuple per pending pair
-    that the order-key memo would otherwise share.
+    The divisor index is the only basis store: element k is
+    ``index.items[k]``, with leading-term support mask ``index.masks[k]``, so
+    coprimality is one ``&`` (gcd 1 exactly when the supports are disjoint)
+    and the chain lookup gets the lcm's mask as ``mi | mj``.  ``done`` holds
+    the popped pairs only: the chain criterion asks whether a pair was
+    treated, and pairs inside the seed (already a Gröbner basis) and coprime
+    pairs (whose S-polynomials reduce to zero) count as treated without
+    being stored.  Heap entries stay ``(selection_key, i, j)``: the lcm is
+    recomputed when a pair is popped, since keeping it in the heap holds one
+    tuple per pending pair that the order-key memo would otherwise share.
     """
     if budget is None:
         budget = Budget()
@@ -267,10 +274,21 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
     ring = generators[0].ring if generators else None
     if seed_gb:
         ring = seed_gb[0].ring
+    if ring is None:
+        return ()
 
-    basis = []            # (poly, lt_exps, lt_key, lt_mask)
-    index = None
-    done = set()
+    index = _DivisorIndex(order)
+    items, masks = index.items, index.masks
+    for g in seed_gb or ():
+        index.add(g, g.leading_term(order)[0])
+    seeded = len(items)
+    done = set()          # popped pairs (i, j), i < j
+
+    def treated(i, j):
+        if i > j:
+            i, j = j, i
+        return j < seeded or not masks[i] & masks[j] or (i, j) in done
+
     # Selection: smallest lcm under the order (what the tie-sensitive plain
     # lex case needs), except that elimination blocks go degree-first inside
     # the queue, which empirically keeps the joint-ring runs shallow.
@@ -282,73 +300,46 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
             return (order.key(lcm), mono_deg(lcm))
     queue = []            # heap of (selection_key(lcm), i, j)
 
-    def push_pairs(j):
-        _, ltj, _, mj = basis[j]
-        for i in range(j):
-            _, lti, _, mi = basis[i]
-            if not mi & mj:
-                stats.skipped_coprime += 1
-                done.add((i, j))
-                continue
-            heapq.heappush(queue, (selection_key(mono_lcm(lti, ltj)), i, j))
-
-    def append(poly):
+    def add_remainder(terms):
+        """A nonzero remainder of the terms joins the basis, with its pairs."""
+        r = Polynomial(ring, _reduce_terms(terms, index, order, budget,
+                                           scale_ok=True), _clean=True)
+        if not r:
+            return
+        poly = _primitive(r, order)
         lt, _ = poly.leading_term(order)
-        basis.append((poly, lt, order.key(lt), _support_mask(lt)))
         index.add(poly, lt)
-        push_pairs(len(basis) - 1)
-        stats.basis_peak = max(stats.basis_peak, len(basis))
+        j, mj = len(items) - 1, masks[-1]
+        for i in range(j):
+            if not masks[i] & mj:
+                stats.skipped_coprime += 1
+                continue
+            heapq.heappush(queue, (selection_key(mono_lcm(items[i][2], lt)),
+                                   i, j))
+        stats.basis_peak = max(stats.basis_peak, len(items))
 
-    if ring is None:
-        return ()
-    index = _DivisorIndex(order)
-    if seed_gb:
-        for g in seed_gb:
-            lt, _ = g.leading_term(order)
-            basis.append((g, lt, order.key(lt), _support_mask(lt)))
-            index.add(g, lt)
-        m = len(basis)
-        done.update((i, j) for j in range(m) for i in range(j))
     for f in generators:
         if f.ring != ring:
             raise RingMismatchError("generators live in different rings")
-        if not f:
-            continue
-        r = Polynomial(ring,
-                       _reduce_terms(f.terms, index, order, budget,
-                                     scale_ok=True),
-                       _clean=True)
-        if r:
-            append(_primitive(r, order))
+        if f:
+            add_remainder(f.terms)
 
     while queue:
         _, i, j = heapq.heappop(queue)
-        if (i, j) in done:
-            continue
         done.add((i, j))
-        fi, lti, _, mi = basis[i]
-        fj, ltj, _, mj = basis[j]
-        chained = False
-        for item in index.buckets.divisors(mono_lcm(lti, ltj), mi | mj):
+        lti, ltj = items[i][2], items[j][2]
+        for item in index.buckets.divisors(mono_lcm(lti, ltj),
+                                           masks[i] | masks[j]):
             k = item[1]
-            if k != i and k != j and \
-                    ((k, i) if k < i else (i, k)) in done and \
-                    ((k, j) if k < j else (j, k)) in done:
-                chained = True
+            if k != i and k != j and treated(k, i) and treated(k, j):
+                stats.skipped_chain += 1
                 break
-        if chained:
-            stats.skipped_chain += 1
-            continue
-        budget.charge_spair()
-        stats.spairs += 1
-        s = _spoly(fi, lti, fj, ltj)
-        r = Polynomial(ring,
-                       _reduce_terms(s, index, order, budget, scale_ok=True),
-                       _clean=True)
-        if r:
-            append(_primitive(r, order))
+        else:
+            budget.charge_spair()
+            stats.spairs += 1
+            add_remainder(_spoly(items[i][5], lti, items[j][5], ltj))
 
-    return _reduce_basis([b[0] for b in basis], order, budget)
+    return _reduce_basis([item[5] for item in items], order, budget)
 
 
 def _reduce_basis(polys, order, budget=None):
@@ -393,7 +384,7 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
         budget = Budget()
     index = _DivisorIndex.of(polys, order, polys[0].ring if polys else None)
     lts = [item[2] for item in index.items]
-    masks = [_support_mask(lt) for lt in lts]
+    masks = index.masks
     count = 0
     for j in range(len(polys)):
         for i in range(j):
@@ -410,7 +401,7 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
 
 
 def eliminate(generators, front, back_ring, back_order, *, budget=None,
-              seed_gb=None, stats=None):
+              seed_gb=None):
     """Intersect the ideal with the subring on the trailing variables.
 
     The generators live in a ring whose first ``front`` positions are the
@@ -421,7 +412,7 @@ def eliminate(generators, front, back_ring, back_order, *, budget=None,
     if generators and back_ring.nvars + front != generators[0].ring.nvars:
         raise DomainError("front block plus back ring must span the joint ring")
     order = Block(front, GrevLex(front), back_order)
-    gb = buchberger(generators, order, budget=budget, seed_gb=seed_gb, stats=stats)
+    gb = buchberger(generators, order, budget=budget, seed_gb=seed_gb)
     return _front_free(gb, front, back_ring)
 
 
@@ -552,10 +543,10 @@ class Ideal:
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
 
-    def groebner_basis(self, order, budget=None, seed_gb=None):
+    def groebner_basis(self, order, budget=None):
         gb = self._cache.get(order)
         if gb is None:
-            gb = buchberger(self.generators, order, budget=budget, seed_gb=seed_gb)
+            gb = buchberger(self.generators, order, budget=budget)
             self._cache[order] = gb
         return gb
 
@@ -577,15 +568,14 @@ class Ideal:
         return MonomialIdeal.of_leading_terms(
             self.ring, self.groebner_basis(order, budget), order)
 
-    def initial_forms(self, weights, tie=None, budget=None):
-        """Ideal spanned by the top-weight forms of a weighted-order basis.
+    def initial_forms(self, weights, budget=None):
+        """Ideal spanned by the top-weight forms of a weighted-order basis,
+        ties broken by the ring's default order.
 
         Returns (ideal, flag); the flag reports whether every form is a single
         term, i.e. whether the weight initial ideal is monomial.
         """
-        if tie is None:
-            tie = self.ring.default_order()
-        worder = Weighted(tuple(weights), tie)
+        worder = Weighted(tuple(weights), self.ring.default_order())
         gb = self.groebner_basis(worder, budget)
         forms = [g.initial_form(weights) for g in gb]
         monomial = all(f.is_monomial() for f in forms)

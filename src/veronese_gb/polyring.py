@@ -50,8 +50,8 @@ class Ring:
         e[i] = 1
         return Polynomial(self, {tuple(e): Fraction(1)})
 
-    def monomial(self, exps, coeff=1):
-        return Polynomial(self, {tuple(exps): Fraction(coeff)})
+    def monomial(self, exps):
+        return Polynomial(self, {tuple(exps): Fraction(1)})
 
     def constant(self, c):
         return Polynomial(self, {self.zero_exps: Fraction(c)})
@@ -85,7 +85,10 @@ def veronese_ring(s, d):
 
 
 def generic_ring(names):
-    return Ring(tuple(names), kind="generic")
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise DomainError(f"duplicate variable names in {list(names)}")
+    return Ring(names, kind="generic")
 
 
 def joint_ring(front, back):
@@ -265,9 +268,9 @@ class Polynomial:
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
 
-    def sorted_terms(self, order, reverse=True):
+    def sorted_terms(self, order):
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]),
-                      reverse=reverse)
+                      reverse=True)
 
     def monic(self, order):
         if not self.terms:
@@ -337,11 +340,10 @@ def format_terms(names, terms):
     return " ".join(parts) if parts else "0"
 
 
-def format_polynomial(poly, order=None):
-    """Render with terms descending under ``order`` (ring default if omitted)."""
-    if order is None:
-        order = poly.ring.default_order()
-    return format_terms(poly.ring.names, poly.sorted_terms(order))
+def format_polynomial(poly):
+    """Render with terms descending under the ring's default order."""
+    return format_terms(poly.ring.names,
+                        poly.sorted_terms(poly.ring.default_order()))
 
 
 class _Tokenizer:
@@ -503,6 +505,23 @@ def parse_polynomial(text, ring):
 # ---------------------------------------------------------------------------
 # JSON form
 
+SCALAR = (int, float, str)  # what int() and Fraction() parse
+
+
+def json_shape(value, shape, field, entries=None):
+    """``value`` when it is a ``shape`` (``dict``, ``list``, ``str`` or
+    ``SCALAR``) and, given ``entries``, so is each of its entries; otherwise
+    a DomainError naming ``field``, so that a malformed input file is
+    reported as bad input rather than as a TypeError."""
+    if not isinstance(value, shape):
+        kind = {dict: "an object", list: "an array", str: "a string"}
+        raise DomainError(f"{field} must be "
+                          f"{kind.get(shape, 'a number or a string')}")
+    if entries is not None:
+        for x in value:
+            json_shape(x, entries, f"entries of {field}")
+    return value
+
 
 def ring_to_json(ring):
     if ring.kind == "S":
@@ -514,17 +533,18 @@ def ring_to_json(ring):
 
 
 def ring_from_json(obj):
-    kind = obj.get("kind")
+    kind = json_shape(obj, dict, "ring").get("kind")
     if kind == "S":
-        return base_ring(int(obj["s"]))
+        return base_ring(int(json_shape(obj["s"], SCALAR, "ring.s")))
     if kind == "Rd":
-        ring = veronese_ring(int(obj["s"]), int(obj["d"]))
+        ring = veronese_ring(int(json_shape(obj["s"], SCALAR, "ring.s")),
+                             int(json_shape(obj["d"], SCALAR, "ring.d")))
         table = obj.get("index_table")
         if table is not None and [list(a) for a in ring.indices] != table:
             raise DomainError("index_table does not match the canonical enumeration")
         return ring
     if kind == "generic":
-        return generic_ring(obj["names"])
+        return generic_ring(json_shape(obj["names"], list, "ring.names", str))
     raise DomainError(f"unknown ring kind {kind!r}")
 
 
@@ -537,14 +557,16 @@ def poly_to_json(poly, order=None):
 
 
 def poly_from_json(obj, ring=None):
+    json_shape(obj, dict, "polynomial")
     if ring is None:
         ring = ring_from_json(obj["ring"])
     terms = {}
-    for t in obj["terms"]:
-        exps = tuple(int(x) for x in t["exps"])
+    for t in json_shape(obj["terms"], list, "terms", dict):
+        exps = tuple(int(x) for x in json_shape(t["exps"], list, "exps", SCALAR))
         if any(x < 0 for x in exps):
             raise DomainError("negative exponent in JSON term")
         if any(x > MAX_EXPONENT for x in exps):
             raise DomainError("exponent overflow")
-        terms[exps] = terms.get(exps, 0) + Fraction(t["coeff"])
+        terms[exps] = terms.get(exps, 0) + Fraction(
+            json_shape(t["coeff"], SCALAR, "coeff"))
     return Polynomial(ring, terms)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NotAConfigurationError
+from .errors import DimensionError, DomainError, NotAConfigurationError
 from .groebner import (Ideal, _DivisorIndex, eliminate, find_weight_vector,
                        graph_ideal)
 from .polyring import base_ring
@@ -77,6 +77,9 @@ class Configuration:
         lam = certify_grading(pts)
         if grading is not None:
             given = tuple(Fraction(x) for x in grading)
+            if len(given) != len(pts[0]):
+                raise DimensionError(f"lambda needs {len(pts[0])} entries, "
+                                     f"got {len(given)}")
             if any(sum(g * x for g, x in zip(given, p)) != 1 for p in pts):
                 raise NotAConfigurationError(
                     "supplied grading does not evaluate to 1 on every point")

@@ -19,9 +19,9 @@ from itertools import combinations_with_replacement
 
 from .errors import (DomainError, InternalCheckError, NonMonomialInitialError,
                      RingMismatchError)
-from .groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
-                       _SupportBuckets, _front_free, _reduce_basis, buchberger,
-                       eliminate, graph_ideal, is_groebner_basis)
+from .groebner import (Budget, Ideal, MonomialIdeal, _SupportBuckets,
+                       _front_free, _reduce_basis, buchberger, eliminate,
+                       graph_ideal, is_groebner_basis)
 from .orders import Block, GammaRevLex, GrevLex, Weighted, multi_indices
 from .polyring import Polynomial, base_ring, mono_divides, veronese_ring
 
@@ -500,11 +500,8 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
         mono = pullback_monomial_ideal(init, d, budget=budget).reduced
         rhs = MonomialIdeal.of_leading_terms(vmap.ring, mono, vmap.order)
     cert["initial_matches_monomial_pullback"] = lhs == rhs
-    base_order = base.default_order()
-    base_index = _DivisorIndex.of(ideal.groebner_basis(base_order, budget),
-                                  base_order, base)
     cert["members_in_target"] = all(
-        not base_index.remainder(vmap.image(g), budget) for g in reduced)
+        ideal.contains(vmap.image(g), budget=budget) for g in reduced)
     return PullbackResult(s, d, order, reduced, reduced, method, cert)
 
 
@@ -546,13 +543,12 @@ class BoundsReport:
         return v
 
 
-def degree_bounds(ideal, s=None):
+def degree_bounds(ideal):
     """Bounds for a monomial ideal: ours, the rough rival (s*delta - s + 1)/2,
-    and the stated rival s*ceil(delta/2)."""
+    and the stated rival s*ceil(delta/2), with s the ring's variable count."""
     if ideal.is_zero:
         raise DomainError("bounds are undefined for the zero ideal")
-    if s is None:
-        s = ideal.ring.s if ideal.ring.s else ideal.ring.nvars
+    s = ideal.ring.s if ideal.ring.s else ideal.ring.nvars
     a = ideal.max_exponent()
     delta = ideal.max_total_degree()
     raw = Fraction(s * (a + 1), 2)

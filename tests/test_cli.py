@@ -70,12 +70,53 @@ def test_parse_error_exit_code_and_position():
     assert "column 6" in proc.stderr
 
 
-def test_malformed_json_exit_code():
+# (command, extra arguments, file text): input files that must exit 2 with
+# a one-line error, never a traceback
+MALFORMED_INPUTS = {
+    "not-json": ("gbasis", [], "{ nope"),
+    "top-level-array": ("gbasis", [], "[]"),
+    "ring-not-object": ("gbasis", [], '{"ring": "S"}'),
+    "generators-not-array": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": 5}'),
+    "generator-number": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": [5]}'),
+    "terms-not-array": (
+        "gbasis", [],
+        '{"ring": {"kind": "S", "s": 2}, "generators": [{"terms": 5}]}'),
+    "exps-not-array": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        '[{"terms": [{"coeff": "1", "exps": 3}]}]}'),
+    "coeff-array": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        '[{"terms": [{"coeff": [1], "exps": [1, 0]}]}]}'),
+    "ring-size-array": ("gbasis", [], '{"ring": {"kind": "S", "s": [2]}}'),
+    "ring-size-infinite": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": Infinity}}'),
+    "names-not-array": (
+        "gbasis", [], '{"ring": {"kind": "generic", "names": 5}}'),
+    "duplicate-names": (
+        "gbasis", [], '{"ring": {"kind": "generic", "names": ["a", "a"]}, '
+        '"generators": ["a"]}'),
+    "points-number": ("toric", [], '{"points": 5}'),
+    "points-flat": ("toric", [], '{"points": [1, 2]}'),
+    "coordinate-array": ("toric", [], '{"points": [[1, [2]]]}'),
+    "lambda-number": ("toric", [], '{"points": [[1, 0]], "lambda": 5}'),
+    "lambda-too-short": (
+        "toric", ["--veronese", "2"],
+        '{"points": [[1, 0], [1, 1], [1, 2]], "lambda": [1]}'),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INPUTS)
+def test_malformed_json_exit_code(name):
+    command, extra, text = MALFORMED_INPUTS[name]
     bad = DATA / "not_json.json"
-    bad.write_text("{ nope")
+    bad.write_text(text)
     try:
-        proc = run_cli("gbasis", str(bad.relative_to(HERE.parent)))
-        assert proc.returncode == 2
+        proc = run_cli(command, str(bad.relative_to(HERE.parent)), *extra)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
     finally:
         bad.unlink()
 

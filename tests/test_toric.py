@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from veronese_gb.errors import DomainError, NotAConfigurationError
+from veronese_gb.errors import (DimensionError, DomainError,
+                                NotAConfigurationError)
 from veronese_gb.polyring import base_ring, parse_polynomial, veronese_ring
 from veronese_gb.toric import (Configuration, certify_grading, point_rank,
                                toric_groebner_basis, toric_ideal,
@@ -31,6 +32,14 @@ def test_configuration_checks_supplied_grading():
     assert cfg.grading == (Fraction(1), Fraction(0))
     with pytest.raises(NotAConfigurationError):
         Configuration.from_points(CURVE, grading=(0, 1))
+
+
+def test_configuration_rejects_grading_of_wrong_length():
+    # zip would truncate: (1,) evaluates to 1 on every point of CURVE
+    with pytest.raises(DimensionError):
+        Configuration.from_points(CURVE, grading=(1,))
+    with pytest.raises(DimensionError):
+        Configuration.from_points(CURVE, grading=(1, 0, 0))
 
 
 def test_toric_ideal_rational_normal_curve():

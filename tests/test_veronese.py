@@ -13,13 +13,15 @@ from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, multi_indices
 from veronese_gb.polyring import base_ring, parse_polynomial, veronese_ring
 from veronese_gb.toric import toric_groebner_basis
-from veronese_gb.veronese import (VeroneseMap, _kernel_initial_for,
-                                  degree_bounds, exchange_binomials,
+from veronese_gb.veronese import (VeroneseMap, _joint_graph_gb,
+                                  _kernel_initial_for, degree_bounds,
+                                  exchange_binomials,
+                                  homogeneous_pullback_generators,
                                   kernel_groebner_basis, kernel_initial,
                                   kernel_oracle_basis,
                                   monomial_pullback_generators,
                                   preimage_oracle, pullback_homogeneous_ideal,
-                                  pullback_monomial_ideal,
+                                  pullback_monomial_ideal, pullback_order,
                                   quadratic_pullback_bound, standard_monomials,
                                   verify_exchange_basis, weight_pullback)
 
@@ -406,27 +408,64 @@ def test_standard_monomials_match_exhaustive_filter():
             _standard_monomials_reference(2, 3, degree, order), degree
 
 
+def _graph_run(s, d):
+    """The unseeded elimination run behind the kernel oracle."""
+    vmap = VeroneseMap(s, d)
+    _, gens = graph_ideal(vmap.ring.indices, vmap.ring)
+    return gens, Block(s, GrevLex(s), vmap.order), None
+
+
+def _seeded_oracle_run(s, d, *base_gens):
+    """The run ``preimage_oracle`` makes: the base generators embedded next
+    to the graph generators, seeded with the graph ideal's basis."""
+    vmap = VeroneseMap(s, d)
+    joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
+    position_map = list(range(s)) + [-1] * vmap.ring.nvars
+    embedded = [parse_polynomial(g, vmap.base).map_positions(joint, position_map)
+                for g in base_gens]
+    return (embedded + gens, Block(s, GrevLex(s), vmap.order),
+            list(_joint_graph_gb(s, d)))
+
+
+def _seeded_weighted_run(d):
+    """The constructive weighted pullback of a conic, seeded with the kernel
+    basis."""
+    vmap = VeroneseMap(3, d)
+    conic = Ideal(vmap.base, [parse_polynomial("y1^2 - y2*y3", vmap.base)])
+    omega = (2, 1, 1)
+    return (homogeneous_pullback_generators(conic, vmap, omega),
+            pullback_order(vmap, omega), list(kernel_groebner_basis(3, d)))
+
+
 # (spairs, skipped_coprime, skipped_chain, basis_peak, output size) of the
-# unseeded elimination run; a change to pair selection or to either
-# criterion moves them
-GRAPH_IDEAL_COUNTERS = {
-    (2, 3): (31, 36, 24, 14, 10),
-    (3, 3): (1123, 10440, 11657, 216, 52),
-    (4, 2): (380, 3050, 1226, 97, 50),
-    (2, 6): (412, 1181, 1488, 79, 28),
+# Buchberger runs behind the oracles and the weighted pullbacks; a change to
+# pair selection, to either criterion or to the bookkeeping of seeded pairs
+# moves them
+BUCHBERGER_COUNTERS = {
+    "2-3": (_graph_run, (2, 3), (31, 36, 24, 14, 10)),
+    "2-6": (_graph_run, (2, 6), (412, 1181, 1488, 79, 28)),
+    "3-3": (_graph_run, (3, 3), (1123, 10440, 11657, 216, 52)),
+    "4-2": (_graph_run, (4, 2), (380, 3050, 1226, 97, 50)),
+    "seeded-2-2": (_seeded_oracle_run, (2, 2, "y1^3"), (14, 23, 14, 12, 10)),
+    "seeded-2-3": (_seeded_oracle_run, (2, 3, "y1^2*y2", "y2^3"),
+                   (11, 31, 4, 14, 11)),
+    "seeded-3-3": (_seeded_oracle_run, (3, 3, "y1^2*y2", "y3^3"),
+                   (191, 1044, 140, 74, 63)),
+    "seeded-4-2": (_seeded_oracle_run, (4, 2, "y1*y2*y3"),
+                   (56, 649, 215, 66, 55)),
+    "weighted-2": (_seeded_weighted_run, (2,), (9, 21, 0, 10, 7)),
+    "weighted-3": (_seeded_weighted_run, (3,), (27, 144, 6, 33, 18)),
 }
 
 
-@pytest.mark.parametrize("shape", sorted(GRAPH_IDEAL_COUNTERS),
-                         ids=lambda shape: "%d-%d" % shape)
-def test_graph_ideal_buchberger_counters(shape):
-    s, d = shape
-    vmap = VeroneseMap(s, d)
-    _, gens = graph_ideal(vmap.ring.indices, vmap.ring)
+@pytest.mark.parametrize("case", BUCHBERGER_COUNTERS)
+def test_graph_ideal_buchberger_counters(case):
+    build, args, expected = BUCHBERGER_COUNTERS[case]
+    gens, order, seed = build(*args)
     stats = GBStats()
-    gb = buchberger(gens, Block(s, GrevLex(s), vmap.order), stats=stats)
+    gb = buchberger(gens, order, seed_gb=seed, stats=stats)
     assert (stats.spairs, stats.skipped_coprime, stats.skipped_chain,
-            stats.basis_peak, len(gb)) == GRAPH_IDEAL_COUNTERS[shape]
+            stats.basis_peak, len(gb)) == expected
 
 
 @pytest.mark.parametrize("s, d, gens, spairs", [
