@@ -451,6 +451,17 @@ def graph_ideal(points, ring):
     return joint, gens
 
 
+def monomial_image(points, exps):
+    """Exponent vector of the image of the monomial ``exps`` under the map
+    of :func:`graph_ideal`, which sends variable i to z^points[i]."""
+    out = [0] * len(points[0])
+    for e, p in zip(exps, points):
+        if e:
+            for j, v in enumerate(p):
+                out[j] += e * v
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # monomial ideals
 

@@ -351,14 +351,8 @@ class _Tokenizer:
 
     def __init__(self, text):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens = []
         self._scan()
-
-    def _error(self, msg, line=None, col=None):
-        raise ParseError(msg, line or self.line, col or self.col)
 
     def _scan(self):
         text = self.text
@@ -523,6 +517,19 @@ def json_shape(value, shape, field, entries=None):
     return value
 
 
+def as_integer(value, field):
+    """``value`` as an int: an integer, a whole number such as 2.0, or an
+    integer string such as "3".  Anything else, 2.7 included, is a
+    DomainError naming ``field`` rather than a silent truncation."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (number != value and not isinstance(value, str)):
+        raise DomainError(f"{field} must be an integer, got {value!r}")
+    return number
+
+
 def ring_to_json(ring):
     if ring.kind == "S":
         return {"kind": "S", "s": ring.s}
@@ -535,10 +542,10 @@ def ring_to_json(ring):
 def ring_from_json(obj):
     kind = json_shape(obj, dict, "ring").get("kind")
     if kind == "S":
-        return base_ring(int(json_shape(obj["s"], SCALAR, "ring.s")))
+        return base_ring(as_integer(obj["s"], "ring.s"))
     if kind == "Rd":
-        ring = veronese_ring(int(json_shape(obj["s"], SCALAR, "ring.s")),
-                             int(json_shape(obj["d"], SCALAR, "ring.d")))
+        ring = veronese_ring(as_integer(obj["s"], "ring.s"),
+                             as_integer(obj["d"], "ring.d"))
         table = obj.get("index_table")
         if table is not None and [list(a) for a in ring.indices] != table:
             raise DomainError("index_table does not match the canonical enumeration")
@@ -562,7 +569,8 @@ def poly_from_json(obj, ring=None):
         ring = ring_from_json(obj["ring"])
     terms = {}
     for t in json_shape(obj["terms"], list, "terms", dict):
-        exps = tuple(int(x) for x in json_shape(t["exps"], list, "exps", SCALAR))
+        exps = tuple(as_integer(x, "entries of exps")
+                     for x in json_shape(t["exps"], list, "exps"))
         if any(x < 0 for x in exps):
             raise DomainError("negative exponent in JSON term")
         if any(x > MAX_EXPONENT for x in exps):

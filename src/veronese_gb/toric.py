@@ -14,10 +14,9 @@ from fractions import Fraction
 
 from .errors import DimensionError, DomainError, NotAConfigurationError
 from .groebner import (Ideal, _DivisorIndex, eliminate, find_weight_vector,
-                       graph_ideal)
-from .polyring import base_ring
-from .veronese import (VeroneseMap, multi_indices, pullback_homogeneous_ideal,
-                       quadratic_pullback_bound)
+                       graph_ideal, monomial_image)
+from .polyring import as_integer, base_ring
+from .veronese import VeroneseMap, multi_indices, pullback_homogeneous_ideal
 
 
 def _row_reduce(rows, ncols):
@@ -73,7 +72,8 @@ class Configuration:
 
     @classmethod
     def from_points(cls, points, grading=None):
-        pts = tuple(tuple(int(x) for x in p) for p in points)
+        pts = tuple(tuple(as_integer(x, "point coordinates") for x in p)
+                    for p in points)
         lam = certify_grading(pts)
         if grading is not None:
             given = tuple(Fraction(x) for x in grading)
@@ -96,12 +96,7 @@ class Configuration:
 
     def image_exps(self, exps):
         """Exponent vector in the torus for a monomial in the point variables."""
-        out = [0] * self.dim
-        for e, p in zip(exps, self.points):
-            if e:
-                for j in range(self.dim):
-                    out[j] += e * p[j]
-        return tuple(out)
+        return monomial_image(self.points, exps)
 
 
 def point_rank(points):
@@ -144,8 +139,10 @@ class VeroneseLayer:
     base: Configuration
     d: int
     configuration: Configuration  # multiset, in canonical variable order
-    unique_points: tuple
-    index_of: tuple  # position -> index into unique_points
+
+    @property
+    def unique_points(self):
+        return tuple(dict.fromkeys(self.configuration.points))
 
     @property
     def duplicate_pairs(self):
@@ -160,21 +157,12 @@ class VeroneseLayer:
 
 
 def veronese_layer(config, d):
-    """Points of the degree-d layer, one per canonical multi-index, with the
-    deduplicated support alongside."""
+    """Points of the degree-d layer, one per canonical multi-index."""
     if d < 1:
         raise DomainError("d must be at least 1")
     pts = [config.image_exps(a) for a in multi_indices(config.size, d)]
     grading = tuple(g / d for g in config.grading)
-    layer = Configuration(tuple(pts), grading)
-    unique, index_of = [], []
-    seen = {}
-    for p in pts:
-        if p not in seen:
-            seen[p] = len(unique)
-            unique.append(p)
-        index_of.append(seen[p])
-    return VeroneseLayer(config, d, layer, tuple(unique), tuple(index_of))
+    return VeroneseLayer(config, d, Configuration(tuple(pts), grading))
 
 
 @dataclass
@@ -183,7 +171,6 @@ class ToricVeroneseCertificate:
 
     config: Configuration
     d: int
-    pa_basis: tuple
     omega: tuple
     bound: int
     meets_bound: bool
@@ -205,22 +192,19 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
 
     Computes the kernel ideal, derives weights from the default order, pulls
     the ideal back, and checks binomiality, image equality under the layer's
-    monomial map, and the recorded duplicate-point identifications.
+    monomial map, and the recorded duplicate-point identifications.  The
+    bound is the pullback certificate's, with 1 for a zero kernel.
     """
     ideal = toric_ideal(config, budget)
-    order_s = ideal.ring.default_order()
-    omega = find_weight_vector(ideal, order_s, budget)
+    omega = find_weight_vector(ideal, ideal.ring.default_order(), budget)
     pb = pullback_homogeneous_ideal(ideal, d, omega, method=method,
                                     budget=budget)
     layer = veronese_layer(config, d)
     vmap = VeroneseMap(config.size, d)
 
-    init = ideal.initial_ideal(order_s, budget)
-    if init.is_zero:
-        bound, meets = 1, True
-    else:
-        bound = quadratic_pullback_bound(config.size, init.max_exponent())
-        meets = d >= bound
+    bound = pb.certificate["bound"]
+    if bound is None:
+        bound = 1
 
     all_binomial = all(g.is_binomial_pm1() for g in pb.reduced)
     images_equal = True
@@ -239,5 +223,5 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
             for i, j in layer.duplicate_pairs)
 
     return ToricVeroneseCertificate(
-        config, d, ideal.generators, omega, bound, meets, pb,
+        config, d, omega, bound, pb.certificate["meets_bound"], pb,
         all_binomial, pb.max_degree, images_equal, duplicates_linear)

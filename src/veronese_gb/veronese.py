@@ -21,7 +21,7 @@ from .errors import (DomainError, InternalCheckError, NonMonomialInitialError,
                      RingMismatchError)
 from .groebner import (Budget, Ideal, MonomialIdeal, _SupportBuckets,
                        _front_free, _reduce_basis, buchberger, eliminate,
-                       graph_ideal, is_groebner_basis)
+                       graph_ideal, is_groebner_basis, monomial_image)
 from .orders import Block, GammaRevLex, GrevLex, Weighted, multi_indices
 from .polyring import Polynomial, base_ring, mono_divides, veronese_ring
 
@@ -42,13 +42,7 @@ class VeroneseMap:
 
     def image_exps(self, u):
         """Exponent vector of the image monomial in the base ring."""
-        c = [0] * self.s
-        for pos, mult in enumerate(u):
-            if mult:
-                a = self.ring.indices[pos]
-                for j in range(self.s):
-                    c[j] += mult * a[j]
-        return tuple(c)
+        return monomial_image(self.ring.indices, u)
 
     def image(self, poly):
         if poly.ring != self.ring:
@@ -285,6 +279,15 @@ def quadratic_pullback_bound(s, a):
     return math.ceil(Fraction(s * (a + 1), 2))
 
 
+def bound_certificate(ideal, d):
+    """The quadratic bound of a monomial ideal in y1..ys and whether d meets
+    it, as certificate fields; the zero ideal has no bound and meets it."""
+    if ideal.is_zero:
+        return {"bound": None, "meets_bound": True}
+    bound = quadratic_pullback_bound(ideal.ring.s, ideal.max_exponent())
+    return {"bound": bound, "meets_bound": d >= bound}
+
+
 def monomial_pullback_generators(ideal, d, degree_cap=2):
     """Minimal generators, up to the degree cap, of the ideal of standard
     monomials whose image lands in the given monomial ideal.
@@ -308,8 +311,7 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
             if ideal.contains(vmap.image_exps(e)):
                 accepted.append(e)
                 found.add(e, e)
-    bound = quadratic_pullback_bound(s, ideal.max_exponent())
-    complete = d >= bound and degree_cap >= 2
+    complete = bound_certificate(ideal, d)["meets_bound"] and degree_cap >= 2
     return tuple(accepted), complete
 
 
@@ -351,21 +353,21 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
     order = vmap.order
     kernel = exchange_binomials(s, d)
     constructive = ideal.is_zero or method != "oracle"
-    cert = {"method_note": "exchange binomials plus standard-monomial "
-                           "generators"} if constructive else {}
+    bounds = bound_certificate(ideal, d)
+    below = not bounds["meets_bound"] and use_oracle
+    cert = dict(bounds, method_note="exchange binomials plus "
+                "standard-monomial generators") if constructive else {}
     oracle_gb = None
     if ideal.is_zero:
         basis = tuple(kernel)
         reduced = kernel_groebner_basis(s, d)
-        cert.update(bound=None, meets_bound=True, complete=True)
+        cert["complete"] = True
     else:
-        bound = quadratic_pullback_bound(s, ideal.max_exponent())
-        cap = degree_cap
-        below = d < bound and use_oracle
         if below or method != "constructive":
             oracle_gb = preimage_oracle(Ideal(ring, ideal.polynomials()), vmap,
                                         budget=budget)
         if constructive:
+            cap = degree_cap
             if below:
                 cap = max(cap, max((g.total_degree() for g in oracle_gb),
                                    default=1))
@@ -373,8 +375,7 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
                                                           degree_cap=cap)
             basis = tuple(kernel) + tuple(vmap.ring.monomial(e) for e in gens)
             reduced = _reduce_basis(list(basis), order, budget)
-            cert.update(bound=bound, meets_bound=d >= bound,
-                        complete=complete or below, degree_cap=cap)
+            cert.update(complete=complete or below, degree_cap=cap)
         else:
             basis = reduced = oracle_gb
     if constructive:
@@ -487,12 +488,7 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
         raise InternalCheckError("constructive and oracle pullbacks disagree")
     reduced = reduced_c if reduced_c is not None else reduced_o
 
-    cert = {}
-    if init.is_zero:
-        cert.update(bound=None, meets_bound=True)
-    else:
-        bound = quadratic_pullback_bound(s, init.max_exponent())
-        cert.update(bound=bound, meets_bound=d >= bound)
+    cert = bound_certificate(init, d)
     lhs = MonomialIdeal.of_leading_terms(vmap.ring, reduced, order)
     if init.is_zero:
         rhs = kernel_initial(s, d)
@@ -551,7 +547,6 @@ def degree_bounds(ideal):
     s = ideal.ring.s if ideal.ring.s else ideal.ring.nvars
     a = ideal.max_exponent()
     delta = ideal.max_total_degree()
-    raw = Fraction(s * (a + 1), 2)
     return BoundsReport(
-        s, a, delta, math.ceil(raw), raw,
+        s, a, delta, quadratic_pullback_bound(s, a), Fraction(s * (a + 1), 2),
         Fraction(s * delta - s + 1, 2), s * math.ceil(Fraction(delta, 2)))

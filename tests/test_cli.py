@@ -86,12 +86,16 @@ MALFORMED_INPUTS = {
     "exps-not-array": (
         "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
         '[{"terms": [{"coeff": "1", "exps": 3}]}]}'),
+    "exps-fraction": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        '[{"terms": [{"coeff": "1", "exps": [1.5, 0]}]}]}'),
     "coeff-array": (
         "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
         '[{"terms": [{"coeff": [1], "exps": [1, 0]}]}]}'),
     "ring-size-array": ("gbasis", [], '{"ring": {"kind": "S", "s": [2]}}'),
     "ring-size-infinite": (
         "gbasis", [], '{"ring": {"kind": "S", "s": Infinity}}'),
+    "ring-size-fraction": ("gbasis", [], '{"ring": {"kind": "S", "s": 2.7}}'),
     "names-not-array": (
         "gbasis", [], '{"ring": {"kind": "generic", "names": 5}}'),
     "duplicate-names": (
@@ -100,6 +104,7 @@ MALFORMED_INPUTS = {
     "points-number": ("toric", [], '{"points": 5}'),
     "points-flat": ("toric", [], '{"points": [1, 2]}'),
     "coordinate-array": ("toric", [], '{"points": [[1, [2]]]}'),
+    "coordinate-fraction": ("toric", [], '{"points": [[1, 0.6], [1, 1]]}'),
     "lambda-number": ("toric", [], '{"points": [[1, 0]], "lambda": 5}'),
     "lambda-too-short": (
         "toric", ["--veronese", "2"],

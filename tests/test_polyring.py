@@ -48,6 +48,10 @@ def test_parse_error_positions():
         parse_polynomial("y1 + y9", S)
     assert err.value.col == 6
 
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("y1^2\n - y2 $", S)
+    assert err.value.line == 2 and err.value.col == 7
+
     with pytest.raises(ParseError):
         parse_polynomial(f"y1^{MAX_EXPONENT + 1}", S)
     with pytest.raises(ParseError):
@@ -82,6 +86,14 @@ def test_json_round_trip():
 
     ring2 = ring_from_json(ring_to_json(generic_ring(("t", "u"))))
     assert ring2.names == ("t", "u")
+
+
+def test_json_integer_fields_reject_fractions():
+    # a whole number and an integer string still name an integer
+    assert ring_from_json({"kind": "S", "s": 2.0}) == base_ring(2)
+    assert ring_from_json({"kind": "Rd", "s": "2", "d": 3}) == veronese_ring(2, 3)
+    with pytest.raises(DomainError, match="ring.d"):
+        ring_from_json({"kind": "Rd", "s": 2, "d": "1.5"})
 
 
 def test_json_rejects_wrong_index_table():

@@ -128,6 +128,18 @@ def test_verify_pipeline_independent_points():
     cfg = Configuration.from_points([(1, 0), (0, 1)])
     cert = verify_veronese_toric(cfg, 2)
     assert cert.ok and cert.all_binomial and cert.max_degree <= 2
+    # a zero kernel has no bound: the toric certificate reports 1
+    assert cert.bound == 1 and cert.meets_bound
+    assert cert.pullback.certificate["bound"] is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_toric_bound_is_the_pullback_certificates(d):
+    # the kernel y1*y3 - y2^2 has initial ideal (y2^2): bound ceil(3*3/2) = 5
+    cert = verify_veronese_toric(Configuration.from_points(CURVE), d)
+    pb = cert.pullback.certificate
+    assert (cert.bound, cert.meets_bound) == (pb["bound"], pb["meets_bound"])
+    assert (cert.bound, cert.meets_bound) == (5, d >= 5)
 
 
 def test_verify_pipeline_identity_degree():

@@ -11,8 +11,10 @@ from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
                                   buchberger, find_weight_vector,
                                   graph_ideal)
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, multi_indices
-from veronese_gb.polyring import base_ring, parse_polynomial, veronese_ring
-from veronese_gb.toric import toric_groebner_basis
+from veronese_gb.polyring import (base_ring, generic_ring, parse_polynomial,
+                                  veronese_ring)
+from veronese_gb.toric import (Configuration, certify_grading,
+                               toric_groebner_basis, veronese_layer)
 from veronese_gb.veronese import (VeroneseMap, _joint_graph_gb,
                                   _kernel_initial_for, degree_bounds,
                                   exchange_binomials,
@@ -343,6 +345,36 @@ def test_initial_pullback_identity_small():
     assert monomial
     rhs = preimage_oracle(Ideal(S3, init.generators), v)
     assert tuple(lhs) == tuple(rhs)
+
+
+def test_degree_bounds_odd_delta_verdict():
+    # y1^2*y2: delta 3 is odd, and s(a+1)/2 = 3 <= s*ceil(delta/2) = 4
+    rep = degree_bounds(MonomialIdeal.from_exponents(base_ring(2), [(2, 1)]))
+    assert (rep.bound_raw, rep.rival_stated) == (3, 4)
+    assert rep.verdicts == {"below_rough": False, "threshold_condition": False,
+                            "odd_delta_not_above_stated": True}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: VeroneseMap(0, 2),
+    lambda: veronese_layer(Configuration.from_points([(1, 0), (0, 1)]), 0),
+    lambda: certify_grading([(1, 0), (1,)]),
+    lambda: toric_groebner_basis([(1, 0), (1, 1), (1, 2)], ring=base_ring(2)),
+    lambda: pullback_homogeneous_ideal(
+        Ideal(generic_ring(("a", "b")), []), 2, (1, 1)),
+    lambda: pullback_homogeneous_ideal(
+        Ideal(base_ring(2), [base_ring(2).monomial((1, 1))]), 2, (1,)),
+    lambda: monomial_pullback_generators(MonomialIdeal(base_ring(2), ()), 2),
+    lambda: monomial_pullback_generators(
+        MonomialIdeal.from_exponents(base_ring(2), [(1, 1)]), 2, degree_cap=0),
+    lambda: weight_pullback((1, 1, 1), VeroneseMap(2, 2)),
+], ids=["veronese-map-s0", "layer-d0", "grading-unequal-dims",
+        "toric-ring-mismatch", "homogeneous-non-base-ring",
+        "homogeneous-omega-length", "generators-zero-ideal",
+        "generators-cap-0", "weight-pullback-length"])
+def test_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_quadratic_bound_and_degree_bounds():
