@@ -1,11 +1,16 @@
 """Division, Buchberger's algorithm, elimination, and initial ideals.
 
-All computations are exact.  Buchberger takes the pair with the smallest
-lcm first: smallest degree, ties broken by the order, under a ``Block``
-order, and smallest under the order itself otherwise.  It drops pairs by the
-coprimality and chain criteria, caps the processed S-pairs, and guards the
-coefficient size; hitting either cap raises ``BudgetExceededError`` instead
-of returning a truncated basis.
+All computations are exact.  Every polynomial a public function returns has
+``Fraction`` coefficients; inside, the reduction kernel keeps each integral
+coefficient as an ``int``, which is most of them (the binomial bases have
+coefficients +-1), and builds a ``Fraction`` only for a quotient that is not
+integral.
+
+Buchberger takes the pair with the smallest lcm first: smallest degree, ties
+broken by the order, under a ``Block`` order, and smallest under the order
+itself otherwise.  It drops pairs by the coprimality and chain criteria, caps
+the processed S-pairs, and guards the coefficient size; hitting either cap
+raises ``BudgetExceededError`` instead of returning a truncated basis.
 """
 
 from __future__ import annotations
@@ -115,7 +120,8 @@ class _DivisorIndex:
     leading term, where ``tail`` holds the terms below the leading one;
     ``seq`` is the insertion position, so among equal leading terms the
     earliest element wins.  ``masks[seq]`` is the support mask of the
-    leading term.
+    leading term.  ``lt_coeff`` and the tail hold integral coefficients as
+    ints.
     """
 
     def __init__(self, order):
@@ -137,9 +143,10 @@ class _DivisorIndex:
         return index
 
     def add(self, poly, lt):
-        tail = {e: c for e, c in poly.terms.items() if e != lt}
-        item = (self.order.key(lt), len(self.items), lt, poly.terms[lt], tail,
-                poly)
+        tail = {e: _int_if_integral(c) for e, c in poly.terms.items()
+                if e != lt}
+        item = (self.order.key(lt), len(self.items), lt,
+                _int_if_integral(poly.terms[lt]), tail, poly)
         self.items.append(item)
         self.masks.append(self.buckets.add(lt, item))
 
@@ -148,8 +155,18 @@ class _DivisorIndex:
 
     def remainder(self, f, budget=None):
         """Remainder of f on division by the indexed elements."""
-        return Polynomial(f.ring, _reduce_terms(f.terms, self, self.order,
-                                                budget), _clean=True)
+        return Polynomial(f.ring, _exact(_reduce_terms(
+            f.terms, self, self.order, budget)), _clean=True)
+
+
+def _int_if_integral(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact(terms, scale=1):
+    """The terms over ``scale`` as Fractions, the type every polynomial
+    leaving the module has."""
+    return {e: Fraction(c, scale) for e, c in terms.items()}
 
 
 def _content_scale(values):
@@ -163,30 +180,40 @@ def _content_scale(values):
     return Fraction(den, num)
 
 
+def _times(terms, scale):
+    """The terms times ``scale``, which makes every one integral, as ints."""
+    n, d = scale.numerator, scale.denominator
+    return {e: c * n // d for e, c in terms.items()}
+
+
 def _rescale_content(p, r):
     """Divide both halves by their joint content (overall positive scalar)."""
     scale = _content_scale(list(p.values()) + list(r.values()))
     if scale == 1:
         return p, r
-    return ({e: c * scale for e, c in p.items()},
-            {e: c * scale for e, c in r.items()})
+    return _times(p, scale), _times(r, scale)
 
 
 def _primitive(poly, order):
-    """Content-free integer scalar multiple with a positive leading coefficient."""
+    """Content-free integer scalar multiple with a positive leading
+    coefficient, its coefficients ints."""
     scale = _content_scale(poly.terms.values())
     if poly.leading_term(order)[1] < 0:
         scale = -scale
-    return poly * scale if scale != 1 else poly
+    if scale == 1:
+        return poly
+    return Polynomial(poly.ring, _times(poly.terms, scale), _clean=True)
 
 
 def _reduce_terms(terms, index, order, budget=None, scale_ok=False):
     """Remainder of the term dict against the indexed divisors.
 
-    With ``scale_ok`` the result is only guaranteed up to a positive scalar:
-    long division chains get their content stripped periodically, which keeps
-    coefficient growth additive instead of compounding (the basis elements
-    are monic, so their fractional tails would otherwise pile up).
+    The multiplier of each step is ``c`` for a monic divisor and ``c // lc``
+    when ``lc`` divides ``c``, so integral coefficients stay ints; otherwise
+    it is the exact ``Fraction``.  With ``scale_ok`` the result is only
+    guaranteed up to a nonzero scalar: long division chains get their
+    content stripped periodically, which keeps coefficient growth additive
+    instead of compounding.
     """
     p = dict(terms)
     r = {}
@@ -200,7 +227,12 @@ def _reduce_terms(terms, index, order, budget=None, scale_ok=False):
             r[u] = c
             continue
         _, _, lt, lc, tail, _ = hit
-        factor = c / lc
+        if lc == 1:
+            factor = c
+        else:
+            factor, rest = divmod(c, lc)
+            if rest:
+                factor = Fraction(c, lc)
         if budget is not None:
             budget.check_coeff(factor)
         add_terms(p, tail, -factor, mono_div(u, lt))
@@ -228,16 +260,23 @@ def s_polynomial(f, g, order):
         raise RingMismatchError("S-polynomial of polynomials in different rings")
     if not f or not g:
         raise DomainError("S-polynomial of the zero polynomial")
-    return Polynomial(f.ring, _spoly(f, f.leading_term(order)[0],
-                                     g, g.leading_term(order)[0]), _clean=True)
+    index = _DivisorIndex(order)
+    for p in (f, g):
+        index.add(p, p.leading_term(order)[0])
+    a, b = index.items
+    return Polynomial(f.ring, _exact(_spoly(a, b), a[3] * b[3]), _clean=True)
 
 
-def _spoly(f, ltf, g, ltg):
-    """The terms of the S-polynomial of f and g given their leading exponents."""
-    lcm = mono_lcm(ltf, ltg)
+def _spoly(a, b):
+    """lc_b * m_a * tail_a - lc_a * m_b * tail_b for two divisor-index items,
+    with m the cofactors of their leading terms in the lcm: lc_a * lc_b
+    times the S-polynomial.  The leading terms cancel, so they are left out.
+    """
+    lta, ltb = a[2], b[2]
+    lcm = mono_lcm(lta, ltb)
     terms = {}
-    add_terms(terms, f.terms, 1 / f.terms[ltf], mono_div(lcm, ltf))
-    add_terms(terms, g.terms, -1 / g.terms[ltg], mono_div(lcm, ltg))
+    add_terms(terms, a[4], b[3], mono_div(lcm, lta))
+    add_terms(terms, b[4], -a[3], mono_div(lcm, ltb))
     return terms
 
 
@@ -301,7 +340,8 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
     queue = []            # heap of (selection_key(lcm), i, j)
 
     def add_remainder(terms):
-        """A nonzero remainder of the terms joins the basis, with its pairs."""
+        """A nonzero remainder of the terms joins the basis, with its pairs;
+        a nonzero multiple of the terms gives the same element."""
         r = Polynomial(ring, _reduce_terms(terms, index, order, budget,
                                            scale_ok=True), _clean=True)
         if not r:
@@ -337,7 +377,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
         else:
             budget.charge_spair()
             stats.spairs += 1
-            add_remainder(_spoly(items[i][5], lti, items[j][5], ltj))
+            add_remainder(_spoly(items[i], items[j]))
 
     return _reduce_basis([item[5] for item in items], order, budget)
 
@@ -361,9 +401,7 @@ def _reduce_basis(polys, order, budget=None):
     for _, _, lt, c, tail, p in index.items:
         terms = {lt: c}
         terms.update(_reduce_terms(tail, index, order, budget))
-        if c != 1:
-            terms = {e: v / c for e, v in terms.items()}
-        out.append(Polynomial(p.ring, terms, _clean=True))
+        out.append(Polynomial(p.ring, _exact(terms, c), _clean=True))
     return tuple(out)
 
 
@@ -378,13 +416,16 @@ class GBCheck:
 
 
 def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
-    """True when every S-pair reduces to zero; returns the witness otherwise."""
+    """True when every S-pair reduces to zero; returns the witness otherwise.
+
+    Each pair reduces ``_spoly``'s multiple of its S-polynomial, which is
+    zero exactly when the S-polynomial is; the witness divides it out again.
+    """
     polys = [p for p in polys if p]
     if budget is None:
         budget = Budget()
     index = _DivisorIndex.of(polys, order, polys[0].ring if polys else None)
-    lts = [item[2] for item in index.items]
-    masks = index.masks
+    items, masks = index.items, index.masks
     count = 0
     for j in range(len(polys)):
         for i in range(j):
@@ -392,11 +433,12 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
                 continue
             budget.charge_spair()
             count += 1
-            r = _reduce_terms(_spoly(polys[i], lts[i], polys[j], lts[j]),
-                              index, order, budget)
+            a, b = items[i], items[j]
+            r = _reduce_terms(_spoly(a, b), index, order, budget)
             if r:
                 return GBCheck(False, count, (polys[i], polys[j]),
-                               Polynomial(polys[i].ring, r, _clean=True))
+                               Polynomial(polys[i].ring,
+                                          _exact(r, a[3] * b[3]), _clean=True))
     return GBCheck(True, count)
 
 

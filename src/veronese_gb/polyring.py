@@ -7,6 +7,7 @@ convention: every operation returns a fresh polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -16,6 +17,10 @@ from .errors import DimensionError, DomainError, ParseError, RingMismatchError
 from .orders import GammaRevLex, GrevLex, multi_indices
 
 MAX_EXPONENT = 2**31 - 1
+# Largest ring any constructor builds.  The shapes in use have at most a few
+# dozen variables; past this a ring from input is refused before its names,
+# or a Veronese ring's multi-indices, are enumerated.
+MAX_VARIABLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -70,15 +75,30 @@ class Ring:
         return GrevLex(self.nvars)
 
 
+def _check_size(nvars):
+    if nvars > MAX_VARIABLES:
+        raise DomainError(f"a ring of {nvars} variables exceeds the cap of "
+                          f"{MAX_VARIABLES}")
+
+
 def base_ring(s):
     """The base ring with variables y1..ys."""
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
+    _check_size(s)
     return Ring(tuple(f"y{i + 1}" for i in range(s)), kind="S", s=s)
 
 
 def veronese_ring(s, d):
     """The ring with one variable per degree-d multi-index, in chain order."""
+    if s >= 1 and d >= 1:
+        # the enumeration holds d+s-1 cut points for binomial(d+s-1, s-1)
+        # variables; the count rises with s, so clamping s just past the cap
+        # keeps math.comb small and still decides the check
+        cs = min(s, MAX_VARIABLES + 1)
+        if d > MAX_VARIABLES or math.comb(d + cs - 1, cs - 1) > MAX_VARIABLES:
+            raise DomainError(f"the degree-{d} Veronese ring of {s} variables "
+                              f"exceeds the cap of {MAX_VARIABLES}")
     idx = multi_indices(s, d)
     names = tuple("x[%s]" % ",".join(map(str, a)) for a in idx)
     return Ring(names, kind="Rd", s=s, d=d, indices=idx)
@@ -86,6 +106,7 @@ def veronese_ring(s, d):
 
 def generic_ring(names):
     names = tuple(names)
+    _check_size(len(names))
     if len(set(names)) != len(names):
         raise DomainError(f"duplicate variable names in {list(names)}")
     return Ring(names, kind="generic")
@@ -93,6 +114,7 @@ def generic_ring(names):
 
 def joint_ring(front, back):
     """Concatenate two rings; the front block comes first for elimination."""
+    _check_size(front.nvars + back.nvars)
     clash = set(front.names) & set(back.names)
     if clash:
         raise DomainError(f"variable names collide: {sorted(clash)}")

@@ -96,6 +96,8 @@ MALFORMED_INPUTS = {
     "ring-size-infinite": (
         "gbasis", [], '{"ring": {"kind": "S", "s": Infinity}}'),
     "ring-size-fraction": ("gbasis", [], '{"ring": {"kind": "S", "s": 2.7}}'),
+    "ring-size-over-cap": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 10001}, "generators": []}'),
     "names-not-array": (
         "gbasis", [], '{"ring": {"kind": "generic", "names": 5}}'),
     "duplicate-names": (

@@ -211,6 +211,12 @@ def _dict_normal_form(f, divisors, order):
     return r
 
 
+def _fraction_coeffs(polys):
+    """Whether every coefficient is a Fraction: dict equality cannot tell,
+    since 1 == Fraction(1) == 1.0."""
+    return all(type(c) is Fraction for g in polys for c in g.terms.values())
+
+
 @ORDERS
 def test_term_primitives_match_dict_reference(order, rng):
     S = base_ring(3)
@@ -228,13 +234,23 @@ def test_term_primitives_match_dict_reference(order, rng):
         assert ((f + g) - g) == f
         if not f or not g:
             continue
-        assert s_polynomial(f, g, order).terms == \
-            _dict_spoly(f.terms, g.terms, order)
+        spoly = s_polynomial(f, g, order)
+        assert spoly.terms == _dict_spoly(f.terms, g.terms, order)
         divisors = [p for p in (_random_poly(rng, S, terms=2, top=2)
                                 for _ in range(3)) if p]
         h = f * g + f
-        assert normal_form(h, divisors, order).terms == \
+        remainder = normal_form(h, divisors, order)
+        assert remainder.terms == \
             _dict_normal_form(h.terms, [d.terms for d in divisors], order)
+        # the kernel computes on ints where it can; what it returns is exact
+        check = is_groebner_basis(divisors, order)
+        if not check.ok:
+            assert check.remainder == normal_form(
+                s_polynomial(*check.pair, order), divisors, order)
+        outputs = [spoly, remainder, *_reduce_basis(divisors, order),
+                   Ideal(S, divisors).normal_form(h, order),
+                   check.remainder or S.zero, *buchberger([f, g], order)]
+        assert _fraction_coeffs(outputs)
 
 
 @ORDERS
@@ -286,6 +302,14 @@ def test_coefficient_cap_covers_interreduction_and_ideal_normal_form():
     assert buchberger(gens, GrevLex(2), budget=Budget(coeff_bits=4))
     with pytest.raises(BudgetExceededError):
         buchberger(gens, GrevLex(2), budget=Budget(coeff_bits=3))
+
+    # here only the pair loop multiplies: its one S-pair reduces
+    # -y1*y2^2 + 3*y2^3 by the non-monic 3*y1*y2 - y2^2, by -1/3 (1 + 2 bits)
+    gens = [parse_polynomial("3*y1*y2 - y2^2", S),
+            parse_polynomial("y1^2 - y2^2", S)]
+    assert buchberger(gens, GrevLex(2), budget=Budget(coeff_bits=3))
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, GrevLex(2), budget=Budget(coeff_bits=2))
 
     I = Ideal(S, [parse_polynomial("y1^2 - y2", S)])
     f = parse_polynomial("5*y1^2", S)

@@ -25,6 +25,20 @@ def test_ring_shapes():
         joint_ring(S, S)  # name clash
 
 
+def test_ring_size_cap():
+    # one variable past the cap of 10,000 (veronese --s 40 --d 40 is
+    # refused the same way, before its multi-indices are enumerated)
+    names = [f"v{i}" for i in range(10_000)]
+    for build in (lambda: base_ring(10_001),
+                  lambda: veronese_ring(2, 10_000),  # 10,001 variables
+                  lambda: veronese_ring(3, 140),     # binomial(142, 2)
+                  lambda: generic_ring(names + ["w"]),
+                  lambda: joint_ring(base_ring(1), generic_ring(names))):
+        with pytest.raises(DomainError):
+            build()
+    assert base_ring(10_000).nvars == veronese_ring(2, 9_999).nvars == 10_000
+
+
 def test_parse_examples():
     S = base_ring(3)
     f = parse_polynomial("y1^2*y2 - 3/2*y3", S)

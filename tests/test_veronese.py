@@ -32,6 +32,12 @@ def _mono(ring, text):
     return next(iter(parse_polynomial(text, ring).terms))
 
 
+def _fraction_coeffs(polys):
+    """Whether every coefficient is a Fraction (1 == Fraction(1) hides an
+    int from dict equality)."""
+    return all(type(c) is Fraction for g in polys for c in g.terms.values())
+
+
 def test_image_examples():
     v = VeroneseMap(2, 4)
     u = _mono(v.ring, "x[3,1]*x[1,3]")
@@ -115,6 +121,7 @@ def test_kernel_matches_oracle():
                                      order=vmap.order)
         assert kernel_groebner_basis(s, d) == kernel_oracle_basis(s, d) \
             == toric, (s, d)
+        assert _fraction_coeffs(toric)
 
 
 def test_kernel_size_matches_dimension_count():
@@ -204,6 +211,7 @@ def test_pullback_monomial_examples():
     assert exchange <= set(res.groebner_basis)
     assert res.reduced == preimage_oracle(
         Ideal(S2, M.polynomials()), VeroneseMap(2, 3))
+    assert _fraction_coeffs(res.reduced)
 
     M1 = MonomialIdeal.from_exponents(S2, [(1, 0)])
     res1 = pullback_monomial_ideal(M1, 2)
@@ -217,6 +225,7 @@ def test_pullback_monomial_examples():
         assert zero.groebner_basis == exchange_binomials(2, 3)
         assert zero.reduced == kernel_groebner_basis(2, 3)
         assert zero.method == "constructive"
+        assert _fraction_coeffs(zero.reduced)
 
 
 def test_pullback_monomial_below_bound_uses_oracle():
@@ -317,6 +326,7 @@ def test_pullback_homogeneous_ci_variant():
     R = veronese_ring(2, 3)
     lts = {g.leading_term(res.order)[0] for g in res.reduced}
     assert lts == {_mono(R, "x[3,0]"), _mono(R, "x[2,1]"), _mono(R, "x[1,2]^2")}
+    assert _fraction_coeffs(res.reduced)
 
 
 def test_pullback_oracle_equivalence_small():
