@@ -1,16 +1,22 @@
 """Batch command-line interface with deterministic, machine-readable reports.
 
-Exit codes: 0 success, 2 unreadable input or a malformed
+Exit codes: 0 success, 2 unreadable input (a ring past the variable cap
+and a shape past the exchange-binomial cap included) or a malformed
 ``VERONESE_GB_BUDGET``, 3 resource budget exhausted, 4 weight vector with a
 non-monomial initial ideal, 5 point set that is not a configuration, 6 a
 result that failed an internal consistency check (a defect in the package).
 ``--strict`` turns flagged-partial results into exit 1.
+``pullback`` sends monomial generators without ``--omega`` to the monomial
+route and every other input to the weighted route, under ``--omega`` or,
+without it, under weights derived from the default order.  ``bounds``
+reports the bound of a monomial ideal, or of the default-order initial
+ideal of a homogeneous one.  A zero toric kernel reports ``bound: null``.
 ``pullback --method both`` runs the elimination oracle once and counts its
 S-pairs once in ``spairs_used``; it exits 6 only when a complete
 constructive basis disagrees with the oracle, and a basis that ``--cap`` or
 ``--no-oracle`` left partial is flagged partial instead.  ``--cap`` and
-``--no-oracle`` shape only the constructive route; ``--verify`` checks the
-returned basis under every method.
+``--no-oracle`` shape only the constructive monomial route; ``--verify``
+checks the returned basis on both routes and under every method.
 Reports are byte-identical across runs except for the ``timing_ms`` field.
 """
 
@@ -26,15 +32,16 @@ from fractions import Fraction
 from .errors import (BudgetExceededError, DimensionError, DomainError,
                      InternalCheckError, NonMonomialInitialError,
                      NotAConfigurationError, ParseError, RingMismatchError)
-from .groebner import Budget, Ideal, MonomialIdeal, eliminate
+from .groebner import (Budget, Ideal, MonomialIdeal, eliminate,
+                       elimination_order)
 from .orders import Block, GammaRevLex, GrevLex, Lex, Weighted
 from .polyring import (SCALAR, format_terms, generic_ring, json_shape,
                        parse_polynomial, poly_from_json, poly_to_json,
                        ring_from_json, ring_to_json)
 from .toric import Configuration, toric_ideal, verify_veronese_toric
-from .veronese import (VeroneseMap, degree_bounds, exchange_binomials,
-                       pullback_homogeneous_ideal, pullback_monomial_ideal,
-                       verify_exchange_basis)
+from .veronese import (METHODS, VeroneseMap, degree_bounds,
+                       exchange_binomials, pullback_homogeneous_ideal,
+                       pullback_monomial_ideal, verify_exchange_basis)
 
 INPUT_ERROR, BUDGET_ERROR, WEIGHT_ERROR, CONFIG_ERROR, CHECK_ERROR = \
     2, 3, 4, 5, 6
@@ -116,7 +123,7 @@ def parse_order_spec(spec, ring):
             if not backpart.startswith("back="):
                 raise DomainError(f"bad block order spec {spec!r}")
             back = parse_order_spec(backpart[5:], back_ring)
-        return Block(k, GrevLex(k), back)
+        return elimination_order(k, back)
     raise DomainError(f"unknown order spec {spec!r}")
 
 
@@ -232,19 +239,19 @@ def cmd_pullback(args, budget):
     ideal = load_ideal_file(args.ideal)
     if ideal.ring.kind != "S":
         raise DomainError("pullback input must live in a base ring y1..ys")
-    if args.omega:
-        omega = tuple(int(x) for x in args.omega.split(","))
+    if args.omega or not all(g.is_monomial() for g in ideal.generators):
+        omega = (tuple(int(x) for x in args.omega.split(","))
+                 if args.omega else None)
         res = pullback_homogeneous_ideal(ideal, args.d, omega,
-                                         method=args.method, budget=budget)
-    elif all(g.is_monomial() for g in ideal.generators):
+                                         method=args.method, budget=budget,
+                                         verify=args.verify)
+    else:
         mono = MonomialIdeal.of_leading_terms(
             ideal.ring, ideal.generators, ideal.ring.default_order())
         res = pullback_monomial_ideal(mono, args.d, degree_cap=args.cap,
                                       verify=args.verify, budget=budget,
                                       use_oracle=not args.no_oracle,
                                       method=args.method)
-    else:
-        raise DomainError("non-monomial input needs --omega")
     vmap = VeroneseMap(ideal.ring.s, args.d)
     outputs = {"groebner_basis": gb_block(list(res.groebner_basis), res.order,
                                           vmap.ring, budget),
@@ -298,11 +305,15 @@ def cmd_bounds(args, budget):
     started = time.time()
     ideal = load_ideal_file(args.ideal)
     if not ideal.generators:
-        raise DomainError("bounds need a nonzero monomial ideal")
-    if not all(g.is_monomial() for g in ideal.generators):
-        raise DomainError("bounds need monomial generators")
-    mono = MonomialIdeal.of_leading_terms(ideal.ring, ideal.generators,
-                                          ideal.ring.default_order())
+        raise DomainError("bounds need a nonzero ideal")
+    if not ideal.is_homogeneous():
+        raise DomainError("bounds need homogeneous generators")
+    order = ideal.ring.default_order()
+    if all(g.is_monomial() for g in ideal.generators):
+        mono = MonomialIdeal.of_leading_terms(ideal.ring, ideal.generators,
+                                              order)
+    else:
+        mono = ideal.initial_ideal(order, budget)
     rep = degree_bounds(mono)
     outputs = {"s": rep.s,
                "max_exponent": rep.max_exponent,
@@ -345,9 +356,9 @@ def build_parser():
     p = sub.add_parser("pullback", help="basis of the degree-d pullback")
     p.add_argument("ideal")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--omega", help="comma-separated base weights")
-    p.add_argument("--method", default="constructive",
-                   choices=["constructive", "oracle", "both"])
+    p.add_argument("--omega", help="comma-separated base weights (default: "
+                   "derived from the default order for non-monomial input)")
+    p.add_argument("--method", default="constructive", choices=METHODS)
     p.add_argument("--cap", type=int, default=2,
                    help="degree cap for standard-monomial generators")
     p.add_argument("--no-oracle", action="store_true",
@@ -362,11 +373,11 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("--veronese", type=int,
                    help="also certify the degree-d layer")
-    p.add_argument("--method", default="constructive",
-                   choices=["constructive", "oracle", "both"])
+    p.add_argument("--method", default="constructive", choices=METHODS)
     p.set_defaults(fn=cmd_toric)
 
-    p = sub.add_parser("bounds", help="degree bounds for a monomial ideal")
+    p = sub.add_parser("bounds", help="degree bounds for a monomial ideal, "
+                       "or for the initial ideal of a homogeneous one")
     p.add_argument("ideal")
     p.set_defaults(fn=cmd_bounds)
     return parser

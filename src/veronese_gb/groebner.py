@@ -442,6 +442,14 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
     return GBCheck(True, count)
 
 
+def elimination_order(front, back_order):
+    """The block order that eliminates the first ``front`` variables: grevlex
+    on them, ``back_order`` on the rest.  Every elimination builds its order
+    here, because a basis passed as ``seed_gb`` is a Gröbner basis only under
+    the order it was computed with."""
+    return Block(front, GrevLex(front), back_order)
+
+
 def eliminate(generators, front, back_ring, back_order, *, budget=None,
               seed_gb=None):
     """Intersect the ideal with the subring on the trailing variables.
@@ -453,8 +461,8 @@ def eliminate(generators, front, back_ring, back_order, *, budget=None,
     generators = list(generators)
     if generators and back_ring.nvars + front != generators[0].ring.nvars:
         raise DomainError("front block plus back ring must span the joint ring")
-    order = Block(front, GrevLex(front), back_order)
-    gb = buchberger(generators, order, budget=budget, seed_gb=seed_gb)
+    gb = buchberger(generators, elimination_order(front, back_order),
+                    budget=budget, seed_gb=seed_gb)
     return _front_free(gb, front, back_ring)
 
 

@@ -21,6 +21,11 @@ MAX_EXPONENT = 2**31 - 1
 # dozen variables; past this a ring from input is refused before its names,
 # or a Veronese ring's multi-indices, are enumerated.
 MAX_VARIABLES = 10_000
+# Largest count of candidate exchange pairs times ring variables that
+# ``veronese.exchange_binomials`` enumerates, each pair as two dense exponent
+# tuples.  (2, 100) needs about 10^6; the largest shapes in use, (3, 6) and
+# (4, 4), need 37,044 and 84,000.
+MAX_EXCHANGE_WORK = 10**7
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, NotAConfigurationError
-from .groebner import (Ideal, _DivisorIndex, eliminate, find_weight_vector,
-                       graph_ideal, monomial_image)
+from .groebner import (Ideal, _DivisorIndex, eliminate, graph_ideal,
+                       monomial_image)
 from .polyring import as_integer, base_ring
 from .veronese import VeroneseMap, multi_indices, pullback_homogeneous_ideal
 
@@ -172,7 +172,7 @@ class ToricVeroneseCertificate:
     config: Configuration
     d: int
     omega: tuple
-    bound: int
+    bound: int  # None for a zero kernel
     meets_bound: bool
     pullback: object
     all_binomial: bool
@@ -190,21 +190,16 @@ class ToricVeroneseCertificate:
 def verify_veronese_toric(config, d, method="constructive", budget=None):
     """Run the full pipeline on a configuration's degree-d layer.
 
-    Computes the kernel ideal, derives weights from the default order, pulls
-    the ideal back, and checks binomiality, image equality under the layer's
-    monomial map, and the recorded duplicate-point identifications.  The
-    bound is the pullback certificate's, with 1 for a zero kernel.
+    Computes the kernel ideal, pulls it back under the weights derived from
+    the default order, and checks binomiality, image equality under the
+    layer's monomial map, and the recorded duplicate-point identifications.
+    The weights and the bound are the pullback's, the bound None for a zero
+    kernel.
     """
     ideal = toric_ideal(config, budget)
-    omega = find_weight_vector(ideal, ideal.ring.default_order(), budget)
-    pb = pullback_homogeneous_ideal(ideal, d, omega, method=method,
-                                    budget=budget)
+    pb = pullback_homogeneous_ideal(ideal, d, method=method, budget=budget)
     layer = veronese_layer(config, d)
     vmap = VeroneseMap(config.size, d)
-
-    bound = pb.certificate["bound"]
-    if bound is None:
-        bound = 1
 
     all_binomial = all(g.is_binomial_pm1() for g in pb.reduced)
     images_equal = True
@@ -223,5 +218,6 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
             for i, j in layer.duplicate_pairs)
 
     return ToricVeroneseCertificate(
-        config, d, omega, bound, pb.certificate["meets_bound"], pb,
+        config, d, pb.omega, pb.certificate["bound"],
+        pb.certificate["meets_bound"], pb,
         all_binomial, pb.max_degree, images_equal, duplicates_linear)

@@ -21,9 +21,15 @@ from .errors import (DomainError, InternalCheckError, NonMonomialInitialError,
                      RingMismatchError)
 from .groebner import (Budget, Ideal, MonomialIdeal, _SupportBuckets,
                        _front_free, _reduce_basis, buchberger, eliminate,
-                       graph_ideal, is_groebner_basis, monomial_image)
-from .orders import Block, GammaRevLex, GrevLex, Weighted, multi_indices
-from .polyring import Polynomial, base_ring, mono_divides, veronese_ring
+                       elimination_order, find_weight_vector, graph_ideal,
+                       is_groebner_basis, monomial_image)
+from .orders import GammaRevLex, Weighted, multi_indices
+from .polyring import (MAX_EXCHANGE_WORK, Polynomial, base_ring, mono_divides,
+                       veronese_ring)
+
+# The pullback routes: the constructive basis, the elimination oracle, or
+# both with a check that they agree.
+METHODS = ("constructive", "oracle", "both")
 
 
 @dataclass(frozen=True)
@@ -101,10 +107,17 @@ def exchange_binomials(s, d):
     For every pair of degree-(d-1) indices and positions i < j, the product
     of the two bumped variables equals the cross-bumped product in the base
     ring; the difference is normalized so its leading term has coefficient +1
-    under the chain revlex order.
+    under the chain revlex order.  Shapes whose candidate pairs times ring
+    variables exceed ``MAX_EXCHANGE_WORK`` are refused before enumerating.
     """
     vmap = VeroneseMap(s, d)
     ring, order = vmap.ring, vmap.order
+    candidates = math.comb(d + s - 2, s - 1) ** 2 * math.comb(s, 2)
+    if candidates * ring.nvars > MAX_EXCHANGE_WORK:
+        raise DomainError(
+            f"the exchange binomials for s={s}, d={d} have {candidates} "
+            f"candidate pairs over {ring.nvars} variables, past the cap of "
+            f"{MAX_EXCHANGE_WORK} pairs times variables")
     pos_of = ring.position
 
     def bump(a, i):
@@ -169,7 +182,7 @@ def _joint_graph_gb(s, d):
     """Reduced basis of the graph ideal under the elimination block order."""
     vmap = VeroneseMap(s, d)
     _, gens = graph_ideal(vmap.ring.indices, vmap.ring)
-    return buchberger(gens, Block(s, GrevLex(s), vmap.order))
+    return buchberger(gens, elimination_order(s, vmap.order))
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +330,8 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
 
 @dataclass
 class PullbackResult:
-    """A Gröbner basis of a pullback ideal plus the checks behind it."""
+    """A Gröbner basis of a pullback ideal plus the checks behind it;
+    ``omega`` holds the base weights of a homogeneous pullback."""
 
     s: int
     d: int
@@ -326,10 +340,24 @@ class PullbackResult:
     reduced: tuple
     method: str
     certificate: dict
+    omega: tuple = None
 
     @property
     def max_degree(self):
         return max((g.total_degree() for g in self.groebner_basis), default=0)
+
+
+def _check_method(method):
+    if method not in METHODS:
+        raise DomainError(f"method must be one of {', '.join(METHODS)}, "
+                          f"got {method!r}")
+
+
+def _record_groebner_check(cert, basis, order, budget):
+    """Adds the S-pair check of the returned basis to a certificate."""
+    check = is_groebner_basis(basis, order, budget=budget)
+    cert["is_groebner"] = check.ok
+    cert["spairs_checked"] = check.spairs
 
 
 def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
@@ -347,6 +375,7 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
     basis under every method.  The elimination runs at most once, and the
     zero ideal pulls back to the kernel under every method.
     """
+    _check_method(method)
     ring = ideal.ring
     s = ring.s
     vmap = VeroneseMap(s, d)
@@ -382,9 +411,7 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
         cert["members_in_target"] = all(_maps_into_monomial(vmap, g, ideal)
                                         for g in basis)
     if verify:
-        check = is_groebner_basis(basis, order, budget=budget)
-        cert["is_groebner"] = check.ok
-        cert["spairs_checked"] = check.spairs
+        _record_groebner_check(cert, basis, order, budget)
     if constructive and oracle_gb is not None:
         cert["matches_oracle"] = tuple(reduced) == tuple(oracle_gb)
         if method == "both" and cert["complete"] and \
@@ -445,15 +472,19 @@ def homogeneous_pullback_generators(ideal, vmap, omega, budget=None):
     return list(exchange_binomials(vmap.s, vmap.d)) + lifts
 
 
-def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
-                               budget=None):
+def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
+                               budget=None, verify=False):
     """Pullback of a homogeneous ideal under a weight vector whose initial
     ideal is monomial, with the weighted chain revlex order.
 
-    The certificate records the quadratic bound for the weight initial ideal
-    and that the pullback's leading-term ideal agrees with the pullback of
-    the weight initial ideal.
+    Without ``omega`` the weights come from :func:`find_weight_vector` for
+    the base ring's default order, so that the weight initial ideal is the
+    initial ideal; the result records the weights used.  The certificate
+    records the quadratic bound for the weight initial ideal and that the
+    pullback's leading-term ideal agrees with the pullback of the weight
+    initial ideal; ``verify`` adds the S-pair check of the returned basis.
     """
+    _check_method(method)
     if budget is None:
         budget = Budget()
     base = ideal.ring
@@ -462,6 +493,8 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
         raise DomainError("pullbacks need a base ring y1..ys")
     if not ideal.is_homogeneous():
         raise DomainError("ideal must be homogeneous in the standard grading")
+    if omega is None:
+        omega = find_weight_vector(ideal, base.default_order(), budget)
     omega = tuple(int(w) for w in omega)
     if len(omega) != s or any(w < 0 for w in omega):
         raise DomainError("weight vector must be nonnegative of length s")
@@ -470,8 +503,8 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
     forms_ideal, monomial = ideal.initial_forms(omega, budget=budget)
     if not monomial:
         raise NonMonomialInitialError(
-            "the weight initial ideal is not monomial; derive the weights "
-            "with find_weight_vector first")
+            "the weight initial ideal is not monomial; leave the weights out "
+            "to derive them with find_weight_vector from the default order")
     init = MonomialIdeal.of_leading_terms(base, forms_ideal.generators,
                                           base.default_order())
 
@@ -498,7 +531,9 @@ def pullback_homogeneous_ideal(ideal, d, omega, method="constructive",
     cert["initial_matches_monomial_pullback"] = lhs == rhs
     cert["members_in_target"] = all(
         ideal.contains(vmap.image(g), budget=budget) for g in reduced)
-    return PullbackResult(s, d, order, reduced, reduced, method, cert)
+    if verify:
+        _record_groebner_check(cert, reduced, order, budget)
+    return PullbackResult(s, d, order, reduced, reduced, method, cert, omega)
 
 
 # ---------------------------------------------------------------------------

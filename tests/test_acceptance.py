@@ -5,13 +5,15 @@ criteria complete.  All checks are exact; there are no tolerances anywhere.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import suites
 from veronese_gb.groebner import (Ideal, MonomialIdeal, buchberger,
                                   find_weight_vector)
 from veronese_gb.orders import GrevLex, Weighted, multi_indices
-from veronese_gb.polyring import Polynomial, base_ring, parse_polynomial
+from veronese_gb.polyring import (Polynomial, base_ring, parse_polynomial,
+                                  poly_to_json, ring_to_json)
 from veronese_gb.toric import Configuration, toric_ideal, verify_veronese_toric
 from veronese_gb.veronese import (VeroneseMap, degree_bounds,
                                   preimage_oracle, pullback_homogeneous_ideal,
@@ -111,23 +113,23 @@ def test_criterion_3_monomial_pullbacks_exhaustive():
             "constructed union and to the elimination oracle")
 
 
-def _random_homogeneous_ideals(rng, count):
-    S3 = base_ring(3)
+def _random_homogeneous_ideals(rng, count, s=3, max_degree=3):
+    S = base_ring(s)
     out = []
     while len(out) < count:
         gens = []
         for _ in range(rng.randrange(1, 3)):
-            degree = rng.randrange(1, 4)
-            pool = [e for e in itertools.product(range(degree + 1), repeat=3)
+            degree = rng.randrange(1, max_degree + 1)
+            pool = [e for e in itertools.product(range(degree + 1), repeat=s)
                     if sum(e) == degree]
             terms = {}
             for _ in range(rng.randrange(2, 4)):
                 terms[rng.choice(pool)] = Fraction(rng.choice([-2, -1, 1, 2]))
-            poly = Polynomial(S3, terms)
+            poly = Polynomial(S, terms)
             if poly:
                 gens.append(poly)
         if gens:
-            out.append(Ideal(S3, gens))
+            out.append(Ideal(S, gens))
     return out
 
 
@@ -225,3 +227,50 @@ def test_criterion_8_property_suites(rng):
     _report(8, total >= 10_000,
             f"{total} seeded property cases across {len(suites.ALL_SUITES)} "
             "suites, zero failures")
+
+
+def _cli_report(capsys, *argv):
+    from veronese_gb import cli
+    assert cli.main(["--json", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["outputs"]
+
+
+def test_criterion_9_homogeneous_pullbacks_derive_their_weights(
+        rng, tmp_path, capsys):
+    # s = 2 just below and at the bound of in_<(I); s = 3, generators of
+    # degree <= 2, at d = 2 and 3.  No weights are passed: the pullback
+    # derives them from the default order, so its bound is that of in_<(I).
+    cases = []
+    for ideal in _random_homogeneous_ideals(rng, 8, s=2):
+        init = ideal.initial_ideal(ideal.ring.default_order())
+        bound = degree_bounds(init).bound
+        cases += [(ideal, bound - 1), (ideal, bound)]
+    for ideal in _random_homogeneous_ideals(rng, 6, s=3, max_degree=2):
+        cases += [(ideal, 2), (ideal, 3)]
+    for i, (ideal, d) in enumerate(cases):
+        order = ideal.ring.default_order()
+        res = pullback_homogeneous_ideal(ideal, d, method="both")
+        cert = res.certificate
+        bound = degree_bounds(ideal.initial_ideal(order)).bound
+        assert res.omega == find_weight_vector(ideal, order), (ideal, d)
+        assert cert["initial_matches_monomial_pullback"], (ideal, d)
+        assert cert["members_in_target"], (ideal, d)
+        assert cert["bound"] == bound, (ideal, d)
+        assert cert["meets_bound"] == (d >= bound), (ideal, d)
+        if d >= bound:
+            assert res.max_degree <= 2, (ideal, d)
+        if i in (1, len(cases) - 1):
+            path = tmp_path / f"ideal{i}.json"
+            path.write_text(json.dumps({
+                "ring": ring_to_json(ideal.ring),
+                "generators": [poly_to_json(g) for g in ideal.generators]}))
+            out = _cli_report(capsys, "pullback", str(path), "--d", str(d),
+                              "--method", "both")
+            assert out["certificate"] == cert, (ideal, d)
+            assert out["reduced"]["polynomials"] == [
+                poly_to_json(g, res.order) for g in res.reduced]
+            assert _cli_report(capsys, "bounds", str(path))["bound"] == bound
+    _report(9, True,
+            f"{len(cases)} (ideal, d) pairs pulled back under derived weights, "
+            "constructive equal to the oracle, initial ideals matching the "
+            "monomial pullback at the bound of in_<(I); two through the CLI")

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -103,6 +104,9 @@ MALFORMED_INPUTS = {
     "duplicate-names": (
         "gbasis", [], '{"ring": {"kind": "generic", "names": ["a", "a"]}, '
         '"generators": ["a"]}'),
+    "bounds-not-homogeneous": (
+        "bounds", [], '{"ring": {"kind": "S", "s": 2}, '
+        '"generators": ["y1^2 - y2"]}'),
     "points-number": ("toric", [], '{"points": 5}'),
     "points-flat": ("toric", [], '{"points": [1, 2]}'),
     "coordinate-array": ("toric", [], '{"points": [[1, [2]]]}'),
@@ -354,13 +358,71 @@ def test_pullback_of_zero_ideal_verifies():
 
 
 def test_pullback_with_weights_certifies_quadratic():
+    # --verify checks the S-pairs on the weighted route as on the monomial one
     proc = run_cli("--json", "pullback", "tests/data/conic.json",
-                   "--d", "5", "--omega", "2,1,1")
+                   "--d", "5", "--omega", "2,1,1", "--verify")
     assert proc.returncode == 0
     out = json.loads(proc.stdout)["outputs"]
     assert out["max_degree"] <= 2
     assert out["certificate"]["meets_bound"]
     assert out["certificate"]["initial_matches_monomial_pullback"]
+    assert out["certificate"]["is_groebner"] is True
+    assert out["certificate"]["spairs_checked"] > 0
+
+
+def test_pullback_derives_weights_without_omega():
+    # the derived weights are (2, 1, 1), so the report is the --omega one;
+    # bounds reports the bound of in_<(I) = (y1^2), which that report certifies
+    given = run_cli("--json", "pullback", "tests/data/conic.json",
+                    "--d", "5", "--omega", "2,1,1")
+    derived = run_cli("--json", "pullback", "tests/data/conic.json",
+                      "--d", "5")
+    assert derived.returncode == 0, derived.stderr
+    a, b = report_of(given), report_of(derived)
+    assert a["outputs"] == b["outputs"]
+    assert a["budget"]["spairs_used"] == b["budget"]["spairs_used"] == 120
+    bounds = run_cli("--json", "bounds", "tests/data/conic.json")
+    assert bounds.returncode == 0, bounds.stderr
+    assert report_of(bounds)["outputs"]["bound"] == \
+        b["outputs"]["certificate"]["bound"] == 5
+
+
+def test_toric_zero_kernel_has_no_bound(tmp_path):
+    config = tmp_path / "independent.json"
+    config.write_text('{"points": [[1, 0], [0, 1]]}')
+    proc = run_cli("--json", "toric", str(config), "--veronese", "2")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)["outputs"]["veronese"]
+    assert out["bound"] is None and out["meets_bound"] and out["ok"]
+
+
+def _limit_address_space():
+    # 800 MB, so that a run enumerating what the cap refuses dies with a
+    # MemoryError instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (800 * 2**20, 800 * 2**20))
+
+
+@pytest.mark.parametrize("args", [
+    ["veronese", "--s", "2", "--d", "2000"],
+    ["veronese", "--s", "2", "--d", "300"],
+    ["pullback", "tests/data/square_square.json", "--d", "2000"],
+    ["pullback", "CI", "--d", "2000", "--omega", "2,1"],
+], ids=["veronese-2-2000", "veronese-2-300", "monomial-pullback",
+        "weighted-pullback"])
+def test_exchange_binomials_cap(args, tmp_path):
+    # (2, 2000) has 2,001 variables, under the ring cap, and 4 * 10^6
+    # candidate exchange pairs; they are refused before any is enumerated
+    ci = tmp_path / "ci.json"
+    ci.write_text('{"ring": {"kind": "S", "s": 2}, '
+                  '"generators": ["y1^2 - y2^2"]}')
+    args = [str(ci) if a == "CI" else a for a in args]
+    proc = subprocess.run(
+        [sys.executable, "-m", "veronese_gb.cli", *args], capture_output=True,
+        text=True, cwd=HERE.parent, preexec_fn=_limit_address_space,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr[-300:]
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_pullback_oracle_method():

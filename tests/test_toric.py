@@ -128,8 +128,8 @@ def test_verify_pipeline_independent_points():
     cfg = Configuration.from_points([(1, 0), (0, 1)])
     cert = verify_veronese_toric(cfg, 2)
     assert cert.ok and cert.all_binomial and cert.max_degree <= 2
-    # a zero kernel has no bound: the toric certificate reports 1
-    assert cert.bound == 1 and cert.meets_bound
+    # a zero kernel has no bound, in the toric certificate as in the pullback's
+    assert cert.bound is None and cert.meets_bound
     assert cert.pullback.certificate["bound"] is None
 
 

@@ -100,6 +100,9 @@ def test_exchange_binomials_small():
     assert all(g.leading_term(order)[1] == 1 for g in three)
     assert all(g.is_binomial_pm1() for g in three)
 
+    # 10^4 candidate pairs over 101 variables, under MAX_EXCHANGE_WORK
+    assert len(exchange_binomials(2, 100)) == 4950
+
 
 def test_exchange_binomials_land_in_kernel():
     for s, d in ((2, 2), (2, 3), (3, 2)):
@@ -315,6 +318,21 @@ def test_pullback_homogeneous_zero_ideal():
     assert tuple(res.reduced) == tuple(kernel_groebner_basis(3, 2))
 
 
+def test_pullback_homogeneous_derives_the_weights():
+    # without omega the weights come from the default order, and the result
+    # is the one those weights give when passed in
+    S3 = base_ring(3)
+    conic = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
+    derived = pullback_homogeneous_ideal(conic, 2)
+    given = pullback_homogeneous_ideal(conic, 2, (2, 1, 1))
+    assert derived.omega == given.omega == (2, 1, 1) == find_weight_vector(
+        conic, S3.default_order())
+    assert derived.reduced == given.reduced
+    assert derived.certificate == given.certificate
+    mono = MonomialIdeal.from_exponents(S3, [(2, 0, 0)])
+    assert pullback_monomial_ideal(mono, 2).omega is None
+
+
 def test_pullback_homogeneous_ci_variant():
     S2 = base_ring(2)
     I = Ideal(S2, [parse_polynomial("y1^2 - y2^2", S2)])
@@ -378,10 +396,17 @@ def test_degree_bounds_odd_delta_verdict():
     lambda: monomial_pullback_generators(
         MonomialIdeal.from_exponents(base_ring(2), [(1, 1)]), 2, degree_cap=0),
     lambda: weight_pullback((1, 1, 1), VeroneseMap(2, 2)),
+    lambda: pullback_homogeneous_ideal(
+        Ideal(base_ring(2), [base_ring(2).monomial((1, 1))]), 2, (1, 1),
+        method="bogus"),
+    lambda: pullback_monomial_ideal(
+        MonomialIdeal.from_exponents(base_ring(2), [(1, 1)]), 2,
+        method="bogus"),
 ], ids=["veronese-map-s0", "layer-d0", "grading-unequal-dims",
         "toric-ring-mismatch", "homogeneous-non-base-ring",
         "homogeneous-omega-length", "generators-zero-ideal",
-        "generators-cap-0", "weight-pullback-length"])
+        "generators-cap-0", "weight-pullback-length",
+        "homogeneous-unknown-method", "monomial-unknown-method"])
 def test_domain_errors(call):
     with pytest.raises(DomainError):
         call()
