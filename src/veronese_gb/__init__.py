@@ -4,8 +4,8 @@ from .errors import (BudgetExceededError, DimensionError, DomainError,
                      NonMonomialInitialError, NotAConfigurationError,
                      ParseError, RingMismatchError)
 from .groebner import (Budget, GBCheck, Ideal, MonomialIdeal, buchberger,
-                       eliminate, find_weight_vector, initial_ideal,
-                       is_groebner_basis, normal_form, s_polynomial)
+                       eliminate, find_weight_vector, is_groebner_basis,
+                       normal_form, s_polynomial)
 from .orders import (Block, GammaRevLex, GrevLex, Lex, TermOrder, Weighted,
                      cmp_gamma_vars, cmp_lex, cmp_rlex, gamma_profile,
                      multi_indices)

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 unreadable input (a ring past the variable cap
 and a shape past the exchange-binomial cap included) or a malformed
 ``VERONESE_GB_BUDGET``, 3 resource budget exhausted, 4 weight vector with a
 non-monomial initial ideal, 5 point set that is not a configuration, 6 a
-result that failed an internal consistency check (a defect in the package).
+result that failed an internal consistency check (a defect in the package),
+141 a report that could not be written because stdout was closed.
 ``--strict`` turns flagged-partial results into exit 1.
 ``pullback`` sends monomial generators without ``--omega`` to the monomial
 route and every other input to the weighted route, under ``--omega`` or,
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -45,6 +47,8 @@ from .veronese import (METHODS, VeroneseMap, degree_bounds,
 
 INPUT_ERROR, BUDGET_ERROR, WEIGHT_ERROR, CONFIG_ERROR, CHECK_ERROR = \
     2, 3, 4, 5, 6
+# what a shell reports for a writer killed by SIGPIPE
+PIPE_CLOSED = 141
 
 
 class _Partial(Exception):
@@ -386,13 +390,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 0
     try:
         budget = Budget(spair_cap=args.budget)
         report = args.fn(args, budget)
     except _Partial as exc:
-        emit(exc.args[0], args)
-        print("partial result under --strict", file=sys.stderr)
-        return 1
+        report, code = exc.args[0], 1
     except NonMonomialInitialError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return WEIGHT_ERROR
@@ -409,8 +412,17 @@ def main(argv=None):
     except InternalCheckError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return CHECK_ERROR
-    emit(report, args)
-    return 0
+    try:
+        emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python's flush at exit would fail on the
+        # same pipe, so point stdout at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_CLOSED
+    if code:
+        print("partial result under --strict", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import (BudgetExceededError, DomainError, InternalCheckError,
                      RingMismatchError)
-from .orders import Block, GrevLex, TermOrder, Weighted
+from .orders import Block, GrevLex, Weighted
 from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
                        mono_deg, mono_div, mono_divides, mono_lcm)
 
@@ -476,28 +476,20 @@ def _front_free(gb, front, back_ring):
 
 def graph_ideal(points, ring):
     """The graph ideal of the monomial map sending variable i of ``ring`` to
-    the Laurent monomial z^points[i], as (joint ring, generators).
+    the monomial z^points[i], as (joint ring, generators).
 
-    The joint ring puts z1..zn, plus an inverse-product variable w when a
-    coordinate is negative, in front of ``ring``; eliminating that block
-    leaves the kernel of the map.  The generators are x_i * z^neg(p_i) -
-    z^pos(p_i) in point order, then w * z1*...*zn - 1 when w is present.
+    The points must be nonnegative.  The joint ring puts z1..zn in front of
+    ``ring``; eliminating that block leaves the kernel of the map.  The
+    generators are x_i - z^p_i in point order.
     """
     n = len(points[0])
-    negative = any(x < 0 for p in points for x in p)
-    names = tuple(f"z{j + 1}" for j in range(n)) + (("w",) if negative else ())
-    joint = joint_ring(generic_ring(names), ring)
-    pad = (0,) * (len(names) - n)
+    joint = joint_ring(generic_ring(f"z{j + 1}" for j in range(n)), ring)
     no_x = (0,) * ring.nvars
     gens = []
     for i, p in enumerate(points):
         x = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        gens.append(Polynomial(joint, {
-            tuple(max(-v, 0) for v in p) + pad + x: Fraction(1),
-            tuple(max(v, 0) for v in p) + pad + no_x: Fraction(-1)}))
-    if negative:
-        gens.append(Polynomial(joint, {(1,) * len(names) + no_x: Fraction(1),
-                                       joint.zero_exps: Fraction(-1)}))
+        gens.append(Polynomial(joint, {(0,) * n + x: Fraction(1),
+                                       tuple(p) + no_x: Fraction(-1)}))
     return joint, gens
 
 
@@ -647,13 +639,6 @@ class Ideal:
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(repr(g) for g in self.generators)
-
-
-def initial_ideal(ideal, order_or_weights, budget=None):
-    """Initial ideal for a term order, or initial-form ideal for a weight vector."""
-    if isinstance(order_or_weights, TermOrder):
-        return ideal.initial_ideal(order_or_weights, budget)
-    return ideal.initial_forms(tuple(order_or_weights), budget=budget)
 
 
 # ---------------------------------------------------------------------------

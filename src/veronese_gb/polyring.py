@@ -52,6 +52,11 @@ class Ring:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
+    def index_position(self):
+        """Rd only: multi-index -> position."""
+        return {a: i for i, a in enumerate(self.indices)}
+
+    @cached_property
     def zero_exps(self):
         return (0,) * self.nvars
 

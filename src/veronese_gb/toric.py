@@ -3,8 +3,7 @@
 A configuration is a finite list of integer points admitting a rational
 grading vector that evaluates to 1 on every point; the kernel of the induced
 monomial map is then homogeneous in the standard grading.  Kernels are
-computed by elimination, with one inverse-product variable making the
-auxiliary variables invertible when points have negative coordinates.
+computed by elimination, after shifting the points nonnegative.
 """
 
 from __future__ import annotations
@@ -108,8 +107,10 @@ def point_rank(points):
 def toric_groebner_basis(points, ring=None, order=None, budget=None):
     """Reduced basis of the kernel of the monomial map on the given points.
 
-    One variable per point; elimination runs over the torus variables, with
-    an extra inverse-product variable when any coordinate is negative.
+    One variable per point.  Points with a negative coordinate must form a
+    configuration, graded by lambda: they are shifted by a v >= 0 that makes
+    them nonnegative, with 1 + lambda.v != 0, so that lambda takes a relation
+    sum u_i (p_i + v) = 0 to sum u_i = 0 and the kernel stays the same.
     """
     points = [tuple(p) for p in points]
     s = len(points)
@@ -119,6 +120,12 @@ def toric_groebner_basis(points, ring=None, order=None, budget=None):
         raise DomainError("ring must have one variable per point")
     if order is None:
         order = ring.default_order()
+    shift = [max(0, -min(column)) for column in zip(*points)]
+    if any(shift):
+        grading = certify_grading(points)
+        if 1 + sum(g * v for g, v in zip(grading, shift)) == 0:
+            shift[next(j for j, g in enumerate(grading) if g)] += 1
+        points = [tuple(x + v for x, v in zip(p, shift)) for p in points]
     joint, gens = graph_ideal(points, ring)
     return eliminate(gens, joint.nvars - s, ring, order, budget=budget)
 

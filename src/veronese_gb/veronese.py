@@ -83,10 +83,10 @@ class VeroneseMap:
             raise DomainError("degree must be a multiple of d to lift")
         rem = list(c)
         exps = [0] * self.ring.nvars
-        pos_of = self.ring.position
+        pos_of = self.ring.index_position
         for _ in range(total // self.d):
             a = self.min_divisor_of_image(tuple(rem))
-            exps[pos_of["x[%s]" % ",".join(map(str, a))]] += 1
+            exps[pos_of[a]] += 1
             for j in range(self.s):
                 rem[j] -= a[j]
         return tuple(exps)
@@ -118,12 +118,12 @@ def exchange_binomials(s, d):
             f"the exchange binomials for s={s}, d={d} have {candidates} "
             f"candidate pairs over {ring.nvars} variables, past the cap of "
             f"{MAX_EXCHANGE_WORK} pairs times variables")
-    pos_of = ring.position
+    pos_of = ring.index_position
 
     def bump(a, i):
         b = list(a)
         b[i] += 1
-        return pos_of["x[%s]" % ",".join(map(str, b))]
+        return pos_of[tuple(b)]
 
     def pair_exps(p, q):
         e = [0] * ring.nvars

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, exit codes, and determinism."""
 
 import json
+import os
 import pathlib
 import resource
 import subprocess
@@ -441,6 +442,30 @@ def test_out_flag_writes_report(tmp_path):
     assert proc.returncode == 0 and proc.stdout == ""
     obj = json.loads(target.read_text())
     assert obj["outputs"]["bound"] == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", "tests/data/square_square.json"],
+    ["veronese", "--s", "3", "--d", "3"],
+], ids=["small-report", "large-report"])
+def test_closed_stdout_exits_quietly(args):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails.  With stdout buffered, as it is unless PYTHONUNBUFFERED
+    # is set, a small report fails in the flush and one larger than the
+    # buffer inside print.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "veronese_gb.cli", "--json", *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            cwd=HERE.parent, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr[-300:]
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_order_spec_variants():

@@ -10,8 +10,8 @@ from veronese_gb.errors import (BudgetExceededError, DomainError,
 from veronese_gb.groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
                                   _reduce_basis, _support_mask, buchberger,
                                   eliminate, find_weight_vector,
-                                  initial_ideal, is_groebner_basis,
-                                  normal_form, s_polynomial)
+                                  is_groebner_basis, normal_form,
+                                  s_polynomial)
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, Lex, Weighted
 from veronese_gb.polyring import (Polynomial, base_ring, generic_ring,
                                   mono_div, mono_divides, mono_lcm,
@@ -122,7 +122,7 @@ def test_initial_ideal_examples():
 
     S = base_ring(3)
     J = Ideal(S, [parse_polynomial("y1^2 - y2*y3", S)])
-    forms, monomial = initial_ideal(J, (2, 1, 1))
+    forms, monomial = J.initial_forms((2, 1, 1))
     assert monomial
     assert [str(f) for f in forms.generators] == ["y1^2"]
 

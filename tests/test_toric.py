@@ -6,7 +6,9 @@ import pytest
 
 from veronese_gb.errors import (DimensionError, DomainError,
                                 NotAConfigurationError)
-from veronese_gb.polyring import base_ring, parse_polynomial, veronese_ring
+from veronese_gb.groebner import eliminate
+from veronese_gb.polyring import (Polynomial, base_ring, generic_ring,
+                                  joint_ring, parse_polynomial, veronese_ring)
 from veronese_gb.toric import (Configuration, certify_grading, point_rank,
                                toric_groebner_basis, toric_ideal,
                                veronese_layer, verify_veronese_toric)
@@ -63,11 +65,75 @@ def test_toric_ideal_repeated_point_gives_linear_binomial():
 
 
 def test_toric_ideal_negative_coordinates():
-    # shifted curve through negative exponents exercises the inverse-product path
+    # the curve through a negative coordinate is shifted nonnegative first
     cfg = Configuration.from_points([(1, -1), (1, 0), (1, 1)])
     ideal = toric_ideal(cfg)
     S = base_ring(3)
     assert ideal.generators == (parse_polynomial("y2^2 - y1*y3", S),)
+
+
+def _inverse_product_kernel(points):
+    """The kernel by elimination with an inverse-product variable w, the
+    route taken before points were shifted nonnegative: generators
+    x_i * z^neg(p_i) - z^pos(p_i), and w * z1*...*zn - 1 when a coordinate
+    is negative.  The reference for the shift."""
+    ring = base_ring(len(points))
+    n = len(points[0])
+    negative = any(x < 0 for p in points for x in p)
+    names = tuple(f"z{j + 1}" for j in range(n)) + (("w",) if negative else ())
+    joint = joint_ring(generic_ring(names), ring)
+    pad = (0,) * (len(names) - n)
+    no_x = (0,) * ring.nvars
+    gens = []
+    for i, p in enumerate(points):
+        x = tuple(1 if j == i else 0 for j in range(ring.nvars))
+        gens.append(Polynomial(joint, {
+            tuple(max(-v, 0) for v in p) + pad + x: Fraction(1),
+            tuple(max(v, 0) for v in p) + pad + no_x: Fraction(-1)}))
+    if negative:
+        gens.append(Polynomial(joint, {(1,) * len(names) + no_x: Fraction(1),
+                                       joint.zero_exps: Fraction(-1)}))
+    return eliminate(gens, len(names), ring, ring.default_order())
+
+
+def test_shifted_kernel_matches_inverse_product_route(rng):
+    # 3-5 points with coordinates in [-2, 4], graded by a column of +1 or -1
+    # at a random place; a column of -1 is shifted by 1, which lands on
+    # 1 + lambda.v = 0 whenever the grading is that column's dual vector
+    stepped = 0
+    for _ in range(40):
+        size, dim = rng.randint(3, 5), rng.randint(1, 2)
+        col, sign = rng.randint(0, dim), rng.choice((1, -1))
+        points = []
+        for _ in range(size):
+            p = [rng.randint(-2, 4) for _ in range(dim)]
+            p.insert(col, sign)
+            points.append(tuple(p))
+        lam = certify_grading(points)
+        shift = [max(0, -min(c)) for c in zip(*points)]
+        stepped += 1 + sum(g * v for g, v in zip(lam, shift)) == 0
+        assert toric_groebner_basis(points) == _inverse_product_kernel(points)
+    assert stepped
+
+
+@pytest.mark.parametrize("points, expected", [
+    # v = 1 would give 1 + lambda.v = 0 for lambda = -1; the shift is 2
+    ([(-1,), (-1,)], ("y1 - y2",)),
+    ([(-1,)], ()),
+    # nonnegative points need no grading
+    ([(1,), (2,)], ("y1^2 - y2",)),
+])
+def test_toric_kernel_shift_edges(points, expected):
+    S = base_ring(len(points))
+    assert toric_groebner_basis(points) == tuple(
+        parse_polynomial(g, S) for g in expected)
+    assert toric_groebner_basis(points) == _inverse_product_kernel(points)
+
+
+def test_negative_non_configuration_is_refused():
+    # the shift needs a grading; no vector evaluates to 1 on both points
+    with pytest.raises(NotAConfigurationError):
+        toric_groebner_basis([(1,), (-1,)])
 
 
 def test_toric_gb_elements_are_binomials_with_equal_images(rng):
