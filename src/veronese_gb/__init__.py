@@ -1,8 +1,9 @@
 """Exact Gröbner basis toolkit for Veronese pullbacks and toric ideals."""
 
 from .errors import (BudgetExceededError, DimensionError, DomainError,
-                     NonMonomialInitialError, NotAConfigurationError,
-                     ParseError, RingMismatchError)
+                     InternalCheckError, NonMonomialInitialError,
+                     NotAConfigurationError, ParseError, RingMismatchError,
+                     VeroneseGBError)
 from .groebner import (Budget, GBCheck, Ideal, MonomialIdeal, buchberger,
                        eliminate, find_weight_vector, is_groebner_basis,
                        normal_form, s_polynomial)

@@ -1,12 +1,15 @@
 """Batch command-line interface with deterministic, machine-readable reports.
 
-Exit codes: 0 success, 2 unreadable input (a ring past the variable cap
-and a shape past the exchange-binomial cap included) or a malformed
-``VERONESE_GB_BUDGET``, 3 resource budget exhausted, 4 weight vector with a
-non-monomial initial ideal, 5 point set that is not a configuration, 6 a
-result that failed an internal consistency check (a defect in the package),
-141 a report that could not be written because stdout was closed.
-``--strict`` turns flagged-partial results into exit 1.
+Exit codes: 0 success, 1 a flagged-partial result under ``--strict``, 141 a
+report that could not be written because stdout was closed, and otherwise
+the ``exit_code`` of the error type raised, which ``errors`` sets: 2
+unreadable input (an unreadable path, an unwritable ``--out``, JSON nested
+past the interpreter's limit, a non-finite or zero-denominator number, a
+ring past the variable cap, a shape past the exchange-binomial cap) or a
+malformed ``VERONESE_GB_BUDGET``, 3 resource budget exhausted, 4 weight
+vector with a non-monomial initial ideal, 5 point set that is not a
+configuration, 6 a result that failed an internal consistency check (a
+defect in the package).
 ``pullback`` sends monomial generators without ``--omega`` to the monomial
 route and every other input to the weighted route, under ``--omega`` or,
 without it, under weights derived from the default order.  ``bounds``
@@ -31,9 +34,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import (BudgetExceededError, DimensionError, DomainError,
-                     InternalCheckError, NonMonomialInitialError,
-                     NotAConfigurationError, ParseError, RingMismatchError)
+from .errors import DimensionError, DomainError, ParseError, VeroneseGBError
 from .groebner import (Budget, Ideal, MonomialIdeal, eliminate,
                        elimination_order)
 from .orders import Block, GammaRevLex, GrevLex, Lex, Weighted
@@ -45,14 +46,8 @@ from .veronese import (METHODS, VeroneseMap, degree_bounds,
                        exchange_binomials, pullback_homogeneous_ideal,
                        pullback_monomial_ideal, verify_exchange_basis)
 
-INPUT_ERROR, BUDGET_ERROR, WEIGHT_ERROR, CONFIG_ERROR, CHECK_ERROR = \
-    2, 3, 4, 5, 6
 # what a shell reports for a writer killed by SIGPIPE
 PIPE_CLOSED = 141
-
-
-class _Partial(Exception):
-    """Raised under --strict when a result is flagged partial."""
 
 
 def _reject_constant(name):
@@ -63,8 +58,10 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
-    except FileNotFoundError:
-        raise DomainError(f"no such file: {path}")
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except RecursionError:
+        raise DomainError(f"{path} is nested too deeply to read") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
 
@@ -131,16 +128,6 @@ def parse_order_spec(spec, ring):
     raise DomainError(f"unknown order spec {spec!r}")
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def gb_block(polys, order, ring, budget):
     return {"ring": ring_to_json(ring),
             "polynomials": [poly_to_json(g, order) for g in polys],
@@ -151,10 +138,10 @@ def gb_block(polys, order, ring, budget):
 
 def make_report(command, input_payload, outputs, budget, started):
     digest = hashlib.sha256(
-        json.dumps(_jsonable(input_payload), sort_keys=True).encode()).hexdigest()
+        json.dumps(input_payload, sort_keys=True).encode()).hexdigest()
     return {"command": command,
             "inputs_digest": digest,
-            "outputs": _jsonable(outputs),
+            "outputs": outputs,
             "budget": {"spair_cap": budget.spair_cap,
                        "spairs_used": budget.spairs},
             "timing_ms": int((time.time() - started) * 1000)}
@@ -163,11 +150,14 @@ def make_report(command, input_payload, outputs, budget, started):
 def emit(report, args):
     text = json.dumps(report, indent=2, sort_keys=True) if args.json \
         else render_text(report)
-    if args.out:
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
 def render_text(report):
@@ -198,7 +188,6 @@ def render_text(report):
 
 
 def cmd_gbasis(args, budget):
-    started = time.time()
     ideal = load_ideal_file(args.ideal)
     order = parse_order_spec(args.order, ideal.ring)
     if not args.eliminate:
@@ -213,13 +202,11 @@ def cmd_gbasis(args, budget):
         raise DomainError("--eliminate needs a block order")
     outputs = {"groebner_basis": gb_block(gb, out_order, out_ring, budget),
                "eliminated": bool(args.eliminate)}
-    return make_report("gbasis", {"file": args.ideal, "order": args.order,
-                                  "eliminate": bool(args.eliminate)},
-                       outputs, budget, started)
+    return {"file": args.ideal, "order": args.order,
+            "eliminate": bool(args.eliminate)}, outputs
 
 
 def cmd_veronese(args, budget):
-    started = time.time()
     basis = exchange_binomials(args.s, args.d)
     vmap = VeroneseMap(args.s, args.d)
     outputs = {"basis": gb_block(list(basis), vmap.order, vmap.ring, budget),
@@ -233,13 +220,10 @@ def cmd_veronese(args, budget):
             "spairs_checked": cert.spairs,
             "reduced_size": cert.reduced_size,
             "ok": cert.ok}
-    return make_report("veronese", {"s": args.s, "d": args.d,
-                                    "verify": bool(args.verify)},
-                       outputs, budget, started)
+    return {"s": args.s, "d": args.d, "verify": bool(args.verify)}, outputs
 
 
 def cmd_pullback(args, budget):
-    started = time.time()
     ideal = load_ideal_file(args.ideal)
     if ideal.ring.kind != "S":
         raise DomainError("pullback input must live in a base ring y1..ys")
@@ -264,20 +248,12 @@ def cmd_pullback(args, budget):
                "max_degree": res.max_degree,
                "method": res.method,
                "certificate": dict(res.certificate)}
-    partial = res.certificate.get("complete") is False
-    outputs["partial"] = partial
-    report = make_report("pullback",
-                         {"file": args.ideal, "d": args.d,
-                          "omega": args.omega, "method": args.method,
-                          "cap": args.cap},
-                         outputs, budget, started)
-    if partial and args.strict:
-        raise _Partial(report)
-    return report
+    outputs["partial"] = res.certificate.get("complete") is False
+    return {"file": args.ideal, "d": args.d, "omega": args.omega,
+            "method": args.method, "cap": args.cap}, outputs
 
 
 def cmd_toric(args, budget):
-    started = time.time()
     config = load_configuration_file(args.config)
     ideal = toric_ideal(config, budget)
     order = ideal.ring.default_order()
@@ -300,13 +276,10 @@ def cmd_toric(args, budget):
             "ok": cert.ok,
             "groebner_basis": gb_block(list(cert.pullback.reduced),
                                        cert.pullback.order, vmap.ring, budget)}
-    return make_report("toric", {"file": args.config,
-                                 "veronese": args.veronese},
-                       outputs, budget, started)
+    return {"file": args.config, "veronese": args.veronese}, outputs
 
 
 def cmd_bounds(args, budget):
-    started = time.time()
     ideal = load_ideal_file(args.ideal)
     if not ideal.generators:
         raise DomainError("bounds need a nonzero ideal")
@@ -327,7 +300,7 @@ def cmd_bounds(args, budget):
                "rival_rough": str(rep.rival_rough),
                "rival_stated": rep.rival_stated,
                "verdicts": rep.verdicts}
-    return make_report("bounds", {"file": args.ideal}, outputs, budget, started)
+    return {"file": args.ideal}, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -388,41 +361,30 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    code = 0
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
         budget = Budget(spair_cap=args.budget)
-        report = args.fn(args, budget)
-    except _Partial as exc:
-        report, code = exc.args[0], 1
-    except NonMonomialInitialError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return WEIGHT_ERROR
-    except NotAConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except (ParseError, DomainError, DimensionError, RingMismatchError,
-            KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BUDGET_ERROR
-    except InternalCheckError as exc:
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
-        return CHECK_ERROR
-    try:
-        emit(report, args)
+        inputs, outputs = args.fn(args, budget)
+        emit(make_report(args.command, inputs, outputs, budget, started), args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Python's flush at exit would fail on the
         # same pipe, so point stdout at devnull first.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return PIPE_CLOSED
-    if code:
+    except VeroneseGBError as exc:
+        print(f"error: {exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
+    except (KeyError, ValueError) as exc:
+        # malformed input that no reader names: a missing JSON key, or int()
+        # of an order spec or of --omega
+        print(f"error: {exc}", file=sys.stderr)
+        return VeroneseGBError.exit_code
+    if getattr(args, "strict", False) and outputs["partial"]:
         print("partial result under --strict", file=sys.stderr)
-    return code
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

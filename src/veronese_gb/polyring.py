@@ -562,6 +562,17 @@ def as_integer(value, field):
     return number
 
 
+def as_fraction(value, field):
+    """``value`` as a Fraction: an integer, a finite number such as 0.5, or a
+    rational string such as "-3/2".  Anything else, 1e400 (read as inf) and
+    "1/0" included, is a DomainError naming ``field``."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"{field} must be a finite rational number, "
+                          f"got {value!r}") from None
+
+
 def ring_to_json(ring):
     if ring.kind == "S":
         return {"kind": "S", "s": ring.s}
@@ -607,6 +618,6 @@ def poly_from_json(obj, ring=None):
             raise DomainError("negative exponent in JSON term")
         if any(x > MAX_EXPONENT for x in exps):
             raise DomainError("exponent overflow")
-        terms[exps] = terms.get(exps, 0) + Fraction(
-            json_shape(t["coeff"], SCALAR, "coeff"))
+        terms[exps] = terms.get(exps, 0) + as_fraction(
+            json_shape(t["coeff"], SCALAR, "coeff"), "coeff")
     return Polynomial(ring, terms)

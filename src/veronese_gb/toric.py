@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import DimensionError, DomainError, NotAConfigurationError
 from .groebner import (Ideal, _DivisorIndex, eliminate, graph_ideal,
                        monomial_image)
-from .polyring import as_integer, base_ring
+from .polyring import as_fraction, as_integer, base_ring
 from .veronese import VeroneseMap, multi_indices, pullback_homogeneous_ideal
 
 
@@ -75,7 +75,7 @@ class Configuration:
                     for p in points)
         lam = certify_grading(pts)
         if grading is not None:
-            given = tuple(Fraction(x) for x in grading)
+            given = tuple(as_fraction(x, "entries of lambda") for x in grading)
             if len(given) != len(pts[0]):
                 raise DimensionError(f"lambda needs {len(pts[0])} entries, "
                                      f"got {len(given)}")

@@ -579,7 +579,7 @@ def degree_bounds(ideal):
     and the stated rival s*ceil(delta/2), with s the ring's variable count."""
     if ideal.is_zero:
         raise DomainError("bounds are undefined for the zero ideal")
-    s = ideal.ring.s if ideal.ring.s else ideal.ring.nvars
+    s = ideal.ring.nvars
     a = ideal.max_exponent()
     delta = ideal.max_total_degree()
     return BoundsReport(

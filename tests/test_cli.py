@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+import veronese_gb
+
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
 GOLDEN = HERE / "golden"
@@ -116,21 +118,78 @@ MALFORMED_INPUTS = {
     "lambda-too-short": (
         "toric", ["--veronese", "2"],
         '{"points": [[1, 0], [1, 1], [1, 2]], "lambda": [1]}'),
+    # JSON reads 1e400 as a float inf
+    "coeff-zero-denominator": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        '[{"terms": [{"coeff": "1/0", "exps": [1, 0]}]}]}'),
+    "coeff-overflow": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        '[{"terms": [{"coeff": 1e400, "exps": [1, 0]}]}]}'),
+    "lambda-zero-denominator": (
+        "toric", [], '{"points": [[1, 0], [1, 1]], "lambda": ["1/0", 0]}'),
+    "lambda-overflow": (
+        "toric", [], '{"points": [[1, 0], [1, 1]], "lambda": [1e400, 0]}'),
+    "generators-nested-deep": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        + "[" * 100_000 + "]" * 100_000 + "}"),
 }
 
 
+def assert_one_error_line(proc, code):
+    assert proc.returncode == code, proc.stderr[-300:]
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("name", MALFORMED_INPUTS)
-def test_malformed_json_exit_code(name):
+def test_malformed_json_exit_code(name, tmp_path):
     command, extra, text = MALFORMED_INPUTS[name]
-    bad = DATA / "not_json.json"
+    bad = tmp_path / "bad.json"
     bad.write_text(text)
-    try:
-        proc = run_cli(command, str(bad.relative_to(HERE.parent)), *extra)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
-    finally:
-        bad.unlink()
+    assert_one_error_line(run_cli(command, str(bad), *extra), 2)
+
+
+# TMP stands for a fresh temporary directory
+@pytest.mark.parametrize("args", [
+    ["bounds", "TMP"],
+    ["--out", "TMP/missing/report.json", "bounds",
+     "tests/data/square_square.json"],
+    ["--out", "TMP", "bounds", "tests/data/square_square.json"],
+], ids=["input-is-directory", "out-in-missing-directory", "out-is-directory"])
+def test_unusable_path_exit_code(args, tmp_path):
+    args = [a.replace("TMP", str(tmp_path)) for a in args]
+    assert_one_error_line(run_cli(*args), 2)
+
+
+# the documented exit code of every exported error type
+EXIT_CODES = {"VeroneseGBError": 2, "DimensionError": 2, "DomainError": 2,
+              "ParseError": 2, "RingMismatchError": 2,
+              "BudgetExceededError": 3, "NonMonomialInitialError": 4,
+              "NotAConfigurationError": 5, "InternalCheckError": 6}
+
+
+def test_every_exported_error_type_has_a_documented_code():
+    exported = {name for name, obj in vars(veronese_gb).items()
+                if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert exported == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", EXIT_CODES)
+def test_error_type_exit_code(name, monkeypatch, capsys):
+    from veronese_gb import cli
+    error = getattr(veronese_gb, name)
+    args = ("boom", 1, 2) if error is veronese_gb.ParseError else ("boom",)
+
+    def fail(path):
+        raise error(*args)
+
+    monkeypatch.setattr(cli, "load_ideal_file", fail)
+    code = cli.main(["bounds", str(DATA / "square_square.json")])
+    assert code == error.exit_code == EXIT_CODES[name]
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_nonmonomial_weight_exit_code():
@@ -421,9 +480,7 @@ def test_exchange_binomials_cap(args, tmp_path):
         [sys.executable, "-m", "veronese_gb.cli", *args], capture_output=True,
         text=True, cwd=HERE.parent, preexec_fn=_limit_address_space,
         timeout=120)
-    assert proc.returncode == 2, proc.stderr[-300:]
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    assert_one_error_line(proc, 2)
 
 
 def test_pullback_oracle_method():

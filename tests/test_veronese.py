@@ -440,6 +440,17 @@ def test_quadratic_bound_and_degree_bounds():
         degree_bounds(MonomialIdeal(S2, ()))
 
 
+def test_degree_bounds_count_the_variables_of_the_ideals_ring():
+    # a cube in the three variables of R_2 at d = 2 has the bounds of a cube
+    # in any three-variable ring, not those of the base ring's s = 2
+    cube = [(3, 0, 0)]
+    rd = degree_bounds(MonomialIdeal.from_exponents(veronese_ring(2, 2), cube))
+    generic = degree_bounds(MonomialIdeal.from_exponents(
+        generic_ring(["a", "b", "c"]), cube))
+    assert (rd.s, rd.bound) == (3, 6)
+    assert rd == generic
+
+
 def test_standard_monomials_enumeration():
     # degree-2 standard monomials at (2,3): ten quadratics minus three leads
     mons = list(standard_monomials(2, 3, 2))
