@@ -260,7 +260,7 @@ def cmd_toric(args, budget):
     outputs = {"lambda": [str(x) for x in config.grading],
                "groebner_basis": gb_block(list(ideal.generators), order,
                                           ideal.ring, budget)}
-    if args.veronese:
+    if args.veronese is not None:
         cert = verify_veronese_toric(config, args.veronese,
                                      method=args.method, budget=budget)
         vmap = VeroneseMap(config.size, args.veronese)

@@ -37,10 +37,13 @@ def default_spair_cap():
     if not raw:
         return DEFAULT_SPAIR_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise DomainError(
-            f"VERONESE_GB_BUDGET must be an integer, got {raw!r}") from None
+        cap = None
+    if cap is None or cap < 0:
+        raise DomainError("VERONESE_GB_BUDGET must be a nonnegative integer, "
+                          f"got {raw!r}")
+    return cap
 
 
 @dataclass
@@ -54,6 +57,9 @@ class Budget:
     def __post_init__(self):
         if self.spair_cap is None:
             self.spair_cap = default_spair_cap()
+        elif self.spair_cap < 0:
+            raise DomainError(
+                f"the S-pair cap must be at least 0, got {self.spair_cap}")
 
     def charge_spair(self):
         self.spairs += 1

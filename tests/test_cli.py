@@ -286,6 +286,37 @@ def test_malformed_budget_env_variable_exit_code():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_toric_veronese_degree_below_one_exit_code(degree):
+    # 0 is a given degree, not a missing one
+    proc = run_cli("toric", "tests/data/curve_config.json",
+                   "--veronese", degree)
+    assert_one_error_line(proc, 2)
+    assert "need s >= 1 and d >= 1" in proc.stderr
+
+
+@pytest.mark.parametrize("flag, env", [(["--budget", "-1"], None),
+                                       ([], "-1")], ids=["flag", "env"])
+def test_negative_budget_exit_code(flag, env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "veronese_gb.cli", "--json", *flag,
+         "veronese", "--s", "2", "--d", "2", "--verify"],
+        capture_output=True, text=True, cwd=HERE.parent,
+        env=dict(os.environ, VERONESE_GB_BUDGET=env or ""))
+    assert_one_error_line(proc, 2)
+    assert "-1" in proc.stderr
+
+
+def test_zero_budget_is_a_cap():
+    proc = run_cli("--json", "--budget", "0", "bounds",
+                   "tests/data/square_square.json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["budget"] == {"spair_cap": 0,
+                                                 "spairs_used": 0}
+    assert run_cli("--budget", "0", "toric",
+                   "tests/data/curve_config.json").returncode == 3
+
+
 def _fm_never(rows, n):
     return None
 

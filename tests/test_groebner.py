@@ -341,6 +341,16 @@ def test_budget_exceeded():
         buchberger(gens, GrevLex(3), budget=Budget(spair_cap=1))
 
 
+def test_negative_spair_cap_is_refused(monkeypatch):
+    with pytest.raises(DomainError, match="-1"):
+        Budget(spair_cap=-1)
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "-1")
+    with pytest.raises(DomainError, match="VERONESE_GB_BUDGET"):
+        Budget()
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "0")
+    assert Budget().spair_cap == Budget(spair_cap=0).spair_cap == 0
+
+
 def test_reduced_basis_unique_under_shuffle(rng):
     S = base_ring(3)
     gens = [parse_polynomial("y1^2 - y2*y3", S),

@@ -524,6 +524,9 @@ BUCHBERGER_COUNTERS = {
     "2-6": (_graph_run, (2, 6), (412, 1181, 1488, 79, 28)),
     "3-3": (_graph_run, (3, 3), (1123, 10440, 11657, 216, 52)),
     "4-2": (_graph_run, (4, 2), (380, 3050, 1226, 97, 50)),
+    # the cli-cold certification shapes
+    "5-2": (_graph_run, (5, 2), (1387, 23831, 7935, 258, 105)),
+    "2-8": (_graph_run, (2, 8), (1156, 5575, 6964, 166, 45)),
     "seeded-2-2": (_seeded_oracle_run, (2, 2, "y1^3"), (14, 23, 14, 12, 10)),
     "seeded-2-3": (_seeded_oracle_run, (2, 3, "y1^2*y2", "y2^3"),
                    (11, 31, 4, 14, 11)),
