@@ -26,7 +26,7 @@ from .errors import (BudgetExceededError, DomainError, InternalCheckError,
                      RingMismatchError)
 from .orders import Block, GrevLex, Weighted
 from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
-                       mono_deg, mono_div, mono_divides, mono_lcm)
+                       mono_deg, mono_div, mono_lcm)
 
 DEFAULT_SPAIR_CAP = 10**6
 DEFAULT_COEFF_BITS = 1_000_000
@@ -72,69 +72,110 @@ class Budget:
             raise BudgetExceededError("coefficient size cap exceeded")
 
 
-def _support_mask(exps):
-    mask = 0
-    for i, x in enumerate(exps):
-        if x:
-            mask |= 1 << i
-    return mask
+def _bits(x):
+    """The positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
-class _SupportBuckets:
-    """Exponent vectors with attached items, looked up by divisibility.
+class _ExponentIndex:
+    """Exponent vectors numbered in insertion order, looked up by
+    divisibility and coprimality; a set of entries is an int whose bit k
+    stands for entry k.
 
-    Entries live in buckets named by the smallest position in their vector's
-    support and carry a support bitmask, so a lookup scans only the buckets
-    of the target's support and drops most candidates with a single integer
-    test.
+    ``above[v][t]`` holds the entries whose exponent at position v exceeds
+    t, for every t below the largest exponent there.  The entries dividing u
+    are those in no ``above[v][u_v]``, and the entries coprime to u those in
+    no ``above[v][0]`` with v in the support of u.  The thresholds are
+    exact, so one lookup decides divisibility outright and a high exponent
+    costs no more than a low one: the exact form of the short exponent
+    vectors of Bachmann and Schönemann (ISSAC 1998).
+
+    A lookup given the support mask of its target reads thresholds only
+    inside the support, and takes the entries touching a position outside
+    it from a memo keyed by the mask, which ``add`` clears.  Lookups that
+    repeat few supports, such as the depth-first enumeration of standard
+    monomials, pay for the other positions once per support.
     """
 
     def __init__(self):
-        self.buckets = {}
+        self.every = 0
+        self.above = []
+        self._outside = {}
 
-    def add(self, exps, item):
-        slot = next((i for i, x in enumerate(exps) if x), -1)
-        # a vector with no exponent above 1 divides exactly where its
-        # support does, so the mask test alone decides it
-        check = exps if max(exps, default=0) > 1 else None
-        mask = _support_mask(exps)
-        self.buckets.setdefault(slot, []).append((mask, check, item))
-        return mask
+    def add(self, exps):
+        """Enter the vector as the next entry."""
+        bit = self.every + 1        # every holds entries 0..n-1, all set
+        self.every |= bit
+        above = self.above
+        while len(above) < len(exps):
+            above.append([])
+        for v, x in enumerate(exps):
+            if x:
+                col = above[v]
+                if len(col) < x:
+                    col.extend([0] * (x - len(col)))
+                for t in range(x):
+                    col[t] |= bit
+        self._outside.clear()
 
     def divisors(self, exps, mask=None):
-        """Items whose exponent vector divides ``exps``, lazily.
+        """The entries dividing ``exps``; ``mask``, when given, is the
+        support mask of ``exps``."""
+        if mask is None:
+            blocked = 0
+            for x, col in zip(exps, self.above):
+                if x < len(col):
+                    blocked |= col[x]
+            return self.every & ~blocked
+        memo = self._outside.get(mask)
+        if memo is None:
+            memo = self._outside[mask] = self._outside_of(mask)
+        blocked, inside = memo
+        for v in inside:
+            col, x = self.above[v], exps[v]
+            if x < len(col):
+                blocked |= col[x]
+        return self.every & ~blocked
 
-        ``mask`` is the support mask of ``exps`` when the caller already has
-        it (the mask of an lcm is the union of its factors' masks).
-        """
-        for _, _, item in self.buckets.get(-1, ()):
-            yield item
-        outside = ~(_support_mask(exps) if mask is None else mask)
-        for i, x in enumerate(exps):
-            if not x:
+    def _outside_of(self, mask):
+        """The entries touching a position outside ``mask``, and the
+        positions inside it that some entry touches."""
+        outside, inside = 0, []
+        for v, col in enumerate(self.above):
+            if not col:
                 continue
-            for mask, check, item in self.buckets.get(i, ()):
-                if not mask & outside and \
-                        (check is None or mono_divides(check, exps)):
-                    yield item
+            if mask >> v & 1:
+                inside.append(v)
+            else:
+                outside |= col[0]
+        return outside, tuple(inside)
+
+    def coprime(self, exps):
+        """The entries whose support is disjoint from that of ``exps``."""
+        touching = 0
+        for x, col in zip(exps, self.above):
+            if x and col:
+                touching |= col[0]
+        return self.every & ~touching
 
 
 class _DivisorIndex:
     """Picks, for a monomial, the dividing basis element with least leading term.
 
-    Items are (lt_key, seq, lt_exps, lt_coeff, tail, poly), bucketed by
-    leading term, where ``tail`` holds the terms below the leading one;
-    ``seq`` is the insertion position, so among equal leading terms the
-    earliest element wins.  ``masks[seq]`` is the support mask of the
-    leading term.  ``lt_coeff`` and the tail hold integral coefficients as
-    ints.
+    Items are (lt_key, seq, lt_exps, lt_coeff, tail, poly), where ``tail``
+    holds the terms below the leading one and ``seq`` is the insertion
+    position, which is also the item's entry in ``lts``, the exponent index
+    over the leading terms; among equal leading terms the earliest element
+    wins.  ``lt_coeff`` and the tail hold integral coefficients as ints.
     """
 
     def __init__(self, order):
         self.order = order
         self.items = []
-        self.masks = []
-        self.buckets = _SupportBuckets()
+        self.lts = _ExponentIndex()
 
     @classmethod
     def of(cls, polys, order, ring):
@@ -151,13 +192,16 @@ class _DivisorIndex:
     def add(self, poly, lt):
         tail = {e: _int_if_integral(c) for e, c in poly.terms.items()
                 if e != lt}
-        item = (self.order.key(lt), len(self.items), lt,
-                _int_if_integral(poly.terms[lt]), tail, poly)
-        self.items.append(item)
-        self.masks.append(self.buckets.add(lt, item))
+        self.items.append((self.order.key(lt), len(self.items), lt,
+                           _int_if_integral(poly.terms[lt]), tail, poly))
+        self.lts.add(lt)
 
     def find(self, exps):
-        return min(self.buckets.divisors(exps), default=None)
+        hits = self.lts.divisors(exps)
+        if not hits & (hits - 1):
+            return self.items[hits.bit_length() - 1] if hits else None
+        items = self.items
+        return min(items[k] for k in _bits(hits))
 
     def remainder(self, f, budget=None):
         """Remainder of f on division by the indexed elements."""
@@ -301,15 +345,17 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
     ``order``; its internal S-pairs are then skipped.
 
     The divisor index is the only basis store: element k is
-    ``index.items[k]``, with leading-term support mask ``index.masks[k]``, so
-    coprimality is one ``&`` (gcd 1 exactly when the supports are disjoint)
-    and the chain lookup gets the lcm's mask as ``mi | mj``.  ``done`` holds
-    the popped pairs only: the chain criterion asks whether a pair was
-    treated, and pairs inside the seed (already a Gröbner basis) and coprime
-    pairs (whose S-polynomials reduce to zero) count as treated without
-    being stored.  Heap entries stay ``(selection_key, i, j)``: the lcm is
-    recomputed when a pair is popped, since keeping it in the heap holds one
-    tuple per pending pair that the order-key memo would otherwise share.
+    ``index.items[k]`` and bit k of the sets of elements, which are ints.
+    ``treated[k]`` holds the partners of element k whose pair with it needs
+    no S-polynomial: the other seed elements for a seed element, the
+    elements whose leading term is coprime to its own (gcd 1, so the
+    S-polynomial reduces to zero), and the partners of its popped pairs.
+    The chain criterion drops a popped pair (i, j) when an element other
+    than i and j divides the lcm and is a treated partner of both, which is
+    one ``&`` of four sets.  Heap entries stay ``(selection_key, i, j)``:
+    the lcm is recomputed when a pair is popped, since keeping it in the
+    heap holds one tuple per pending pair that the order-key memo would
+    otherwise share.
     """
     if budget is None:
         budget = Budget()
@@ -323,16 +369,10 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
         return ()
 
     index = _DivisorIndex(order)
-    items, masks = index.items, index.masks
+    items, lts = index.items, index.lts
     for g in seed_gb or ():
         index.add(g, g.leading_term(order)[0])
-    seeded = len(items)
-    done = set()          # popped pairs (i, j), i < j
-
-    def treated(i, j):
-        if i > j:
-            i, j = j, i
-        return j < seeded or not masks[i] & masks[j] or (i, j) in done
+    treated = [lts.every] * len(items)
 
     # Selection: smallest lcm under the order (what the tie-sensitive plain
     # lex case needs), except that elimination blocks go degree-first inside
@@ -354,12 +394,15 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
             return
         poly = _primitive(r, order)
         lt, _ = poly.leading_term(order)
+        coprime = lts.coprime(lt)
+        j = len(items)
         index.add(poly, lt)
-        j, mj = len(items) - 1, masks[-1]
-        for i in range(j):
-            if not masks[i] & mj:
-                stats.skipped_coprime += 1
-                continue
+        bj = 1 << j
+        for i in _bits(coprime):
+            treated[i] |= bj
+        treated.append(coprime)
+        stats.skipped_coprime += coprime.bit_count()
+        for i in _bits((bj - 1) & ~coprime):
             heapq.heappush(queue, (selection_key(mono_lcm(items[i][2], lt)),
                                    i, j))
         stats.basis_peak = max(stats.basis_peak, len(items))
@@ -372,14 +415,12 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
 
     while queue:
         _, i, j = heapq.heappop(queue)
-        done.add((i, j))
-        lti, ltj = items[i][2], items[j][2]
-        for item in index.buckets.divisors(mono_lcm(lti, ltj),
-                                           masks[i] | masks[j]):
-            k = item[1]
-            if k != i and k != j and treated(k, i) and treated(k, j):
-                stats.skipped_chain += 1
-                break
+        bi, bj = 1 << i, 1 << j
+        treated[i] |= bj
+        treated[j] |= bi
+        if lts.divisors(mono_lcm(items[i][2], items[j][2])) & \
+                treated[i] & treated[j] & ~(bi | bj):
+            stats.skipped_chain += 1
         else:
             budget.charge_spair()
             stats.spairs += 1
@@ -401,7 +442,7 @@ def _reduce_basis(polys, order, budget=None):
                      key=lambda t: t[0])
     index = _DivisorIndex(order)
     for _, lt, p in entries:
-        if next(index.buckets.divisors(lt), None) is None:
+        if not index.lts.divisors(lt):
             index.add(p, lt)
     out = []
     for _, _, lt, c, tail, p in index.items:
@@ -431,12 +472,13 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
     if budget is None:
         budget = Budget()
     index = _DivisorIndex.of(polys, order, polys[0].ring if polys else None)
-    items, masks = index.items, index.masks
+    items = index.items
     count = 0
     for j in range(len(polys)):
-        for i in range(j):
-            if skip_coprime and not masks[i] & masks[j]:
-                continue
+        partners = (1 << j) - 1
+        if skip_coprime:
+            partners &= ~index.lts.coprime(items[j][2])
+        for i in _bits(partners):
             budget.charge_spair()
             count += 1
             a, b = items[i], items[j]
@@ -525,10 +567,11 @@ class MonomialIdeal:
     def from_exponents(cls, ring, exps_iter):
         cands = sorted({tuple(e) for e in exps_iter},
                        key=lambda e: (mono_deg(e), e))
-        kept = []
+        kept, index = [], _ExponentIndex()
         for e in cands:
-            if not any(mono_divides(g, e) for g in kept):
+            if not index.divisors(e):
                 kept.append(e)
+                index.add(e)
         return cls(ring, tuple(kept))
 
     @classmethod
@@ -541,18 +584,18 @@ class MonomialIdeal:
         return not self.gens
 
     @cached_property
-    def _buckets(self):
+    def _index(self):
         # Built on first lookup; kept in the instance dict, outside the
         # dataclass fields, so equality and hashing ignore it.
-        buckets = _SupportBuckets()
+        index = _ExponentIndex()
         for g in self.gens:
-            buckets.add(g, g)
-        return buckets
+            index.add(g)
+        return index
 
     def contains(self, exps, mask=None):
-        """Whether a generator divides ``exps``; ``mask`` as for
-        ``_SupportBuckets.divisors``."""
-        return next(self._buckets.divisors(exps, mask), None) is not None
+        """Whether a generator divides ``exps``; ``mask``, when given, is the
+        support mask of ``exps``."""
+        return bool(self._index.divisors(exps, mask))
 
     def max_total_degree(self):
         """Largest total degree among the minimal generators."""

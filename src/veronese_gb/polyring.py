@@ -152,7 +152,8 @@ def mono_divides(a, b):
 
 
 def mono_lcm(a, b):
-    return tuple(map(max, a, b))
+    # a comparison per position is cheaper than a call of max
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 def mono_deg(a):

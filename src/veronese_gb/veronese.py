@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 
 from .errors import (DomainError, InternalCheckError, NonMonomialInitialError,
                      RingMismatchError)
-from .groebner import (Budget, Ideal, MonomialIdeal, _SupportBuckets,
+from .groebner import (Budget, Ideal, MonomialIdeal, _ExponentIndex,
                        _front_free, _reduce_basis, buchberger, eliminate,
                        elimination_order, find_weight_vector, graph_ideal,
                        is_groebner_basis, monomial_image)
@@ -316,14 +316,14 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     s = ideal.ring.s
     vmap = VeroneseMap(s, d)
     accepted = []
-    found = _SupportBuckets()
+    found = _ExponentIndex()
     for degree in range(1, degree_cap + 1):
         for e in standard_monomials(s, d, degree):
-            if next(found.divisors(e), None) is not None:
+            if found.divisors(e):
                 continue
             if ideal.contains(vmap.image_exps(e)):
                 accepted.append(e)
-                found.add(e, e)
+                found.add(e)
     complete = bound_certificate(ideal, d)["meets_bound"] and degree_cap >= 2
     return tuple(accepted), complete
 

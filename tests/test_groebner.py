@@ -8,8 +8,8 @@ import pytest
 from veronese_gb.errors import (BudgetExceededError, DomainError,
                                 RingMismatchError)
 from veronese_gb.groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
-                                  _reduce_basis, _support_mask, buchberger,
-                                  eliminate, find_weight_vector,
+                                  _ExponentIndex, _bits, _reduce_basis,
+                                  buchberger, eliminate, find_weight_vector,
                                   is_groebner_basis, normal_form,
                                   s_polynomial)
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, Lex, Weighted
@@ -272,6 +272,51 @@ def test_reduce_basis_matches_division_by_the_others(order, rng):
             _reduce_basis_reference(loose, order)
 
 
+def _mask_of(exps):
+    """The support mask of an exponent vector: bit v set when exps[v] > 0."""
+    return sum(1 << v for v, x in enumerate(exps) if x)
+
+
+def test_exponent_index_matches_brute_force(rng):
+    """Divisors, with and without the support mask, coprime entries and the
+    divisor index's pick against scans of the entries, on an empty index and
+    after every entry; entries include the zero vector and repeats."""
+    for trial in range(40):
+        n = rng.randrange(1, 6)
+
+        def draw():
+            return tuple(rng.randrange(5) for _ in range(n))
+
+        zero = (0,) * n
+        pool = [draw() for _ in range(rng.randrange(1, 10))]
+        pool += rng.sample(pool, rng.randrange(len(pool) + 1))
+        if trial % 2:
+            pool.append(zero)
+        rng.shuffle(pool)
+        queries = [draw() for _ in range(15)] + [zero] + pool
+        ring = generic_ring(f"v{i}" for i in range(n))
+        order = (Lex(n), GrevLex(n))[trial % 2]
+        index, lead = _ExponentIndex(), _DivisorIndex(order)
+        entries = []
+        for e in [None] + pool:
+            if e is not None:
+                entries.append(e)
+                index.add(e)
+                lead.add(ring.monomial(e), e)
+            for u in queries:
+                dividing = [k for k, g in enumerate(entries)
+                            if mono_divides(g, u)]
+                assert list(_bits(index.divisors(u))) == dividing
+                assert list(_bits(index.divisors(u, _mask_of(u)))) == dividing
+                assert list(_bits(index.coprime(u))) == [
+                    k for k, g in enumerate(entries)
+                    if all(not x or not y for x, y in zip(g, u))]
+                hit = lead.find(u)
+                least = min(((order.key(entries[k]), k) for k in dividing),
+                            default=None)
+                assert (hit and hit[:2]) == least
+
+
 def test_monomial_ideal_contains_matches_brute_force(rng):
     S = base_ring(4)
     ideals = [MonomialIdeal.from_exponents(S, []),
@@ -283,7 +328,7 @@ def test_monomial_ideal_contains_matches_brute_force(rng):
     for M in ideals:
         for _ in range(60):
             e = tuple(rng.randrange(4) for _ in range(4))
-            assert M.contains(e) == M.contains(e, _support_mask(e)) == \
+            assert M.contains(e) == M.contains(e, _mask_of(e)) == \
                 any(mono_divides(g, e) for g in M.gens)
     assert not ideals[0].contains((0, 0, 0, 0))
     assert ideals[1].contains((0, 0, 0, 0))
@@ -452,5 +497,7 @@ def test_mono_helpers_match_zip_references():
         assert mono_divides(a, lcm) and mono_divides(b, lcm)
         assert mono_div(lcm, a) == tuple(x - y for x, y in zip(lcm, a))
         coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
-        assert (not _support_mask(a) & _support_mask(b)) == coprime
-        assert _support_mask(lcm) == _support_mask(a) | _support_mask(b)
+        index = _ExponentIndex()
+        index.add(a)
+        assert index.coprime(b) == (1 if coprime else 0)
+        assert index.divisors(b) == (1 if mono_divides(a, b) else 0)
