@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from veronese_gb.errors import (BudgetExceededError, DomainError,
-                                RingMismatchError)
+from veronese_gb.errors import (BudgetExceededError, DimensionError,
+                                DomainError, RingMismatchError)
 from veronese_gb.groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
                                   _ExponentIndex, _bits, _reduce_basis,
                                   buchberger, eliminate, find_weight_vector,
@@ -376,6 +376,18 @@ def test_monomial_ideal_basics():
     with pytest.raises(DomainError):
         MonomialIdeal.from_exponents(S, []).max_exponent()
 
+
+
+@pytest.mark.parametrize("exps, error", [
+    ([(1,)], DimensionError),
+    ([(1, 2, 3)], DimensionError),
+    ([(2, 0), (1,)], DimensionError),
+    ([(-1, 2)], DomainError),
+    ([(0, 1), (3, -2)], DomainError),
+], ids=["short", "long", "short-second", "negative", "negative-second"])
+def test_monomial_ideal_refuses_malformed_exponents(exps, error):
+    with pytest.raises(error):
+        MonomialIdeal.from_exponents(base_ring(2), exps)
 
 def test_budget_exceeded():
     S = base_ring(3)

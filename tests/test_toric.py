@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from veronese_gb.errors import (DimensionError, DomainError,
-                                NotAConfigurationError)
+from veronese_gb.errors import (BudgetExceededError, DimensionError,
+                                DomainError, NotAConfigurationError)
 from veronese_gb.groebner import eliminate
 from veronese_gb.polyring import (Polynomial, base_ring, generic_ring,
                                   joint_ring, parse_polynomial, veronese_ring)
 from veronese_gb.toric import (Configuration, certify_grading, point_rank,
                                toric_groebner_basis, toric_ideal,
                                veronese_layer, verify_veronese_toric)
-from veronese_gb.veronese import pullback_homogeneous_ideal
+from veronese_gb.veronese import (_joint_graph_gb, kernel_initial,
+                                  pullback_homogeneous_ideal)
 
 CURVE = ((1, 0), (1, 1), (1, 2))
 
@@ -221,3 +222,15 @@ def test_verify_pipeline_curve_small_degree():
     cert = verify_veronese_toric(cfg, 2)
     assert cert.all_binomial and cert.images_equal and cert.duplicates_linear
     assert cert.pullback.certificate["initial_matches_monomial_pullback"]
+
+
+def test_one_default_budget_per_toric_certificate(monkeypatch):
+    # the toric kernel takes 9 S-pairs and the pullback 141
+    cfg = Configuration.from_points(CURVE + ((1, 3),))
+    _joint_graph_gb(4, 2)  # the shape caches run on a budget of their own
+    kernel_initial(4, 2)
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "149")
+    with pytest.raises(BudgetExceededError):
+        verify_veronese_toric(cfg, 2)
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "150")
+    assert verify_veronese_toric(cfg, 2).ok

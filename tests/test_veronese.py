@@ -5,8 +5,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from veronese_gb.errors import (DomainError, InternalCheckError,
-                                NonMonomialInitialError)
+from veronese_gb.errors import (BudgetExceededError, DomainError,
+                                InternalCheckError, NonMonomialInitialError)
 from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
                                   buchberger, find_weight_vector,
                                   graph_ideal)
@@ -281,6 +281,38 @@ def test_pullback_monomial_verify_spairs():
     res = pullback_monomial_ideal(M, 3, verify=True)
     assert res.certificate["is_groebner"]
 
+
+
+def _warm_shape_caches(s, d):
+    """Fills the shape caches, which run on a budget of their own."""
+    _joint_graph_gb(s, d)
+    kernel_initial(s, d)
+
+
+def test_one_default_budget_per_pullback_call(monkeypatch):
+    # the oracle run takes 25 S-pairs and the verification 7: a cap of 25
+    # covers each step but not the call
+    M = MonomialIdeal.from_exponents(base_ring(2), [(3, 1), (0, 3)])
+    _warm_shape_caches(2, 2)
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "25")
+    with pytest.raises(BudgetExceededError):
+        pullback_monomial_ideal(M, 2, verify=True)
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "32")
+    assert pullback_monomial_ideal(M, 2, verify=True).certificate["is_groebner"]
+
+
+def test_one_default_budget_per_oracle_call(monkeypatch):
+    # elimination 26 S-pairs, then 9 to reach the weighted order
+    S3 = base_ring(3)
+    ideal = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
+    vmap = VeroneseMap(3, 2)
+    order = pullback_order(vmap, (2, 1, 1))
+    _warm_shape_caches(3, 2)
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "34")
+    with pytest.raises(BudgetExceededError):
+        preimage_oracle(ideal, vmap, order)
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "35")
+    assert preimage_oracle(ideal, vmap, order)
 
 def test_weight_pullback_examples():
     v = VeroneseMap(2, 2)
