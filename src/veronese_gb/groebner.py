@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import (BudgetExceededError, DomainError, InternalCheckError,
-                     RingMismatchError)
+from .errors import (BudgetExceededError, DimensionError, DomainError,
+                     InternalCheckError, RingMismatchError)
 from .orders import Block, GrevLex, Weighted
 from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
                        mono_deg, mono_div, mono_lcm)
@@ -565,8 +565,17 @@ class MonomialIdeal:
 
     @classmethod
     def from_exponents(cls, ring, exps_iter):
-        cands = sorted({tuple(e) for e in exps_iter},
-                       key=lambda e: (mono_deg(e), e))
+        """The ideal of the given exponent vectors, which must have one
+        nonnegative entry per variable of ``ring``."""
+        cands = {tuple(e) for e in exps_iter}
+        for e in cands:
+            if len(e) != ring.nvars:
+                raise DimensionError(f"exponent vector {list(e)} has {len(e)} "
+                                     f"entries in a {ring.nvars}-variable ring")
+            if any(x < 0 for x in e):
+                raise DomainError(f"exponent vector {list(e)} has a negative "
+                                  "entry")
+        cands = sorted(cands, key=lambda e: (mono_deg(e), e))
         kept, index = [], _ExponentIndex()
         for e in cands:
             if not index.divisors(e):

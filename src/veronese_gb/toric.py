@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, NotAConfigurationError
-from .groebner import (Ideal, _DivisorIndex, eliminate, graph_ideal,
+from .groebner import (Budget, Ideal, _DivisorIndex, eliminate, graph_ideal,
                        monomial_image)
 from .polyring import as_fraction, as_integer, base_ring
 from .veronese import VeroneseMap, multi_indices, pullback_homogeneous_ideal
@@ -203,6 +203,8 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
     The weights and the bound are the pullback's, the bound None for a zero
     kernel.
     """
+    if budget is None:
+        budget = Budget()
     ideal = toric_ideal(config, budget)
     pb = pullback_homogeneous_ideal(ideal, d, method=method, budget=budget)
     layer = veronese_layer(config, d)

@@ -12,6 +12,7 @@ homogeneous ideals, with the degree bound that keeps everything quadratic.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -192,24 +193,50 @@ def kernel_oracle_basis(s, d):
     return _front_free(_joint_graph_gb(s, d), s, VeroneseMap(s, d).ring)
 
 
+# The latest results of preimage_oracle, least recently used first.
+_ORACLE_MEMO = OrderedDict()
+ORACLE_MEMO_SIZE = 8
+
+
 def preimage_oracle(ideal, vmap, order=None, budget=None):
     """Reduced basis of the full preimage of an ideal, computed by elimination.
 
     Joins the base ideal's generators to the substitution graph, eliminates
     the base variables, and (for a non-default target order) recomputes the
-    reduced basis inside the Veronese ring.
+    reduced basis inside the Veronese ring.  The graph generators go in
+    although the graph ideal's basis seeds the run: when an embedded
+    generator of degree below d divides z^a, the generator x_a - z^a
+    reduces at once to a preimage element that S-pairs would otherwise have
+    to find.
+
+    The results of the latest ``ORACLE_MEMO_SIZE`` distinct calls are
+    remembered, keyed by the base generators in their given order, (s, d)
+    and the target order.  A repeated call returns the remembered tuple and
+    charges the budget nothing; a call stopped by a cap remembers nothing.
     """
     if ideal.ring != vmap.base:
         raise RingMismatchError("ideal must live in the base ring")
+    if order is None:
+        order = vmap.order
+    key = (ideal.generators, vmap.s, vmap.d, order)
+    gb = _ORACLE_MEMO.get(key)
+    if gb is not None:
+        _ORACLE_MEMO.move_to_end(key)
+        return gb
+    if budget is None:
+        budget = Budget()
     joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
     position_map = list(range(vmap.s)) + [-1] * vmap.ring.nvars
     embedded = [g.map_positions(joint, position_map) for g in ideal.generators]
     gb = eliminate(embedded + gens, vmap.s, vmap.ring, vmap.order,
                    budget=budget, seed_gb=list(_joint_graph_gb(vmap.s, vmap.d)))
-    if order is None or order == vmap.order:
-        return gb
-    return buchberger(gb, order, budget=budget,
-                      seed_gb=list(kernel_groebner_basis(vmap.s, vmap.d)))
+    if order != vmap.order:
+        gb = buchberger(gb, order, budget=budget,
+                        seed_gb=list(kernel_groebner_basis(vmap.s, vmap.d)))
+    _ORACLE_MEMO[key] = gb
+    if len(_ORACLE_MEMO) > ORACLE_MEMO_SIZE:
+        _ORACLE_MEMO.popitem(last=False)
+    return gb
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +403,8 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
     zero ideal pulls back to the kernel under every method.
     """
     _check_method(method)
+    if budget is None:
+        budget = Budget()
     ring = ideal.ring
     s = ring.s
     vmap = VeroneseMap(s, d)

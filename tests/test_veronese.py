@@ -526,15 +526,15 @@ def _graph_run(s, d):
 
 
 def _seeded_oracle_run(s, d, *base_gens):
-    """The run ``preimage_oracle`` makes: the base generators embedded next
-    to the graph generators, seeded with the graph ideal's basis."""
+    """The run ``preimage_oracle`` makes: the base generators embedded in the
+    joint ring, seeded with the graph ideal's basis."""
     vmap = VeroneseMap(s, d)
-    joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
+    seed = list(_joint_graph_gb(s, d))
     position_map = list(range(s)) + [-1] * vmap.ring.nvars
-    embedded = [parse_polynomial(g, vmap.base).map_positions(joint, position_map)
+    embedded = [parse_polynomial(g, vmap.base).map_positions(seed[0].ring,
+                                                             position_map)
                 for g in base_gens]
-    return (embedded + gens, Block(s, GrevLex(s), vmap.order),
-            list(_joint_graph_gb(s, d)))
+    return embedded, Block(s, GrevLex(s), vmap.order), seed
 
 
 def _seeded_weighted_run(d):
@@ -593,3 +593,77 @@ def test_seeded_preimage_oracle_spairs(s, d, gens, spairs):
     preimage_oracle(Ideal(S, [parse_polynomial(g, S) for g in gens]),
                     VeroneseMap(s, d), budget=budget)
     assert budget.spairs == spairs
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The (s, d) of each elimination ``preimage_oracle`` runs."""
+    from veronese_gb import veronese
+    calls, eliminate = [], veronese.eliminate
+
+    def counting(generators, front, back_ring, *args, **kwargs):
+        calls.append((back_ring.s, back_ring.d))
+        return eliminate(generators, front, back_ring, *args, **kwargs)
+
+    monkeypatch.setattr(veronese, "eliminate", counting)
+    return calls
+
+
+def _square_ideal(*gens):
+    return Ideal(base_ring(2), [parse_polynomial(g, base_ring(2)) for g in gens])
+
+
+def test_oracle_memo_hit_charges_nothing(eliminations):
+    ideal, vmap = _square_ideal("y1^3"), VeroneseMap(2, 2)
+    miss, hit = Budget(), Budget()
+    gb = preimage_oracle(ideal, vmap, budget=miss)
+    assert miss.spairs == 14 and eliminations == [(2, 2)]
+    assert preimage_oracle(ideal, vmap, budget=hit) is gb
+    assert preimage_oracle(_square_ideal("y1^3"), vmap, vmap.order) is gb
+    assert hit.spairs == 0 and eliminations == [(2, 2)]
+
+
+def test_oracle_memo_keeps_no_capped_run(eliminations):
+    ideal, vmap = _square_ideal("y1^3"), VeroneseMap(2, 2)
+    with pytest.raises(BudgetExceededError):
+        preimage_oracle(ideal, vmap, budget=Budget(spair_cap=13))
+    budget = Budget()
+    preimage_oracle(ideal, vmap, budget=budget)
+    assert budget.spairs == 14 and len(eliminations) == 2
+
+
+def test_oracle_memo_key(eliminations):
+    vmap = VeroneseMap(2, 2)
+    preimage_oracle(_square_ideal("y1^3", "y2^2"), vmap)
+    preimage_oracle(_square_ideal("y2^2", "y1^3"), vmap)
+    preimage_oracle(_square_ideal("y1^3", "y2^2"), VeroneseMap(2, 3))
+    preimage_oracle(_square_ideal("y1^3", "y2^2"), vmap,
+                    pullback_order(vmap, (2, 1)))
+    assert eliminations == [(2, 2), (2, 2), (2, 3), (2, 2)]
+    preimage_oracle(_square_ideal("y1^3", "y2^2"), vmap)
+    assert len(eliminations) == 4
+
+
+def test_oracle_memo_evicts_the_least_recently_used(eliminations):
+    from veronese_gb.veronese import ORACLE_MEMO_SIZE
+    vmap = VeroneseMap(2, 2)
+    ideals = [_square_ideal(f"y1^{k + 1}") for k in range(ORACLE_MEMO_SIZE + 1)]
+    preimage_oracle(ideals[0], vmap)
+    preimage_oracle(ideals[1], vmap)
+    preimage_oracle(ideals[0], vmap)      # now ideals[1] is the oldest
+    for ideal in ideals[2:]:
+        preimage_oracle(ideal, vmap)
+    assert len(eliminations) == ORACLE_MEMO_SIZE + 1
+    preimage_oracle(ideals[0], vmap)
+    assert len(eliminations) == ORACLE_MEMO_SIZE + 1
+    preimage_oracle(ideals[1], vmap)
+    assert len(eliminations) == ORACLE_MEMO_SIZE + 2
+
+
+def test_pullback_then_oracle_eliminates_once(eliminations):
+    M = MonomialIdeal.from_exponents(base_ring(2), [(2, 2)])  # bound is 3
+    res = pullback_monomial_ideal(M, 2)
+    assert res.certificate["matches_oracle"]
+    oracle = preimage_oracle(Ideal(M.ring, M.polynomials()), VeroneseMap(2, 2))
+    assert oracle == res.reduced
+    assert eliminations == [(2, 2)]
