@@ -570,8 +570,9 @@ class MonomialIdeal:
         cands = {tuple(e) for e in exps_iter}
         for e in cands:
             if len(e) != ring.nvars:
-                raise DimensionError(f"exponent vector {list(e)} has {len(e)} "
-                                     f"entries in a {ring.nvars}-variable ring")
+                raise DimensionError(
+                    f"exponent vector {list(e)} has {len(e)} entries in a "
+                    f"{ring.nvars}-variable ring")
             if any(x < 0 for x in e):
                 raise DomainError(f"exponent vector {list(e)} has a negative "
                                   "entry")

@@ -377,7 +377,6 @@ def test_monomial_ideal_basics():
         MonomialIdeal.from_exponents(S, []).max_exponent()
 
 
-
 @pytest.mark.parametrize("exps, error", [
     ([(1,)], DimensionError),
     ([(1, 2, 3)], DimensionError),
@@ -388,6 +387,7 @@ def test_monomial_ideal_basics():
 def test_monomial_ideal_refuses_malformed_exponents(exps, error):
     with pytest.raises(error):
         MonomialIdeal.from_exponents(base_ring(2), exps)
+
 
 def test_budget_exceeded():
     S = base_ring(3)

@@ -282,7 +282,6 @@ def test_pullback_monomial_verify_spairs():
     assert res.certificate["is_groebner"]
 
 
-
 def _warm_shape_caches(s, d):
     """Fills the shape caches, which run on a budget of their own."""
     _joint_graph_gb(s, d)
@@ -298,7 +297,8 @@ def test_one_default_budget_per_pullback_call(monkeypatch):
     with pytest.raises(BudgetExceededError):
         pullback_monomial_ideal(M, 2, verify=True)
     monkeypatch.setenv("VERONESE_GB_BUDGET", "32")
-    assert pullback_monomial_ideal(M, 2, verify=True).certificate["is_groebner"]
+    res = pullback_monomial_ideal(M, 2, verify=True)
+    assert res.certificate["is_groebner"]
 
 
 def test_one_default_budget_per_oracle_call(monkeypatch):
@@ -313,6 +313,7 @@ def test_one_default_budget_per_oracle_call(monkeypatch):
         preimage_oracle(ideal, vmap, order)
     monkeypatch.setenv("VERONESE_GB_BUDGET", "35")
     assert preimage_oracle(ideal, vmap, order)
+
 
 def test_weight_pullback_examples():
     v = VeroneseMap(2, 2)
@@ -526,15 +527,15 @@ def _graph_run(s, d):
 
 
 def _seeded_oracle_run(s, d, *base_gens):
-    """The run ``preimage_oracle`` makes: the base generators embedded in the
-    joint ring, seeded with the graph ideal's basis."""
+    """The run ``preimage_oracle`` makes: the base generators embedded next
+    to the graph generators, seeded with the graph ideal's basis."""
     vmap = VeroneseMap(s, d)
-    seed = list(_joint_graph_gb(s, d))
+    joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
     position_map = list(range(s)) + [-1] * vmap.ring.nvars
-    embedded = [parse_polynomial(g, vmap.base).map_positions(seed[0].ring,
-                                                             position_map)
+    embedded = [parse_polynomial(g, vmap.base).map_positions(joint, position_map)
                 for g in base_gens]
-    return embedded, Block(s, GrevLex(s), vmap.order), seed
+    return (embedded + gens, Block(s, GrevLex(s), vmap.order),
+            list(_joint_graph_gb(s, d)))
 
 
 def _seeded_weighted_run(d):
@@ -609,22 +610,23 @@ def eliminations(monkeypatch):
     return calls
 
 
-def _square_ideal(*gens):
-    return Ideal(base_ring(2), [parse_polynomial(g, base_ring(2)) for g in gens])
+def _base2_ideal(*gens):
+    S2 = base_ring(2)
+    return Ideal(S2, [parse_polynomial(g, S2) for g in gens])
 
 
 def test_oracle_memo_hit_charges_nothing(eliminations):
-    ideal, vmap = _square_ideal("y1^3"), VeroneseMap(2, 2)
+    ideal, vmap = _base2_ideal("y1^3"), VeroneseMap(2, 2)
     miss, hit = Budget(), Budget()
     gb = preimage_oracle(ideal, vmap, budget=miss)
     assert miss.spairs == 14 and eliminations == [(2, 2)]
     assert preimage_oracle(ideal, vmap, budget=hit) is gb
-    assert preimage_oracle(_square_ideal("y1^3"), vmap, vmap.order) is gb
+    assert preimage_oracle(_base2_ideal("y1^3"), vmap, vmap.order) is gb
     assert hit.spairs == 0 and eliminations == [(2, 2)]
 
 
 def test_oracle_memo_keeps_no_capped_run(eliminations):
-    ideal, vmap = _square_ideal("y1^3"), VeroneseMap(2, 2)
+    ideal, vmap = _base2_ideal("y1^3"), VeroneseMap(2, 2)
     with pytest.raises(BudgetExceededError):
         preimage_oracle(ideal, vmap, budget=Budget(spair_cap=13))
     budget = Budget()
@@ -634,20 +636,20 @@ def test_oracle_memo_keeps_no_capped_run(eliminations):
 
 def test_oracle_memo_key(eliminations):
     vmap = VeroneseMap(2, 2)
-    preimage_oracle(_square_ideal("y1^3", "y2^2"), vmap)
-    preimage_oracle(_square_ideal("y2^2", "y1^3"), vmap)
-    preimage_oracle(_square_ideal("y1^3", "y2^2"), VeroneseMap(2, 3))
-    preimage_oracle(_square_ideal("y1^3", "y2^2"), vmap,
+    preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap)
+    preimage_oracle(_base2_ideal("y2^2", "y1^3"), vmap)
+    preimage_oracle(_base2_ideal("y1^3", "y2^2"), VeroneseMap(2, 3))
+    preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap,
                     pullback_order(vmap, (2, 1)))
     assert eliminations == [(2, 2), (2, 2), (2, 3), (2, 2)]
-    preimage_oracle(_square_ideal("y1^3", "y2^2"), vmap)
+    preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap)
     assert len(eliminations) == 4
 
 
 def test_oracle_memo_evicts_the_least_recently_used(eliminations):
     from veronese_gb.veronese import ORACLE_MEMO_SIZE
     vmap = VeroneseMap(2, 2)
-    ideals = [_square_ideal(f"y1^{k + 1}") for k in range(ORACLE_MEMO_SIZE + 1)]
+    ideals = [_base2_ideal(f"y1^{k}") for k in range(1, ORACLE_MEMO_SIZE + 2)]
     preimage_oracle(ideals[0], vmap)
     preimage_oracle(ideals[1], vmap)
     preimage_oracle(ideals[0], vmap)      # now ideals[1] is the oldest
