@@ -570,3 +570,32 @@ def test_order_spec_variants():
     assert proc.returncode == 2  # wrong weight count
     proc = run_cli("gbasis", "tests/data/empty_ideal.json", "--order", "gamma")
     assert proc.returncode == 2  # gamma needs a Veronese ring
+
+
+def test_timing_survives_a_wall_clock_step_back(monkeypatch, capsys):
+    # NTP or an operator may set the wall clock back while a command runs;
+    # the elapsed time must come from a monotonic clock
+    from itertools import count
+
+    from veronese_gb import cli
+    clock = count(1e9, -1.0)
+    monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+    code = cli.main(["--json", "bounds", str(DATA / "square_square.json")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["timing_ms"] >= 0
+
+
+def test_import_generates_no_dataclass_code():
+    # Every CLI command starts a process, and dataclasses with inspect, plus
+    # the methods they generate, cost a fifth of a small command.  -S keeps
+    # site-packages, which may import either module itself, out of the way.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import veronese_gb.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & "
+            "(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
