@@ -144,7 +144,7 @@ def make_report(command, input_payload, outputs, budget, started):
             "outputs": outputs,
             "budget": {"spair_cap": budget.spair_cap,
                        "spairs_used": budget.spairs},
-            "timing_ms": int((time.time() - started) * 1000)}
+            "timing_ms": int((time.perf_counter() - started) * 1000)}
 
 
 def emit(report, args):
@@ -362,7 +362,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         budget = Budget(spair_cap=args.budget)
         inputs, outputs = args.fn(args, budget)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from .errors import (BudgetExceededError, DimensionError, DomainError,
 from .orders import Block, GrevLex, Weighted
 from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
                        mono_deg, mono_div, mono_lcm)
+from .values import Record, Value, init_attr
 
 DEFAULT_SPAIR_CAP = 10**6
 DEFAULT_COEFF_BITS = 1_000_000
@@ -46,20 +46,19 @@ def default_spair_cap():
     return cap
 
 
-@dataclass
-class Budget:
+class Budget(Record):
     """Resource caps; counters survive across the calls sharing the budget."""
 
-    spair_cap: int = None
-    coeff_bits: int = DEFAULT_COEFF_BITS
-    spairs: int = 0
-
-    def __post_init__(self):
-        if self.spair_cap is None:
-            self.spair_cap = default_spair_cap()
-        elif self.spair_cap < 0:
+    def __init__(self, spair_cap=None, coeff_bits=DEFAULT_COEFF_BITS,
+                 spairs=0):
+        if spair_cap is None:
+            spair_cap = default_spair_cap()
+        elif spair_cap < 0:
             raise DomainError(
-                f"the S-pair cap must be at least 0, got {self.spair_cap}")
+                f"the S-pair cap must be at least 0, got {spair_cap}")
+        self.spair_cap = spair_cap
+        self.coeff_bits = coeff_bits
+        self.spairs = spairs
 
     def charge_spair(self):
         self.spairs += 1
@@ -330,12 +329,13 @@ def _spoly(a, b):
     return terms
 
 
-@dataclass
-class GBStats:
-    spairs: int = 0
-    skipped_coprime: int = 0
-    skipped_chain: int = 0
-    basis_peak: int = 0
+class GBStats(Record):
+    def __init__(self, spairs=0, skipped_coprime=0, skipped_chain=0,
+                 basis_peak=0):
+        self.spairs = spairs
+        self.skipped_coprime = skipped_coprime
+        self.skipped_chain = skipped_chain
+        self.basis_peak = basis_peak
 
 
 def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
@@ -452,14 +452,14 @@ def _reduce_basis(polys, order, budget=None):
     return tuple(out)
 
 
-@dataclass
-class GBCheck:
+class GBCheck(Record):
     """Outcome of an S-pair closure check."""
 
-    ok: bool
-    spairs: int
-    pair: tuple = None
-    remainder: Polynomial = None
+    def __init__(self, ok, spairs, pair=None, remainder=None):
+        self.ok = ok
+        self.spairs = spairs
+        self.pair = pair
+        self.remainder = remainder
 
 
 def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
@@ -556,12 +556,15 @@ def monomial_image(points, exps):
 # monomial ideals
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """A monomial ideal held by its minimal generators (a divisibility antichain)."""
 
-    ring: object
-    gens: tuple
+    _fields = ("ring", "gens")
+
+    def __init__(self, ring, gens):
+        init_attr(self, "ring", ring)
+        init_attr(self, "gens", gens)
+        init_attr(self, "_values", (ring, gens))
 
     @classmethod
     def from_exponents(cls, ring, exps_iter):
@@ -596,7 +599,7 @@ class MonomialIdeal:
     @cached_property
     def _index(self):
         # Built on first lookup; kept in the instance dict, outside the
-        # dataclass fields, so equality and hashing ignore it.
+        # fields, so equality and hashing ignore it.
         index = _ExponentIndex()
         for g in self.gens:
             index.add(g)

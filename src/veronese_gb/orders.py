@@ -9,11 +9,11 @@ vector always takes the smallest key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import DimensionError, DomainError
+from .values import Value, init_attr
 
 Exps = tuple  # dense exponent vector, one entry per ring variable
 
@@ -23,17 +23,14 @@ def _check_len(exps, n):
         raise DimensionError(f"expected {n} exponents, got {len(exps)}")
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(Value):
     """Base class; subclasses fill in _key and fingerprint.
 
-    ``key`` memoizes ``_key`` in ``_cache``, which equality ignores.  Each
-    subclass binds ``key = TermOrder.key`` in its own class dict, because
+    ``key`` memoizes ``_key`` in ``_cache``, a plain instance attribute that
+    each ``__init__`` sets and equality ignores.  Each subclass binds
+    ``key = TermOrder.key`` in its own class dict, because
     ``perfbench/tracing.py`` patches ``cls.__dict__["key"]`` to count calls.
     """
-
-    _cache: dict = field(default_factory=dict, compare=False, repr=False,
-                         kw_only=True)
 
     def key(self, exps):
         k = self._cache.get(exps)
@@ -54,18 +51,20 @@ class TermOrder:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Lex(TermOrder):
     """Lexicographic order; ``priority`` lists positions, most significant first."""
 
-    nvars: int
-    priority: tuple = None
+    _fields = ("nvars", "priority")
 
-    def __post_init__(self):
-        if self.priority is None:
-            object.__setattr__(self, "priority", tuple(range(self.nvars)))
-        if sorted(self.priority) != list(range(self.nvars)):
+    def __init__(self, nvars, priority=None):
+        if priority is None:
+            priority = tuple(range(nvars))
+        if sorted(priority) != list(range(nvars)):
             raise DimensionError("priority must be a permutation of the positions")
+        init_attr(self, "nvars", nvars)
+        init_attr(self, "priority", priority)
+        init_attr(self, "_values", (nvars, priority))
+        init_attr(self, "_cache", {})
 
     key = TermOrder.key
 
@@ -78,7 +77,6 @@ class Lex(TermOrder):
         return "lex[%s]" % ",".join(map(str, self.priority))
 
 
-@dataclass(frozen=True)
 class GrevLex(TermOrder):
     """Graded reverse lexicographic order.
 
@@ -87,15 +85,18 @@ class GrevLex(TermOrder):
     at the last disagreement.
     """
 
-    nvars: int
-    chain: tuple = None
+    _fields = ("nvars", "chain")
 
-    def __post_init__(self):
-        if self.chain is None:
-            object.__setattr__(self, "chain", tuple(range(self.nvars)))
-        if sorted(self.chain) != list(range(self.nvars)):
+    def __init__(self, nvars, chain=None):
+        if chain is None:
+            chain = tuple(range(nvars))
+        if sorted(chain) != list(range(nvars)):
             raise DimensionError("chain must be a permutation of the positions")
-        object.__setattr__(self, "_scan", tuple(reversed(self.chain)))
+        init_attr(self, "nvars", nvars)
+        init_attr(self, "chain", chain)
+        init_attr(self, "_values", (nvars, chain))
+        init_attr(self, "_scan", tuple(reversed(chain)))
+        init_attr(self, "_cache", {})
 
     key = TermOrder.key
 
@@ -108,7 +109,6 @@ class GrevLex(TermOrder):
         return "grevlex[%s]" % ",".join(map(str, self.chain))
 
 
-@dataclass(frozen=True)
 class GammaRevLex(TermOrder):
     """Reverse lexicographic order on the degree-d Veronese variables.
 
@@ -120,11 +120,14 @@ class GammaRevLex(TermOrder):
     and the key scans positions in natural order.
     """
 
-    s: int
-    d: int
+    _fields = ("s", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nvars", math.comb(self.d + self.s - 1, self.s - 1))
+    def __init__(self, s, d):
+        init_attr(self, "s", s)
+        init_attr(self, "d", d)
+        init_attr(self, "_values", (s, d))
+        init_attr(self, "nvars", math.comb(d + s - 1, s - 1))
+        init_attr(self, "_cache", {})
 
     key = TermOrder.key
 
@@ -137,16 +140,18 @@ class GammaRevLex(TermOrder):
         return f"gamma[s={self.s},d={self.d}]"
 
 
-@dataclass(frozen=True)
 class Weighted(TermOrder):
     """Weight vector first, tiebreak order second."""
 
-    weights: tuple
-    tie: TermOrder
+    _fields = ("weights", "tie")
 
-    def __post_init__(self):
-        if any(w < 0 for w in self.weights):
+    def __init__(self, weights, tie):
+        if any(w < 0 for w in weights):
             raise DimensionError("weights must be nonnegative")
+        init_attr(self, "weights", weights)
+        init_attr(self, "tie", tie)
+        init_attr(self, "_values", (weights, tie))
+        init_attr(self, "_cache", {})
 
     key = TermOrder.key
 
@@ -160,7 +165,6 @@ class Weighted(TermOrder):
         return "w[%s;tie=%s]" % (",".join(map(str, self.weights)), self.tie.fingerprint)
 
 
-@dataclass(frozen=True)
 class Block(TermOrder):
     """Elimination order: the leading block of positions dominates.
 
@@ -170,9 +174,14 @@ class Block(TermOrder):
     degree-compatible (the default graded orders are).
     """
 
-    front: int
-    front_order: TermOrder
-    back_order: TermOrder
+    _fields = ("front", "front_order", "back_order")
+
+    def __init__(self, front, front_order, back_order):
+        init_attr(self, "front", front)
+        init_attr(self, "front_order", front_order)
+        init_attr(self, "back_order", back_order)
+        init_attr(self, "_values", (front, front_order, back_order))
+        init_attr(self, "_cache", {})
 
     key = TermOrder.key
 

@@ -8,13 +8,13 @@ convention: every operation returns a fresh polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, le, sub
 
 from .errors import DimensionError, DomainError, ParseError, RingMismatchError
 from .orders import GammaRevLex, GrevLex, multi_indices
+from .values import Value, init_attr
 
 MAX_EXPONENT = 2**31 - 1
 # Largest ring any constructor builds.  The shapes in use have at most a few
@@ -28,20 +28,24 @@ MAX_VARIABLES = 10_000
 MAX_EXCHANGE_WORK = 10**7
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Value):
     """A polynomial ring described by its variable names.
 
     ``kind`` is "S" for a base ring y1..ys, "Rd" for a degree-d Veronese ring
     whose variables carry multi-indices, or "generic" for anything else
-    (elimination rings, toric auxiliary rings).
+    (elimination rings, toric auxiliary rings).  ``indices``, for "Rd" only,
+    maps each position to its multi-index.
     """
 
-    names: tuple
-    kind: str = "generic"
-    s: int = None
-    d: int = None
-    indices: tuple = None  # Rd only: position -> multi-index
+    _fields = ("names", "kind", "s", "d", "indices")
+
+    def __init__(self, names, kind="generic", s=None, d=None, indices=None):
+        init_attr(self, "names", names)
+        init_attr(self, "kind", kind)
+        init_attr(self, "s", s)
+        init_attr(self, "d", d)
+        init_attr(self, "indices", indices)
+        init_attr(self, "_values", (names, kind, s, d, indices))
 
     @property
     def nvars(self):

@@ -8,13 +8,13 @@ computed by elimination, after shifting the points nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, NotAConfigurationError
 from .groebner import (Budget, Ideal, _DivisorIndex, eliminate, graph_ideal,
                        monomial_image)
 from .polyring import as_fraction, as_integer, base_ring
+from .values import Record, Value, init_attr
 from .veronese import VeroneseMap, multi_indices, pullback_homogeneous_ideal
 
 
@@ -62,12 +62,15 @@ def certify_grading(points):
     return tuple(grading)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Value):
     """Lattice points with a certified grading; repeats are allowed."""
 
-    points: tuple
-    grading: tuple
+    _fields = ("points", "grading")
+
+    def __init__(self, points, grading):
+        init_attr(self, "points", points)
+        init_attr(self, "grading", grading)
+        init_attr(self, "_values", (points, grading))
 
     @classmethod
     def from_points(cls, points, grading=None):
@@ -139,13 +142,17 @@ def toric_ideal(config, budget=None):
     return ideal
 
 
-@dataclass(frozen=True)
-class VeroneseLayer:
-    """The degree-d layer of a configuration: one point per multi-index."""
+class VeroneseLayer(Value):
+    """The degree-d layer of a configuration: one point per multi-index;
+    ``configuration`` is a multiset, in canonical variable order."""
 
-    base: Configuration
-    d: int
-    configuration: Configuration  # multiset, in canonical variable order
+    _fields = ("base", "d", "configuration")
+
+    def __init__(self, base, d, configuration):
+        init_attr(self, "base", base)
+        init_attr(self, "d", d)
+        init_attr(self, "configuration", configuration)
+        init_attr(self, "_values", (base, d, configuration))
 
     @property
     def unique_points(self):
@@ -172,20 +179,22 @@ def veronese_layer(config, d):
     return VeroneseLayer(config, d, Configuration(tuple(pts), grading))
 
 
-@dataclass
-class ToricVeroneseCertificate:
-    """Checks for the quadratic-basis claim on a configuration's layer."""
+class ToricVeroneseCertificate(Record):
+    """Checks for the quadratic-basis claim on a configuration's layer;
+    ``bound`` is None for a zero kernel."""
 
-    config: Configuration
-    d: int
-    omega: tuple
-    bound: int  # None for a zero kernel
-    meets_bound: bool
-    pullback: object
-    all_binomial: bool
-    max_degree: int
-    images_equal: bool
-    duplicates_linear: bool
+    def __init__(self, config, d, omega, bound, meets_bound, pullback,
+                 all_binomial, max_degree, images_equal, duplicates_linear):
+        self.config = config
+        self.d = d
+        self.omega = omega
+        self.bound = bound
+        self.meets_bound = meets_bound
+        self.pullback = pullback
+        self.all_binomial = all_binomial
+        self.max_degree = max_degree
+        self.images_equal = images_equal
+        self.duplicates_linear = duplicates_linear
 
     @property
     def ok(self):

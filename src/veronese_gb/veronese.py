@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -27,25 +26,27 @@ from .groebner import (Budget, Ideal, MonomialIdeal, _ExponentIndex,
 from .orders import GammaRevLex, Weighted, multi_indices
 from .polyring import (MAX_EXCHANGE_WORK, Polynomial, base_ring, mono_divides,
                        veronese_ring)
+from .values import Record, Value, init_attr
 
 # The pullback routes: the constructive basis, the elimination oracle, or
 # both with a check that they agree.
 METHODS = ("constructive", "oracle", "both")
 
 
-@dataclass(frozen=True)
-class VeroneseMap:
+class VeroneseMap(Value):
     """The substitution sending each degree-d variable to its base monomial."""
 
-    s: int
-    d: int
+    _fields = ("s", "d")
 
-    def __post_init__(self):
-        if self.s < 1 or self.d < 1:
-            raise DomainError(f"need s >= 1 and d >= 1, got s={self.s}, d={self.d}")
-        object.__setattr__(self, "ring", veronese_ring(self.s, self.d))
-        object.__setattr__(self, "base", base_ring(self.s))
-        object.__setattr__(self, "order", GammaRevLex(self.s, self.d))
+    def __init__(self, s, d):
+        if s < 1 or d < 1:
+            raise DomainError(f"need s >= 1 and d >= 1, got s={s}, d={d}")
+        init_attr(self, "s", s)
+        init_attr(self, "d", d)
+        init_attr(self, "_values", (s, d))
+        init_attr(self, "ring", veronese_ring(s, d))
+        init_attr(self, "base", base_ring(s))
+        init_attr(self, "order", GammaRevLex(s, d))
 
     def image_exps(self, u):
         """Exponent vector of the image monomial in the base ring."""
@@ -243,16 +244,17 @@ def preimage_oracle(ideal, vmap, order=None, budget=None):
 # kernel certification
 
 
-@dataclass
-class KernelCertificate:
-    s: int
-    d: int
-    basis_size: int
-    reduced_size: int
-    in_kernel: bool
-    is_groebner: bool
-    matches_oracle: bool
-    spairs: int
+class KernelCertificate(Record):
+    def __init__(self, s, d, basis_size, reduced_size, in_kernel, is_groebner,
+                 matches_oracle, spairs):
+        self.s = s
+        self.d = d
+        self.basis_size = basis_size
+        self.reduced_size = reduced_size
+        self.in_kernel = in_kernel
+        self.is_groebner = is_groebner
+        self.matches_oracle = matches_oracle
+        self.spairs = spairs
 
     @property
     def ok(self):
@@ -355,19 +357,20 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     return tuple(accepted), complete
 
 
-@dataclass
-class PullbackResult:
+class PullbackResult(Record):
     """A Gröbner basis of a pullback ideal plus the checks behind it;
     ``omega`` holds the base weights of a homogeneous pullback."""
 
-    s: int
-    d: int
-    order: object
-    groebner_basis: tuple
-    reduced: tuple
-    method: str
-    certificate: dict
-    omega: tuple = None
+    def __init__(self, s, d, order, groebner_basis, reduced, method,
+                 certificate, omega=None):
+        self.s = s
+        self.d = d
+        self.order = order
+        self.groebner_basis = groebner_basis
+        self.reduced = reduced
+        self.method = method
+        self.certificate = certificate
+        self.omega = omega
 
     @property
     def max_degree(self):
@@ -569,17 +572,18 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
 # degree bounds
 
 
-@dataclass
-class BoundsReport:
+class BoundsReport(Record):
     """The quadratic-pullback degree bound next to the two rival bounds."""
 
-    s: int
-    max_exponent: int
-    delta: int
-    bound: int
-    bound_raw: Fraction
-    rival_rough: Fraction
-    rival_stated: int
+    def __init__(self, s, max_exponent, delta, bound, bound_raw, rival_rough,
+                 rival_stated):
+        self.s = s
+        self.max_exponent = max_exponent
+        self.delta = delta
+        self.bound = bound
+        self.bound_raw = bound_raw
+        self.rival_rough = rival_rough
+        self.rival_stated = rival_stated
 
     @property
     def below_rough(self):

@@ -1,4 +1,4 @@
-"""Value semantics of the immutable types and the constructors of the records."""
+"""Value semantics of the immutable types; constructors of the records."""
 
 from fractions import Fraction
 
@@ -131,6 +131,10 @@ def test_record_constructors(cls):
     by_keyword = cls(**dict(zip(reversed(names), reversed(values))))
     for record in (by_position, by_keyword):
         assert [getattr(record, n) for n in names] == values
+    assert by_position == by_keyword and not by_position != by_keyword
+    assert by_position != cls(*values[:-1], 0)
+    with pytest.raises(TypeError):
+        hash(by_position)
     required = names[:len(names) - len(defaults)]
     record = cls(*values[:len(required)])
     for n, default in defaults.items():
