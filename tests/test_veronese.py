@@ -519,6 +519,85 @@ def test_standard_monomials_match_exhaustive_filter():
             _standard_monomials_reference(2, 3, degree, order), degree
 
 
+def _pullback_generators_reference(ideal, d, cap):
+    """Every monomial of degree 1..cap in ascending position order, dropped
+    when in the kernel's initial ideal, kept when its image lies in the ideal
+    and no kept monomial divides it."""
+    s = ideal.ring.s
+    vmap = VeroneseMap(s, d)
+    kernel_gens = kernel_initial(s, d).gens
+    kept = []
+    for degree in range(1, cap + 1):
+        for combo in combinations_with_replacement(range(vmap.ring.nvars),
+                                                   degree):
+            e = [0] * vmap.ring.nvars
+            for i in combo:
+                e[i] += 1
+            e = tuple(e)
+            if any(all(x <= y for x, y in zip(g, e))
+                   for g in kernel_gens + tuple(kept)):
+                continue
+            if ideal.contains(vmap.image_exps(e)):
+                kept.append(e)
+    return tuple(kept)
+
+
+# two monomial ideals per base ring, by their generators' exponents
+PULLBACK_TABLE_IDEALS = {
+    2: ([(2, 1)], [(0, 3), (1, 1)]),
+    3: ([(2, 1, 0), (0, 0, 2)], [(1, 1, 1)]),
+    4: ([(1, 0, 0, 2)], [(0, 3, 0, 0), (1, 0, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("s,d", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_pullback_generators_enumerate_each_shape_once(monkeypatch, s, d):
+    # a second pullback of the same shape and cap, with another ideal, reads
+    # its standard monomials from the table the first one filled, so it makes
+    # no lookup in the kernel's initial ideal
+    init = kernel_initial(s, d)
+    lookups = []
+    original = MonomialIdeal.contains
+
+    def contains(self, exps, mask=None):
+        if self is init:
+            lookups.append(exps)
+        return original(self, exps, mask)
+
+    first, second = (MonomialIdeal.from_exponents(base_ring(s), gens)
+                     for gens in PULLBACK_TABLE_IDEALS[s])
+    want = {(ideal, cap): _pullback_generators_reference(ideal, d, cap)
+            for ideal in (first, second) for cap in range(1, 5)}
+    monkeypatch.setattr(MonomialIdeal, "contains", contains)
+    for cap in range(1, 5):
+        gens, _ = monomial_pullback_generators(first, d, degree_cap=cap)
+        assert gens == want[first, cap], cap
+        del lookups[:]
+        gens, _ = monomial_pullback_generators(second, d, degree_cap=cap)
+        assert gens == want[second, cap], cap
+        assert not lookups, cap
+
+
+def test_standard_monomial_table_is_bounded():
+    from veronese_gb import veronese
+    table = veronese._standard_table
+    table.cache_clear()
+    size = table.cache_info().maxsize
+    assert size == veronese.STANDARD_TABLE_SIZE
+    keys = [(2, d, degree) for d in range(1, size) for degree in range(3)]
+    keys = keys[:size + 5]
+    assert len(keys) == size + 5
+    for key in keys:
+        list(standard_monomials(*key))
+        assert table.cache_info().currsize <= size, key
+    assert table.cache_info().currsize == size
+    # the least recently used key was evicted and rebuilds on the next call
+    misses = table.cache_info().misses
+    assert list(standard_monomials(*keys[0])) == \
+        _standard_monomials_reference(*keys[0])
+    assert table.cache_info().misses == misses + 1
+
+
 def _graph_run(s, d):
     """The unseeded elimination run behind the kernel oracle."""
     vmap = VeroneseMap(s, d)
