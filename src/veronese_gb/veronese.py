@@ -279,9 +279,14 @@ def verify_exchange_basis(s, d, budget=None):
 # standard monomials and monomial-ideal pullbacks
 
 
-def standard_monomials(s, d, degree, order=None):
-    """Monomials of the Veronese ring of the given degree outside the kernel's
-    leading-term ideal, in ascending position order.
+# How many (s, d, degree, order) keys _standard_table keeps.
+STANDARD_TABLE_SIZE = 64
+
+
+@lru_cache(maxsize=STANDARD_TABLE_SIZE)
+def _standard_table(s, d, degree, order=None):
+    """The standard monomials of the given degree in ascending position
+    order, and their images, as two tuples of the same length.
 
     A monomial grows depth first by raising positions in ascending order,
     which is the order of ``combinations_with_replacement``, and carries its
@@ -289,7 +294,8 @@ def standard_monomials(s, d, degree, order=None):
     grown from it: a monomial ideal is closed under multiplication.
     """
     init = _kernel_initial_for(s, d, order)
-    n = VeroneseMap(s, d).ring.nvars
+    vmap = VeroneseMap(s, d)
+    n = vmap.ring.nvars
 
     def grow(e, mask, start, left):
         for i in range(start, n):
@@ -303,8 +309,21 @@ def standard_monomials(s, d, degree, order=None):
                 yield from grow(f, m, i, left - 1)
 
     zero = (0,) * n
-    if not init.contains(zero):
-        yield from grow(zero, 0, 0, degree) if degree else (zero,)
+    if init.contains(zero):
+        return (), ()
+    mons = tuple(grow(zero, 0, 0, degree)) if degree else (zero,)
+    return mons, tuple(vmap.image_exps(e) for e in mons)
+
+
+def standard_monomials(s, d, degree, order=None):
+    """Monomials of the Veronese ring of the given degree outside the kernel's
+    leading-term ideal, in ascending position order.
+
+    They are read from a table of the latest ``STANDARD_TABLE_SIZE`` distinct
+    (s, d, degree, order) keys, which a depth-first search fills once per
+    key; reading it charges no budget.
+    """
+    yield from _standard_table(s, d, degree, order)[0]
 
 
 @lru_cache(maxsize=None)
@@ -334,6 +353,10 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     """Minimal generators, up to the degree cap, of the ideal of standard
     monomials whose image lands in the given monomial ideal.
 
+    The standard monomials of each degree and their images come from the
+    table behind :func:`standard_monomials`, so only the first pullback of a
+    shape and degree searches for them.
+
     Returns (generators, complete).  The result is complete when d meets the
     quadratic bound, in which case a cap of 2 suffices; otherwise the caller
     owns choosing a sufficient cap.
@@ -343,14 +366,13 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     if degree_cap < 1:
         raise DomainError("degree cap must be at least 1")
     s = ideal.ring.s
-    vmap = VeroneseMap(s, d)
     accepted = []
     found = _ExponentIndex()
     for degree in range(1, degree_cap + 1):
-        for e in standard_monomials(s, d, degree):
+        for e, image in zip(*_standard_table(s, d, degree)):
             if found.divisors(e):
                 continue
-            if ideal.contains(vmap.image_exps(e)):
+            if ideal.contains(image):
                 accepted.append(e)
                 found.add(e)
     complete = bound_certificate(ideal, d)["meets_bound"] and degree_cap >= 2
