@@ -4,6 +4,14 @@ Every order works on dense exponent tuples and exposes a sort key: monomial
 ``a`` precedes monomial ``b`` exactly when ``key(a) < key(b)``.  Keys are
 componentwise additive, which makes each order multiplicative, and the zero
 vector always takes the smallest key.
+
+Keys are flat tuples of numbers, and all the keys of one order on vectors of
+one length have the same length.  Two keys of an order therefore compare
+position by position with no length tie-break, which is why a composite
+order may concatenate its parts' keys: ``Weighted`` puts the weight in front
+of its tie order's key, and ``Block`` appends the back key to the front key.
+Flat keys also compare faster than nested ones, which matters in the
+Buchberger queue and the reduction loop.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ class GrevLex(TermOrder):
 
     def _key(self, exps):
         _check_len(exps, self.nvars)
-        return (sum(exps), tuple(-exps[i] for i in self._scan))
+        return (sum(exps), *[-exps[i] for i in self._scan])
 
     @property
     def fingerprint(self):
@@ -133,7 +141,7 @@ class GammaRevLex(TermOrder):
 
     def _key(self, exps):
         _check_len(exps, self.nvars)
-        return (sum(exps), tuple(-e for e in exps))
+        return (sum(exps), *[-e for e in exps])
 
     @property
     def fingerprint(self):
@@ -158,7 +166,7 @@ class Weighted(TermOrder):
     def _key(self, exps):
         _check_len(exps, len(self.weights))
         w = sum(wi * ei for wi, ei in zip(self.weights, exps))
-        return (w, self.tie.key(exps))
+        return (w, *self.tie.key(exps))
 
     @property
     def fingerprint(self):
@@ -186,8 +194,8 @@ class Block(TermOrder):
     key = TermOrder.key
 
     def _key(self, exps):
-        return (self.front_order.key(exps[: self.front]),
-                self.back_order.key(exps[self.front:]))
+        return (self.front_order.key(exps[:self.front])
+                + self.back_order.key(exps[self.front:]))
 
     @property
     def fingerprint(self):

@@ -153,3 +153,73 @@ def test_block_order_elimination_property(rng):
         b = (rng.randrange(1, 3), rng.randrange(3)) + \
             tuple(rng.randrange(4) for _ in range(3))
         assert block.cmp(a, b) == -1  # front content always dominates
+
+
+def _reference_cmp(order, a, b):
+    """-1, 0 or 1 as a precedes, equals or follows b, from the order's
+    definition part by part; never reads a key."""
+    from veronese_gb.orders import Block
+    if isinstance(order, Block):
+        f = order.front
+        return (_reference_cmp(order.front_order, a[:f], b[:f])
+                or _reference_cmp(order.back_order, a[f:], b[f:]))
+    if isinstance(order, Weighted):
+        wa = sum(w * x for w, x in zip(order.weights, a))
+        wb = sum(w * x for w, x in zip(order.weights, b))
+        return (wa > wb) - (wa < wb) or _reference_cmp(order.tie, a, b)
+    if isinstance(order, Lex):
+        for i in order.priority:
+            if a[i] != b[i]:
+                return 1 if a[i] > b[i] else -1
+        return 0
+    if isinstance(order, GrevLex):
+        chain = order.chain
+    else:                       # GammaRevLex: position 0 is the smallest
+        chain = tuple(reversed(range(order.nvars)))
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    # the last disagreeing position along the chain: less of it is larger
+    for i in reversed(chain):
+        if a[i] != b[i]:
+            return 1 if a[i] < b[i] else -1
+    return 0
+
+
+def _key_orders():
+    from veronese_gb.orders import Block
+    grev4 = GrevLex(4, (2, 0, 3, 1))
+    return [
+        pytest.param(GrevLex(5, (3, 1, 4, 0, 2)), 5, id="grevlex"),
+        pytest.param(GammaRevLex(2, 3), 4, id="gamma"),
+        pytest.param(Block(2, GrevLex(2), GammaRevLex(2, 3)), 6,
+                     id="block-gamma-back"),
+        pytest.param(Block(3, GrevLex(3), Weighted((1, 2, 0, 1), grev4)), 7,
+                     id="block-weighted-back"),
+        pytest.param(Block(1, GrevLex(1),
+                           Block(2, Lex(2, (1, 0)), GrevLex(3))), 6,
+                     id="block-nested"),
+        pytest.param(Weighted((2, 1, 1, 0), grev4), 4,
+                     id="weighted-grevlex-tie"),
+        pytest.param(Weighted((1, 0, 2, 1, 1),
+                              Block(2, GrevLex(2), GrevLex(3))), 5,
+                     id="weighted-block-tie"),
+    ]
+
+
+@pytest.mark.parametrize("order,n", _key_orders())
+def test_keys_compare_as_defined(order, n, rng):
+    # a composite key concatenates its parts' keys; the comparison it gives
+    # must still be the part-by-part one, ties included
+    for _ in range(400):
+        a = tuple(rng.randrange(3) for _ in range(n))
+        b = list(a)
+        if rng.randrange(2):
+            rng.shuffle(b)      # same degree: the tie-breaks decide
+        else:
+            b = [rng.randrange(3) for _ in range(n)]
+        b = tuple(b)
+        ka, kb = order.key(a), order.key(b)
+        expected = _reference_cmp(order, a, b)
+        assert (ka > kb) - (ka < kb) == expected, (a, b)
+        assert order.cmp(a, b) == expected
+        assert (ka == kb) == (a == b)
