@@ -490,6 +490,8 @@ def test_standard_monomials_enumeration():
     assert len(mons) == 7
     init = kernel_initial(2, 3)
     assert all(not init.contains(e) for e in mons)
+    with pytest.raises(DomainError):
+        list(standard_monomials(2, 3, -1))
 
 
 def _standard_monomials_reference(s, d, degree, order=None):
