@@ -91,18 +91,11 @@ class _ExponentIndex:
     exact, so one lookup decides divisibility outright and a high exponent
     costs no more than a low one: the exact form of the short exponent
     vectors of Bachmann and Schönemann (ISSAC 1998).
-
-    A lookup given the support mask of its target reads thresholds only
-    inside the support, and takes the entries touching a position outside
-    it from a memo keyed by the mask, which ``add`` clears.  Lookups that
-    repeat few supports, such as the depth-first enumeration of standard
-    monomials, pay for the other positions once per support.
     """
 
     def __init__(self):
         self.every = 0
         self.above = []
-        self._outside = {}
 
     def add(self, exps):
         """Enter the vector as the next entry."""
@@ -118,39 +111,14 @@ class _ExponentIndex:
                     col.extend([0] * (x - len(col)))
                 for t in range(x):
                     col[t] |= bit
-        self._outside.clear()
 
-    def divisors(self, exps, mask=None):
-        """The entries dividing ``exps``; ``mask``, when given, is the
-        support mask of ``exps``."""
-        if mask is None:
-            blocked = 0
-            for x, col in zip(exps, self.above):
-                if x < len(col):
-                    blocked |= col[x]
-            return self.every & ~blocked
-        memo = self._outside.get(mask)
-        if memo is None:
-            memo = self._outside[mask] = self._outside_of(mask)
-        blocked, inside = memo
-        for v in inside:
-            col, x = self.above[v], exps[v]
+    def divisors(self, exps):
+        """The entries dividing ``exps``."""
+        blocked = 0
+        for x, col in zip(exps, self.above):
             if x < len(col):
                 blocked |= col[x]
         return self.every & ~blocked
-
-    def _outside_of(self, mask):
-        """The entries touching a position outside ``mask``, and the
-        positions inside it that some entry touches."""
-        outside, inside = 0, []
-        for v, col in enumerate(self.above):
-            if not col:
-                continue
-            if mask >> v & 1:
-                inside.append(v)
-            else:
-                outside |= col[0]
-        return outside, tuple(inside)
 
     def coprime(self, exps):
         """The entries whose support is disjoint from that of ``exps``."""
@@ -613,10 +581,9 @@ class MonomialIdeal(Value):
             index.add(g)
         return index
 
-    def contains(self, exps, mask=None):
-        """Whether a generator divides ``exps``; ``mask``, when given, is the
-        support mask of ``exps``."""
-        return bool(self._index.divisors(exps, mask))
+    def contains(self, exps):
+        """Whether a generator divides ``exps``."""
+        return bool(self._index.divisors(exps))
 
     def max_total_degree(self):
         """Largest total degree among the minimal generators."""

@@ -272,15 +272,10 @@ def test_reduce_basis_matches_division_by_the_others(order, rng):
             _reduce_basis_reference(loose, order)
 
 
-def _mask_of(exps):
-    """The support mask of an exponent vector: bit v set when exps[v] > 0."""
-    return sum(1 << v for v, x in enumerate(exps) if x)
-
-
 def test_exponent_index_matches_brute_force(rng):
-    """Divisors, with and without the support mask, coprime entries and the
-    divisor index's pick against scans of the entries, on an empty index and
-    after every entry; entries include the zero vector and repeats."""
+    """Divisors, coprime entries and the divisor index's pick against scans
+    of the entries, on an empty index and after every entry; entries include
+    the zero vector and repeats."""
     for trial in range(40):
         n = rng.randrange(1, 6)
 
@@ -307,7 +302,6 @@ def test_exponent_index_matches_brute_force(rng):
                 dividing = [k for k, g in enumerate(entries)
                             if mono_divides(g, u)]
                 assert list(_bits(index.divisors(u))) == dividing
-                assert list(_bits(index.divisors(u, _mask_of(u)))) == dividing
                 assert list(_bits(index.coprime(u))) == [
                     k for k, g in enumerate(entries)
                     if all(not x or not y for x, y in zip(g, u))]
@@ -328,8 +322,7 @@ def test_monomial_ideal_contains_matches_brute_force(rng):
     for M in ideals:
         for _ in range(60):
             e = tuple(rng.randrange(4) for _ in range(4))
-            assert M.contains(e) == M.contains(e, _mask_of(e)) == \
-                any(mono_divides(g, e) for g in M.gens)
+            assert M.contains(e) == any(mono_divides(g, e) for g in M.gens)
     assert not ideals[0].contains((0, 0, 0, 0))
     assert ideals[1].contains((0, 0, 0, 0))
 

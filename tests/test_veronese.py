@@ -494,10 +494,10 @@ def test_standard_monomials_enumeration():
         list(standard_monomials(2, 3, -1))
 
 
-def _standard_monomials_reference(s, d, degree, order=None):
+def _standard_monomials_reference(s, d, degree):
     """Every degree-``degree`` monomial in ascending position order, kept
     when no minimal generator of the initial ideal divides it."""
-    gens = _kernel_initial_for(s, d, order).gens
+    gens = _kernel_initial_for(s, d).gens
     n = VeroneseMap(s, d).ring.nvars
     out = []
     for combo in combinations_with_replacement(range(n), degree):
@@ -510,15 +510,24 @@ def _standard_monomials_reference(s, d, degree, order=None):
 
 
 def test_standard_monomials_match_exhaustive_filter():
-    for s, d in ((2, 3), (2, 6), (3, 3), (4, 2), (5, 2)):
-        for degree in range(5):
-            assert list(standard_monomials(s, d, degree)) == \
+    # up to the degrees that pullbacks below the quadratic bound reach; each
+    # entry is the least monomial of its fiber
+    from veronese_gb import veronese
+    shapes = ((2, 3, 4), (2, 6, 6), (3, 3, 5), (4, 2, 7), (5, 2, 4))
+    enumerations = multi_indices.cache_info().currsize
+    for s, d, top in shapes:
+        vmap = VeroneseMap(s, d)
+        for degree in range(top + 1):
+            mons, images = veronese._standard_table(s, d, degree)
+            assert list(standard_monomials(s, d, degree)) == list(mons) == \
                 _standard_monomials_reference(s, d, degree), (s, d, degree)
-    order = GrevLex(VeroneseMap(2, 3).ring.nvars)
-    assert _kernel_initial_for(2, 3, order) != kernel_initial(2, 3)
-    for degree in range(5):
-        assert list(standard_monomials(2, 3, degree, order)) == \
-            _standard_monomials_reference(2, 3, degree, order), degree
+            assert images == tuple(vmap.image_exps(e) for e in mons)
+            assert all(vmap.min_preimage(c) == e
+                       for e, c in zip(mons, images)), (s, d, degree)
+    # the tables enumerate base monomials past multi_indices' unbounded
+    # cache; only the shapes' own (s, d) and (s, d - 1) keys may land in it
+    assert multi_indices.cache_info().currsize <= \
+        enumerations + 2 * len(shapes)
 
 
 def _pullback_generators_reference(ideal, d, cap):
@@ -553,31 +562,23 @@ PULLBACK_TABLE_IDEALS = {
 
 
 @pytest.mark.parametrize("s,d", [(2, 3), (3, 2), (3, 3), (4, 2)])
-def test_pullback_generators_enumerate_each_shape_once(monkeypatch, s, d):
+def test_pullback_generators_enumerate_each_shape_once(s, d):
     # a second pullback of the same shape and cap, with another ideal, reads
-    # its standard monomials from the table the first one filled, so it makes
-    # no lookup in the kernel's initial ideal
-    init = kernel_initial(s, d)
-    lookups = []
-    original = MonomialIdeal.contains
-
-    def contains(self, exps, mask=None):
-        if self is init:
-            lookups.append(exps)
-        return original(self, exps, mask)
-
+    # its standard monomials from the table the first one filled, so it
+    # builds no table entry
+    from veronese_gb import veronese
+    table = veronese._standard_table
     first, second = (MonomialIdeal.from_exponents(base_ring(s), gens)
                      for gens in PULLBACK_TABLE_IDEALS[s])
     want = {(ideal, cap): _pullback_generators_reference(ideal, d, cap)
             for ideal in (first, second) for cap in range(1, 5)}
-    monkeypatch.setattr(MonomialIdeal, "contains", contains)
     for cap in range(1, 5):
         gens, _ = monomial_pullback_generators(first, d, degree_cap=cap)
         assert gens == want[first, cap], cap
-        del lookups[:]
+        misses = table.cache_info().misses
         gens, _ = monomial_pullback_generators(second, d, degree_cap=cap)
         assert gens == want[second, cap], cap
-        assert not lookups, cap
+        assert table.cache_info().misses == misses, cap
 
 
 def test_standard_monomial_table_is_bounded():
