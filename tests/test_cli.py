@@ -34,6 +34,8 @@ GOLDEN_CASES = [
     ("pullback_square_d3", ["pullback", "tests/data/square_square.json",
                             "--d", "3", "--method", "both"]),
     ("toric_curve", ["toric", "tests/data/curve_config.json"]),
+    ("toric_curve_veronese_2", ["toric", "tests/data/curve_config.json",
+                                "--veronese", "2"]),
     ("bounds_square", ["bounds", "tests/data/square_square.json"]),
 ]
 
