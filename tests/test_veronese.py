@@ -494,6 +494,16 @@ def test_standard_monomials_enumeration():
         list(standard_monomials(2, 3, -1))
 
 
+def test_standard_monomials_of_a_high_degree_called_directly():
+    # every degree below is a table miss, and the degree-1200 table at s = 1
+    # still takes well under a second; s = 2 recursed past the interpreter's
+    # limit at the same degree
+    from veronese_gb import veronese
+    veronese._standard_table.cache_clear()
+    assert list(standard_monomials(1, 3, 1200)) == [(1200,)]
+    assert list(standard_monomials(1, 3, 2500)) == [(2500,)]
+
+
 def _standard_monomials_reference(s, d, degree):
     """Every degree-``degree`` monomial in ascending position order, kept
     when no minimal generator of the initial ideal divides it."""
