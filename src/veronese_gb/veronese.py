@@ -321,8 +321,12 @@ def standard_monomials(s, d, degree):
 
     They are read from a table of the latest ``STANDARD_TABLE_SIZE`` distinct
     (s, d, degree) keys; a missing key is built from the key one degree
-    down.  Reading the table charges no budget.
+    down.  The degrees are read in ascending order, so a miss finds the key
+    below in the table and no build recurses further.  Reading the table
+    charges no budget.
     """
+    for lower in range(degree):
+        _standard_table(s, d, lower)
     yield from _standard_table(s, d, degree)[0]
 
 
