@@ -6,7 +6,7 @@ import pytest
 
 from veronese_gb.errors import (BudgetExceededError, DimensionError,
                                 DomainError, NotAConfigurationError)
-from veronese_gb.groebner import eliminate
+from veronese_gb.groebner import Ideal, eliminate
 from veronese_gb.polyring import (Polynomial, base_ring, generic_ring,
                                   joint_ring, parse_polynomial, veronese_ring)
 from veronese_gb.toric import (Configuration, certify_grading, point_rank,
@@ -234,3 +234,38 @@ def test_one_default_budget_per_toric_certificate(monkeypatch):
         verify_veronese_toric(cfg, 2)
     monkeypatch.setenv("VERONESE_GB_BUDGET", "150")
     assert verify_veronese_toric(cfg, 2).ok
+
+
+def test_below_bound_certificates_eliminate_nothing_for_the_initial_ideal(
+        monkeypatch):
+    # below the quadratic bound the pullback of the initial ideal comes from
+    # the constructive step; the elimination oracle runs only when asked to
+    # cross-check the ideal itself
+    from veronese_gb import veronese
+    real_oracle = veronese.preimage_oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("preimage_oracle ran")
+
+    S3 = base_ring(3)
+    conic = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
+    monkeypatch.setattr(veronese, "preimage_oracle", refuse)
+    cert = verify_veronese_toric(Configuration.from_points(CURVE + ((1, 3),)),
+                                 2)
+    assert cert.ok and not cert.meets_bound
+    assert cert.pullback.certificate["initial_matches_monomial_pullback"]
+    res = pullback_homogeneous_ideal(conic, 3)
+    assert not res.certificate["meets_bound"]
+    assert res.certificate["initial_matches_monomial_pullback"]
+
+    calls = []
+
+    def counting(ideal, *args, **kwargs):
+        calls.append(ideal)
+        return real_oracle(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(veronese, "preimage_oracle", counting)
+    both = pullback_homogeneous_ideal(conic, 3, method="both")
+    assert calls == [conic]
+    assert both.reduced == res.reduced
+    assert both.certificate == res.certificate
