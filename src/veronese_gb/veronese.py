@@ -531,6 +531,14 @@ def homogeneous_pullback_generators(ideal, vmap, omega, budget=None):
     return list(exchange_binomials(vmap.s, vmap.d)) + lifts
 
 
+def _constructive_pullback(ideal, vmap, omega, order, budget):
+    """Reduced basis of the preimage under the given order: Buchberger on
+    :func:`homogeneous_pullback_generators`, seeded with the kernel basis."""
+    gens = homogeneous_pullback_generators(ideal, vmap, omega, budget)
+    return buchberger(gens, order, budget=budget,
+                      seed_gb=list(kernel_groebner_basis(vmap.s, vmap.d)))
+
+
 def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
                                budget=None, verify=False):
     """Pullback of a homogeneous ideal under a weight vector whose initial
@@ -542,6 +550,19 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
     records the quadratic bound for the weight initial ideal and that the
     pullback's leading-term ideal agrees with the pullback of the weight
     initial ideal; ``verify`` adds the S-pair check of the returned basis.
+
+    At or above the bound the pullback of the initial ideal in_ω(I) is the
+    theorem's quadratic basis from :func:`pullback_monomial_ideal`, which
+    reduces no S-pair.  Below it, it comes from the constructive step that
+    pulls back I, under the chain order: the kernel basis with each
+    generator m of in_ω(I), padded to degree d·⌈deg m/d⌉ and lifted.  These
+    generate the pullback, because a monomial c of in_ω(I) of degree kd
+    splits as c1·c2 with m | c1 and deg c1 = d·⌈deg m/d⌉, and the reduced
+    basis they complete to is the one :func:`pullback_monomial_ideal` gives,
+    since a reduced Gröbner basis is unique.  That call would raise its
+    degree cap below the bound by an elimination in the (s + n)-variable
+    joint ring; it keeps that oracle because ``method="both"`` and the
+    oracle cross-checks of monomial pullbacks share its remembered result.
     """
     _check_method(method)
     if budget is None:
@@ -568,12 +589,10 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
                                           base.default_order())
 
     order = pullback_order(vmap, omega)
-    seed = list(kernel_groebner_basis(s, d))
 
     reduced_c = reduced_o = None
     if method in ("constructive", "both"):
-        gens = homogeneous_pullback_generators(ideal, vmap, omega, budget)
-        reduced_c = buchberger(gens, order, budget=budget, seed_gb=seed)
+        reduced_c = _constructive_pullback(ideal, vmap, omega, order, budget)
     if method in ("oracle", "both"):
         reduced_o = preimage_oracle(ideal, vmap, order, budget=budget)
     if method == "both" and tuple(reduced_c) != tuple(reduced_o):
@@ -585,7 +604,11 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
     if init.is_zero:
         rhs = kernel_initial(s, d)
     else:
-        mono = pullback_monomial_ideal(init, d, budget=budget).reduced
+        if cert["meets_bound"]:
+            mono = pullback_monomial_ideal(init, d, budget=budget).reduced
+        else:
+            mono = _constructive_pullback(forms_ideal, vmap, omega,
+                                          vmap.order, budget)
         rhs = MonomialIdeal.of_leading_terms(vmap.ring, mono, vmap.order)
     cert["initial_matches_monomial_pullback"] = lhs == rhs
     cert["members_in_target"] = all(

@@ -15,8 +15,9 @@ from veronese_gb.polyring import (base_ring, generic_ring, parse_polynomial,
                                   veronese_ring)
 from veronese_gb.toric import (Configuration, certify_grading,
                                toric_groebner_basis, veronese_layer)
-from veronese_gb.veronese import (VeroneseMap, _joint_graph_gb,
-                                  _kernel_initial_for, degree_bounds,
+from veronese_gb.veronese import (VeroneseMap, _constructive_pullback,
+                                  _joint_graph_gb, _kernel_initial_for,
+                                  bound_certificate, degree_bounds,
                                   exchange_binomials,
                                   homogeneous_pullback_generators,
                                   kernel_groebner_basis, kernel_initial,
@@ -406,6 +407,52 @@ def test_initial_pullback_identity_small():
     assert monomial
     rhs = preimage_oracle(Ideal(S3, init.generators), v)
     assert tuple(lhs) == tuple(rhs)
+
+
+# Below-bound monomial ideals by (s, d): the first generators' degrees are at
+# most d, so each is padded to degree d exactly; the second's pullback has
+# generators of degree 3 or more.
+BELOW_BOUND_IDEALS = {
+    (3, 2): ([(1, 0, 1)], [(0, 2, 1), (2, 0, 1)]),
+    (3, 3): ([(2, 1, 0)], [(2, 3, 0), (1, 3, 3)]),
+    (4, 2): ([(0, 1, 0, 1)], [(1, 2, 1, 0), (2, 1, 2, 2)]),
+    (2, 4): ([(4, 0)], [(5, 4)]),
+}
+
+
+def _below_bound_draw(rng, s, d):
+    """A seeded monomial ideal with one to three generators whose quadratic
+    bound d does not meet."""
+    while True:
+        gens = [tuple(rng.randint(0, 5 - s // 2) for _ in range(s))
+                for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if any(g)]
+        if gens:
+            ideal = MonomialIdeal.from_exponents(base_ring(s), gens)
+            if not bound_certificate(ideal, d)["meets_bound"]:
+                return ideal
+
+
+def test_constructive_step_pulls_back_below_bound_monomial_ideals(rng):
+    # the kernel basis with the lifted padded multiples of the generators,
+    # completed by Buchberger, is the reduced basis the elimination and the
+    # oracle-capped monomial route give
+    padded_once = above_quadratic = 0
+    for (s, d), fixed in BELOW_BOUND_IDEALS.items():
+        vmap = VeroneseMap(s, d)
+        ideals = [MonomialIdeal.from_exponents(base_ring(s), gens)
+                  for gens in fixed]
+        ideals += [_below_bound_draw(rng, s, d) for _ in range(4)]
+        for mono in ideals:
+            assert not bound_certificate(mono, d)["meets_bound"]
+            ideal = Ideal(mono.ring, mono.polynomials())
+            got = _constructive_pullback(ideal, vmap, (1,) * s, vmap.order,
+                                         Budget())
+            assert got == preimage_oracle(ideal, vmap), (s, d, mono.gens)
+            assert got == pullback_monomial_ideal(mono, d).reduced
+            padded_once += mono.max_total_degree() <= d
+            above_quadratic += max(g.total_degree() for g in got) > 2
+    assert padded_once >= 4 and above_quadratic >= 4
 
 
 def test_degree_bounds_odd_delta_verdict():
