@@ -72,6 +72,23 @@ def test_parse_error_positions():
         parse_polynomial("1/0*y1", S)
 
 
+def test_parse_reads_only_decimal_digits_as_integers():
+    # superscript digits are digits to str.isdigit but not to int()
+    S = base_ring(2)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("y1^\u00b2", S)
+    assert "unexpected character" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, 4)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("y2^\u2074", S)
+    assert (err.value.line, err.value.col) == (1, 4)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("y1\u00b2", S)
+    assert "unknown variable" in str(err.value)
+    # a decimal digit of another script is still a digit
+    assert parse_polynomial("\u0663*y1", S) == parse_polynomial("3*y1", S)
+
+
 def test_print_parse_round_trip():
     S = base_ring(3)
     R = veronese_ring(2, 3)
