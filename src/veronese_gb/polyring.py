@@ -405,9 +405,9 @@ class _Tokenizer:
                 i += 1
                 col += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 self.tokens.append(("INT", text[i:j], line, col))
                 col += j - i
