@@ -332,12 +332,8 @@ def standard_monomials(s, d, degree):
 
 # Read only by perfbench's cache counters and the tests' reference filter.
 @lru_cache(maxsize=None)
-def _kernel_initial_for(s, d, order=None):
-    if order is None or order == GammaRevLex(s, d):
-        return kernel_initial(s, d)
-    return MonomialIdeal.of_leading_terms(
-        VeroneseMap(s, d).ring, buchberger(exchange_binomials(s, d), order),
-        order)
+def _kernel_initial_for(s, d):
+    return kernel_initial(s, d)
 
 
 def quadratic_pullback_bound(s, a):
@@ -360,11 +356,8 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
 
     The standard monomials of each degree and their images come from the
     table behind :func:`standard_monomials`, so only the first pullback of a
-    shape and degree builds them.
-
-    Returns (generators, complete).  The result is complete when d meets the
-    quadratic bound, in which case a cap of 2 suffices; otherwise the caller
-    owns choosing a sufficient cap.
+    shape and degree builds them.  When d meets the quadratic bound a cap of
+    2 gives every generator; below it the caller chooses a sufficient cap.
     """
     if ideal.is_zero:
         raise DomainError("the zero ideal has no pullback generators")
@@ -380,8 +373,7 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
             if ideal.contains(image):
                 accepted.append(e)
                 found.add(e)
-    complete = bound_certificate(ideal, d)["meets_bound"] and degree_cap >= 2
-    return tuple(accepted), complete
+    return tuple(accepted)
 
 
 class PullbackResult(Record):
@@ -459,11 +451,11 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
             if below:
                 cap = max(cap, max((g.total_degree() for g in oracle_gb),
                                    default=1))
-            gens, complete = monomial_pullback_generators(ideal, d,
-                                                          degree_cap=cap)
+            gens = monomial_pullback_generators(ideal, d, degree_cap=cap)
             basis = tuple(kernel) + tuple(vmap.ring.monomial(e) for e in gens)
             reduced = _reduce_basis(list(basis), order, budget)
-            cert.update(complete=complete or below, degree_cap=cap)
+            cert.update(complete=below or (bounds["meets_bound"] and cap >= 2),
+                        degree_cap=cap)
         else:
             basis = reduced = oracle_gb
     if constructive:
@@ -501,23 +493,19 @@ def pullback_order(vmap, omega):
     return Weighted(weight_pullback(tuple(omega), vmap), vmap.order)
 
 
-def homogeneous_pullback_generators(ideal, vmap, omega, budget=None):
-    """A generating set of the preimage ideal: the exchange binomials plus
-    lifts of padded generator multiples.
+def homogeneous_pullback_generators(basis, vmap):
+    """Lifts of the padded multiples of a basis of a homogeneous ideal; with
+    the kernel they generate the ideal's preimage.
 
-    Every generator of degree e, multiplied by all monomials filling it up to
-    the next multiple of d, lands in the image subring; lifting those
-    multiples termwise and adding the kernel generators yields the preimage
-    (the substitution is onto the subring spanned by d-divisible degrees).
+    Every basis element of degree e, multiplied by all monomials filling it
+    up to the next multiple of d, lands in the image subring; the
+    substitution is onto the subring spanned by d-divisible degrees, so
+    these multiples, lifted termwise, and the kernel generate the preimage.
     """
-    if not ideal.is_homogeneous():
-        raise DomainError("generators must be homogeneous")
-    base = ideal.ring
-    source = ideal.groebner_basis(Weighted(tuple(omega), base.default_order()),
-                                  budget)
+    base = vmap.base
     lifts = []
     d = vmap.d
-    for f in source:
+    for f in basis:
         e = f.total_degree()
         pad = d * math.ceil(Fraction(e, d)) - e
         if pad == 0:
@@ -528,14 +516,15 @@ def homogeneous_pullback_generators(ideal, vmap, omega, budget=None):
             for i in combo:
                 m[i] += 1
             lifts.append(vmap.lift(f.mul_term(1, tuple(m))))
-    return list(exchange_binomials(vmap.s, vmap.d)) + lifts
+    return lifts
 
 
-def _constructive_pullback(ideal, vmap, omega, order, budget):
-    """Reduced basis of the preimage under the given order: Buchberger on
-    :func:`homogeneous_pullback_generators`, seeded with the kernel basis."""
-    gens = homogeneous_pullback_generators(ideal, vmap, omega, budget)
-    return buchberger(gens, order, budget=budget,
+def _constructive_pullback(basis, vmap, order, budget):
+    """Reduced basis of the preimage of the ideal a basis generates, under
+    the given order: Buchberger on :func:`homogeneous_pullback_generators`,
+    seeded with the kernel basis."""
+    return buchberger(homogeneous_pullback_generators(basis, vmap), order,
+                      budget=budget,
                       seed_gb=list(kernel_groebner_basis(vmap.s, vmap.d)))
 
 
@@ -551,18 +540,19 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
     pullback's leading-term ideal agrees with the pullback of the weight
     initial ideal; ``verify`` adds the S-pair check of the returned basis.
 
-    At or above the bound the pullback of the initial ideal in_ω(I) is the
-    theorem's quadratic basis from :func:`pullback_monomial_ideal`, which
-    reduces no S-pair.  Below it, it comes from the constructive step that
-    pulls back I, under the chain order: the kernel basis with each
-    generator m of in_ω(I), padded to degree d·⌈deg m/d⌉ and lifted.  These
-    generate the pullback, because a monomial c of in_ω(I) of degree kd
-    splits as c1·c2 with m | c1 and deg c1 = d·⌈deg m/d⌉, and the reduced
-    basis they complete to is the one :func:`pullback_monomial_ideal` gives,
-    since a reduced Gröbner basis is unique.  That call would raise its
-    degree cap below the bound by an elimination in the (s + n)-variable
-    joint ring; it keeps that oracle because ``method="both"`` and the
-    oracle cross-checks of monomial pullbacks share its remembered result.
+    The constructive route lifts the weighted basis of I that
+    :meth:`Ideal.initial_forms` computed.  At or above the bound the
+    pullback of the initial ideal in_ω(I) has the theorem's quadratic basis,
+    so its leading-term ideal is the kernel's plus the quadratic standard
+    monomials whose image lies in in_ω(I), read from the table of
+    :func:`monomial_pullback_generators`; no S-pair is reduced.  Below it,
+    it comes from the constructive step that pulls back I, under the chain
+    order: the kernel basis with each minimal generator m of in_ω(I),
+    padded to degree d·⌈deg m/d⌉ and lifted.  These generate the pullback,
+    because a monomial c of in_ω(I) of degree kd splits as c1·c2 with m | c1
+    and deg c1 = d·⌈deg m/d⌉, and the reduced basis they complete to is the
+    one :func:`pullback_monomial_ideal` gives, since a reduced Gröbner basis
+    is unique.
     """
     _check_method(method)
     if budget is None:
@@ -592,7 +582,9 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
 
     reduced_c = reduced_o = None
     if method in ("constructive", "both"):
-        reduced_c = _constructive_pullback(ideal, vmap, omega, order, budget)
+        source = ideal.groebner_basis(Weighted(omega, base.default_order()),
+                                      budget)
+        reduced_c = _constructive_pullback(source, vmap, order, budget)
     if method in ("oracle", "both"):
         reduced_o = preimage_oracle(ideal, vmap, order, budget=budget)
     if method == "both" and tuple(reduced_c) != tuple(reduced_o):
@@ -601,14 +593,13 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
 
     cert = bound_certificate(init, d)
     lhs = MonomialIdeal.of_leading_terms(vmap.ring, reduced, order)
-    if init.is_zero:
-        rhs = kernel_initial(s, d)
+    if cert["meets_bound"]:
+        pulled = () if init.is_zero else monomial_pullback_generators(init, d)
+        rhs = MonomialIdeal.from_exponents(
+            vmap.ring, kernel_initial(s, d).gens + pulled)
     else:
-        if cert["meets_bound"]:
-            mono = pullback_monomial_ideal(init, d, budget=budget).reduced
-        else:
-            mono = _constructive_pullback(forms_ideal, vmap, omega,
-                                          vmap.order, budget)
+        mono = _constructive_pullback(init.polynomials(), vmap, vmap.order,
+                                      budget)
         rhs = MonomialIdeal.of_leading_terms(vmap.ring, mono, vmap.order)
     cert["initial_matches_monomial_pullback"] = lhs == rhs
     cert["members_in_target"] = all(

@@ -225,14 +225,14 @@ def test_verify_pipeline_curve_small_degree():
 
 
 def test_one_default_budget_per_toric_certificate(monkeypatch):
-    # the toric kernel takes 9 S-pairs and the pullback 88
+    # the toric kernel takes 9 S-pairs and the pullback 86
     cfg = Configuration.from_points(CURVE + ((1, 3),))
     _joint_graph_gb(4, 2)  # the shape caches run on a budget of their own
     kernel_initial(4, 2)
-    monkeypatch.setenv("VERONESE_GB_BUDGET", "96")
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "94")
     with pytest.raises(BudgetExceededError):
         verify_veronese_toric(cfg, 2)
-    monkeypatch.setenv("VERONESE_GB_BUDGET", "97")
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "95")
     assert verify_veronese_toric(cfg, 2).ok
 
 

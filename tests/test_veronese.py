@@ -10,7 +10,8 @@ from veronese_gb.errors import (BudgetExceededError, DomainError,
 from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
                                   buchberger, find_weight_vector,
                                   graph_ideal)
-from veronese_gb.orders import Block, GammaRevLex, GrevLex, multi_indices
+from veronese_gb.orders import (Block, GammaRevLex, GrevLex, Weighted,
+                                multi_indices)
 from veronese_gb.polyring import (base_ring, generic_ring, parse_polynomial,
                                   veronese_ring)
 from veronese_gb.toric import (Configuration, certify_grading,
@@ -182,23 +183,23 @@ def test_standard_monomial_generators_examples():
 
     # square of a square at degree three
     M = MonomialIdeal.from_exponents(S2, [(2, 2)])
-    gens, complete = monomial_pullback_generators(M, 3)
+    gens = monomial_pullback_generators(M, 3)
     R = veronese_ring(2, 3)
-    assert complete
+    assert pullback_monomial_ideal(M, 3).certificate["complete"]
     assert set(gens) == {_mono(R, "x[2,1]^2"), _mono(R, "x[2,1]*x[1,2]"),
                          _mono(R, "x[2,1]*x[0,3]")}
 
     # a single variable at degree two
     M1 = MonomialIdeal.from_exponents(S2, [(1, 0)])
-    gens1, complete1 = monomial_pullback_generators(M1, 2)
+    gens1 = monomial_pullback_generators(M1, 2)
     R2 = veronese_ring(2, 2)
-    assert complete1
+    assert pullback_monomial_ideal(M1, 2).certificate["complete"]
     assert set(gens1) == {_mono(R2, "x[2,0]"), _mono(R2, "x[1,1]")}
 
     # the maximal ideal pulls back to every variable
     S3 = base_ring(3)
     Mmax = MonomialIdeal.from_exponents(S3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    gens_max, _ = monomial_pullback_generators(Mmax, 2)
+    gens_max = monomial_pullback_generators(Mmax, 2)
     assert len(gens_max) == veronese_ring(3, 2).nvars
     assert all(sum(e) == 1 for e in gens_max)
 
@@ -446,8 +447,8 @@ def test_constructive_step_pulls_back_below_bound_monomial_ideals(rng):
         for mono in ideals:
             assert not bound_certificate(mono, d)["meets_bound"]
             ideal = Ideal(mono.ring, mono.polynomials())
-            got = _constructive_pullback(ideal, vmap, (1,) * s, vmap.order,
-                                         Budget())
+            got = _constructive_pullback(mono.polynomials(), vmap,
+                                         vmap.order, Budget())
             assert got == preimage_oracle(ideal, vmap), (s, d, mono.gens)
             assert got == pullback_monomial_ideal(mono, d).reduced
             padded_once += mono.max_total_degree() <= d
@@ -630,10 +631,10 @@ def test_pullback_generators_enumerate_each_shape_once(s, d):
     want = {(ideal, cap): _pullback_generators_reference(ideal, d, cap)
             for ideal in (first, second) for cap in range(1, 5)}
     for cap in range(1, 5):
-        gens, _ = monomial_pullback_generators(first, d, degree_cap=cap)
+        gens = monomial_pullback_generators(first, d, degree_cap=cap)
         assert gens == want[first, cap], cap
         misses = table.cache_info().misses
-        gens, _ = monomial_pullback_generators(second, d, degree_cap=cap)
+        gens = monomial_pullback_generators(second, d, degree_cap=cap)
         assert gens == want[second, cap], cap
         assert table.cache_info().misses == misses, cap
 
@@ -683,7 +684,8 @@ def _seeded_weighted_run(d):
     vmap = VeroneseMap(3, d)
     conic = Ideal(vmap.base, [parse_polynomial("y1^2 - y2*y3", vmap.base)])
     omega = (2, 1, 1)
-    return (homogeneous_pullback_generators(conic, vmap, omega),
+    source = conic.groebner_basis(Weighted(omega, vmap.base.default_order()))
+    return (homogeneous_pullback_generators(source, vmap),
             pullback_order(vmap, omega), list(kernel_groebner_basis(3, d)))
 
 
