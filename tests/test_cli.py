@@ -36,6 +36,9 @@ GOLDEN_CASES = [
     ("toric_curve", ["toric", "tests/data/curve_config.json"]),
     ("toric_curve_veronese_2", ["toric", "tests/data/curve_config.json",
                                 "--veronese", "2"]),
+    ("pullback_conic_d2_omega_both", ["pullback", "tests/data/conic.json",
+                                      "--d", "2", "--omega", "2,1,1",
+                                      "--method", "both"]),
     ("bounds_square", ["bounds", "tests/data/square_square.json"]),
 ]
 
