@@ -256,6 +256,17 @@ def test_pullback_monomial_oracle_method():
     assert res.max_degree == max(g.total_degree() for g in oracle)
 
 
+@pytest.mark.parametrize("method, route", [
+    ("constructive", "constructive"), ("oracle", "elimination-oracle"),
+    ("both", "constructive")])
+def test_weighted_pullback_names_the_basis_it_returns(method, route):
+    # as the monomial route does: "both" returns the constructive basis
+    S3 = base_ring(3)
+    conic = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
+    res = pullback_homogeneous_ideal(conic, 2, (2, 1, 1), method=method)
+    assert res.method == route
+
+
 def test_pullback_monomial_both_runs_the_oracle_once(monkeypatch):
     from veronese_gb import veronese
     calls = []
