@@ -606,7 +606,9 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
         ideal.contains(vmap.image(g), budget=budget) for g in reduced)
     if verify:
         _record_groebner_check(cert, reduced, order, budget)
-    return PullbackResult(s, d, order, reduced, reduced, method, cert, omega)
+    return PullbackResult(s, d, order, reduced, reduced,
+                          "constructive" if reduced_c is not None else
+                          "elimination-oracle", cert, omega)
 
 
 # ---------------------------------------------------------------------------
