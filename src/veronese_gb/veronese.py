@@ -202,13 +202,24 @@ ORACLE_MEMO_SIZE = 8
 def preimage_oracle(ideal, vmap, order=None, budget=None):
     """Reduced basis of the full preimage of an ideal, computed by elimination.
 
-    Joins the base ideal's generators to the substitution graph, eliminates
-    the base variables, and (for a non-default target order) recomputes the
-    reduced basis inside the Veronese ring.  The graph generators go in
-    although the graph ideal's basis seeds the run: when an embedded
-    generator of degree below d divides z^a, the generator x_a - z^a
-    reduces at once to a preimage element that S-pairs would otherwise have
-    to find.
+    Joins the base ideal's generators to the substitution graph and
+    eliminates the base variables under ``elimination_order(s, order)``,
+    seeded with the graph ideal's basis, which :func:`_joint_graph_gb`
+    computed under the chain order.  The graph generators go in although
+    the seed holds them: when an embedded generator of degree below d
+    divides z^a, the generator x_a - z^a reduces at once to a preimage
+    element that S-pairs would otherwise have to find.
+
+    ``order`` defaults to the chain order, and may be any order under which
+    every seed element keeps its leading term; for any other the seed is no
+    Gröbner basis and :class:`DomainError` is raised.  Every
+    ``pullback_order(vmap, omega)`` qualifies.  A seed element is a binomial
+    with coprime terms: when a term holds a base variable the front block
+    decides, and when neither does it is a kernel binomial, whose terms have
+    the same pulled-back weight, so the chain tie decides.  With the same
+    leading terms the seed is a Gröbner basis under the new order too: the
+    graph ideal is homogeneous for deg z = 1, deg x = d, so both initial
+    ideals have its Hilbert function, and one contains the other.
 
     The results of the latest ``ORACLE_MEMO_SIZE`` distinct calls are
     remembered, keyed by the base generators in their given order, (s, d)
@@ -226,14 +237,20 @@ def preimage_oracle(ideal, vmap, order=None, budget=None):
         return gb
     if budget is None:
         budget = Budget()
+    seed = list(_joint_graph_gb(vmap.s, vmap.d))
+    if order != vmap.order:
+        chain = elimination_order(vmap.s, vmap.order)
+        target = elimination_order(vmap.s, order)
+        if any(g.leading_term(chain)[0] != g.leading_term(target)[0]
+               for g in seed):
+            raise DomainError("the oracle's seed basis changes leading terms "
+                              f"under {order.fingerprint}; use the chain "
+                              "order or a pullback order")
     joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
     position_map = list(range(vmap.s)) + [-1] * vmap.ring.nvars
     embedded = [g.map_positions(joint, position_map) for g in ideal.generators]
-    gb = eliminate(embedded + gens, vmap.s, vmap.ring, vmap.order,
-                   budget=budget, seed_gb=list(_joint_graph_gb(vmap.s, vmap.d)))
-    if order != vmap.order:
-        gb = buchberger(gb, order, budget=budget,
-                        seed_gb=list(kernel_groebner_basis(vmap.s, vmap.d)))
+    gb = eliminate(embedded + gens, vmap.s, vmap.ring, order, budget=budget,
+                   seed_gb=seed)
     _ORACLE_MEMO[key] = gb
     if len(_ORACLE_MEMO) > ORACLE_MEMO_SIZE:
         _ORACLE_MEMO.popitem(last=False)

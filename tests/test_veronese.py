@@ -5,10 +5,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import suites
 from veronese_gb.errors import (BudgetExceededError, DomainError,
                                 InternalCheckError, NonMonomialInitialError)
 from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
-                                  buchberger, find_weight_vector,
+                                  buchberger, eliminate, find_weight_vector,
                                   graph_ideal)
 from veronese_gb.orders import (Block, GammaRevLex, GrevLex, Weighted,
                                 multi_indices)
@@ -315,16 +316,16 @@ def test_one_default_budget_per_pullback_call(monkeypatch):
 
 
 def test_one_default_budget_per_oracle_call(monkeypatch):
-    # elimination 26 S-pairs, then 9 to reach the weighted order
+    # one elimination of 14 S-pairs, under the weighted block order
     S3 = base_ring(3)
     ideal = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
     vmap = VeroneseMap(3, 2)
     order = pullback_order(vmap, (2, 1, 1))
     _warm_shape_caches(3, 2)
-    monkeypatch.setenv("VERONESE_GB_BUDGET", "34")
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "13")
     with pytest.raises(BudgetExceededError):
         preimage_oracle(ideal, vmap, order)
-    monkeypatch.setenv("VERONESE_GB_BUDGET", "35")
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "14")
     assert preimage_oracle(ideal, vmap, order)
 
 
@@ -746,6 +747,59 @@ def test_seeded_preimage_oracle_spairs(s, d, gens, spairs):
     preimage_oracle(Ideal(S, [parse_polynomial(g, S) for g in gens]),
                     VeroneseMap(s, d), budget=budget)
     assert budget.spairs == spairs
+
+
+def _two_step_oracle(ideal, vmap, order, budget):
+    """The weighted oracle as it was first built: elimination under the
+    chain order, then a conversion to ``order`` seeded with the kernel
+    basis."""
+    joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
+    position_map = list(range(vmap.s)) + [-1] * vmap.ring.nvars
+    embedded = [g.map_positions(joint, position_map) for g in ideal.generators]
+    gb = eliminate(embedded + gens, vmap.s, vmap.ring, vmap.order,
+                   budget=budget, seed_gb=list(_joint_graph_gb(vmap.s, vmap.d)))
+    return buchberger(gb, order, budget=budget,
+                      seed_gb=list(kernel_groebner_basis(vmap.s, vmap.d)))
+
+
+def _weighted_oracle_cases(rng):
+    """(ideal, d, omega): the conic at d = 2..5, then seeded homogeneous
+    ideals at (3,2), (3,3) and (4,2) with weights from find_weight_vector."""
+    S3 = base_ring(3)
+    conic = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
+    for d in (2, 3, 4, 5):
+        yield conic, d, (2, 1, 1)
+    for s, d in ((3, 2), (3, 3), (4, 2)):
+        S = base_ring(s)
+        for _ in range(3):
+            gens = suites._random_homogeneous_ideal(rng, S, max_degree=2)
+            ideal = Ideal(S, gens)
+            yield ideal, d, find_weight_vector(ideal, S.default_order())
+
+
+def test_weighted_oracle_equals_two_step_route(rng):
+    checked = 0
+    for ideal, d, omega in _weighted_oracle_cases(rng):
+        vmap = VeroneseMap(ideal.ring.s, d)
+        order = pullback_order(vmap, omega)
+        one, two = Budget(), Budget()
+        got = preimage_oracle(ideal, vmap, order, budget=one)
+        assert got == _two_step_oracle(ideal, vmap, order, two), \
+            (d, omega, ideal.generators)
+        assert one.spairs <= two.spairs
+        checked += 1
+    assert checked == 13
+
+
+def test_oracle_refuses_an_order_that_moves_seed_leading_terms():
+    # weighting x[1,1,0] alone puts x[1,1,0]*x[0,0,2] above the chain's
+    # leading term x[1,0,1]*x[0,1,1] of their kernel binomial
+    S3 = base_ring(3)
+    conic = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
+    vmap = VeroneseMap(3, 2)
+    with pytest.raises(DomainError, match="leading terms"):
+        preimage_oracle(conic, vmap, Weighted((1, 0, 0, 0, 0, 0), vmap.order))
+    assert preimage_oracle(conic, vmap, pullback_order(vmap, (0, 0, 5)))
 
 
 @pytest.fixture
