@@ -469,8 +469,13 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
 def elimination_order(front, back_order):
     """The block order that eliminates the first ``front`` variables: grevlex
     on them, ``back_order`` on the rest.  Every elimination builds its order
-    here, because a basis passed as ``seed_gb`` is a Gröbner basis only under
-    the order it was computed with."""
+    here, because a basis passed as ``seed_gb`` is a Gröbner basis under the
+    order it was computed with, and under another only when each element
+    keeps its leading term and the ideal is homogeneous for a positive
+    grading: then both initial ideals have the ideal's Hilbert function, and
+    the one the leading terms generate lies in both, so the three are equal.
+    ``preimage_oracle`` checks the first condition before it reuses a basis
+    computed under the chain order; graph ideals meet the second."""
     return Block(front, GrevLex(front), back_order)
 
 
