@@ -750,7 +750,7 @@ def test_seeded_preimage_oracle_spairs(s, d, gens, spairs):
 
 
 def _two_step_oracle(ideal, vmap, order, budget):
-    """The weighted oracle as it was first built: elimination under the
+    """The reference for the one-pass weighted oracle: elimination under the
     chain order, then a conversion to ``order`` seeded with the kernel
     basis."""
     joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
