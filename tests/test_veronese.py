@@ -35,6 +35,11 @@ def _mono(ring, text):
     return next(iter(parse_polynomial(text, ring).terms))
 
 
+def _conic():
+    S3 = base_ring(3)
+    return Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
+
+
 def _fraction_coeffs(polys):
     """Whether every coefficient is a Fraction (1 == Fraction(1) hides an
     int from dict equality)."""
@@ -495,11 +500,25 @@ def test_degree_bounds_odd_delta_verdict():
     lambda: pullback_monomial_ideal(
         MonomialIdeal.from_exponents(base_ring(2), [(1, 1)]), 2,
         method="bogus"),
+    lambda: pullback_monomial_ideal(
+        MonomialIdeal.from_exponents(veronese_ring(2, 2), [(2, 0, 0)]), 6),
+    lambda: pullback_monomial_ideal(
+        MonomialIdeal.from_exponents(generic_ring(("a", "b")), [(2, 0)]), 2),
+    lambda: monomial_pullback_generators(
+        MonomialIdeal.from_exponents(veronese_ring(2, 2), [(2, 0, 0)]), 2),
+    lambda: pullback_homogeneous_ideal(
+        Ideal(veronese_ring(2, 2), [veronese_ring(2, 2).monomial((1, 1, 0))]),
+        2, (1, 1)),
+    lambda: pullback_homogeneous_ideal(_conic(), 2, (2.5, 1, 1)),
+    lambda: preimage_oracle(_conic(), VeroneseMap(3, 2), (1, 1)),
 ], ids=["veronese-map-s0", "layer-d0", "grading-unequal-dims",
         "toric-ring-mismatch", "homogeneous-non-base-ring",
         "homogeneous-omega-length", "generators-zero-ideal",
         "generators-cap-0", "weight-pullback-length",
-        "homogeneous-unknown-method", "monomial-unknown-method"])
+        "homogeneous-unknown-method", "monomial-unknown-method",
+        "monomial-veronese-ring", "monomial-generic-ring",
+        "generators-veronese-ring", "homogeneous-veronese-ring",
+        "homogeneous-omega-fraction", "oracle-omega-length"])
 def test_domain_errors(call):
     with pytest.raises(DomainError):
         call()
