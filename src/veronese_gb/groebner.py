@@ -474,8 +474,7 @@ def elimination_order(front, back_order):
     keeps its leading term and the ideal is homogeneous for a positive
     grading: then both initial ideals have the ideal's Hilbert function, and
     the one the leading terms generate lies in both, so the three are equal.
-    ``preimage_oracle`` checks the first condition before it reuses a basis
-    computed under the chain order; graph ideals meet the second."""
+    Graph ideals meet the second condition."""
     return Block(front, GrevLex(front), back_order)
 
 

@@ -24,8 +24,8 @@ from .groebner import (Budget, Ideal, MonomialIdeal, _ExponentIndex,
                        elimination_order, find_weight_vector, graph_ideal,
                        is_groebner_basis, monomial_image)
 from .orders import GammaRevLex, Weighted, multi_indices
-from .polyring import (MAX_EXCHANGE_WORK, Polynomial, base_ring, mono_divides,
-                       veronese_ring)
+from .polyring import (MAX_EXCHANGE_WORK, Polynomial, as_integer, base_ring,
+                       mono_divides, veronese_ring)
 from .values import Record, Value, init_attr
 
 # The pullback routes: the constructive basis, the elimination oracle, or
@@ -199,7 +199,7 @@ _ORACLE_MEMO = OrderedDict()
 ORACLE_MEMO_SIZE = 8
 
 
-def preimage_oracle(ideal, vmap, order=None, budget=None):
+def preimage_oracle(ideal, vmap, omega=None, budget=None):
     """Reduced basis of the full preimage of an ideal, computed by elimination.
 
     Joins the base ideal's generators to the substitution graph and
@@ -210,16 +210,15 @@ def preimage_oracle(ideal, vmap, order=None, budget=None):
     divides z^a, the generator x_a - z^a reduces at once to a preimage
     element that S-pairs would otherwise have to find.
 
-    ``order`` defaults to the chain order, and may be any order under which
-    every seed element keeps its leading term; for any other the seed is no
-    Gröbner basis and :class:`DomainError` is raised.  Every
-    ``pullback_order(vmap, omega)`` qualifies.  A seed element is a binomial
-    with coprime terms: when a term holds a base variable the front block
-    decides, and when neither does it is a kernel binomial, whose terms have
-    the same pulled-back weight, so the chain tie decides.  With the same
-    leading terms the seed is a Gröbner basis under the new order too: the
-    graph ideal is homogeneous for deg z = 1, deg x = d, so both initial
-    ideals have its Hilbert function, and one contains the other.
+    The target order is the chain order, or ``pullback_order(vmap, omega)``
+    for base weights ``omega``, and the seed is a Gröbner basis under the
+    block order of either.  Each seed element is a binomial with coprime
+    terms that keeps its leading term: when a term holds a base variable the
+    front block decides, and when neither does it is a kernel binomial,
+    whose terms have the same pulled-back weight, so the chain tie decides.
+    The graph ideal is homogeneous for deg z = 1, deg x = d, so with the
+    same leading terms both initial ideals have its Hilbert function, and
+    one contains the other.
 
     The results of the latest ``ORACLE_MEMO_SIZE`` distinct calls are
     remembered, keyed by the base generators in their given order, (s, d)
@@ -228,8 +227,7 @@ def preimage_oracle(ideal, vmap, order=None, budget=None):
     """
     if ideal.ring != vmap.base:
         raise RingMismatchError("ideal must live in the base ring")
-    if order is None:
-        order = vmap.order
+    order = vmap.order if omega is None else pullback_order(vmap, omega)
     key = (ideal.generators, vmap.s, vmap.d, order)
     gb = _ORACLE_MEMO.get(key)
     if gb is not None:
@@ -237,20 +235,11 @@ def preimage_oracle(ideal, vmap, order=None, budget=None):
         return gb
     if budget is None:
         budget = Budget()
-    seed = list(_joint_graph_gb(vmap.s, vmap.d))
-    if order != vmap.order:
-        chain = elimination_order(vmap.s, vmap.order)
-        target = elimination_order(vmap.s, order)
-        if any(g.leading_term(chain)[0] != g.leading_term(target)[0]
-               for g in seed):
-            raise DomainError("the oracle's seed basis changes leading terms "
-                              f"under {order.fingerprint}; use the chain "
-                              "order or a pullback order")
     joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
     position_map = list(range(vmap.s)) + [-1] * vmap.ring.nvars
     embedded = [g.map_positions(joint, position_map) for g in ideal.generators]
     gb = eliminate(embedded + gens, vmap.s, vmap.ring, order, budget=budget,
-                   seed_gb=seed)
+                   seed_gb=list(_joint_graph_gb(vmap.s, vmap.d)))
     _ORACLE_MEMO[key] = gb
     if len(_ORACLE_MEMO) > ORACLE_MEMO_SIZE:
         _ORACLE_MEMO.popitem(last=False)
@@ -376,6 +365,8 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     shape and degree builds them.  When d meets the quadratic bound a cap of
     2 gives every generator; below it the caller chooses a sufficient cap.
     """
+    if ideal.ring.kind != "S":
+        raise DomainError("pullbacks need a base ring y1..ys")
     if ideal.is_zero:
         raise DomainError("the zero ideal has no pullback generators")
     if degree_cap < 1:
@@ -445,6 +436,8 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
     if budget is None:
         budget = Budget()
     ring = ideal.ring
+    if ring.kind != "S":
+        raise DomainError("pullbacks need a base ring y1..ys")
     s = ring.s
     vmap = VeroneseMap(s, d)
     order = vmap.order
@@ -576,13 +569,13 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
         budget = Budget()
     base = ideal.ring
     s = base.s
-    if s is None:
+    if base.kind != "S":
         raise DomainError("pullbacks need a base ring y1..ys")
     if not ideal.is_homogeneous():
         raise DomainError("ideal must be homogeneous in the standard grading")
     if omega is None:
         omega = find_weight_vector(ideal, base.default_order(), budget)
-    omega = tuple(int(w) for w in omega)
+    omega = tuple(as_integer(w, "entries of omega") for w in omega)
     if len(omega) != s or any(w < 0 for w in omega):
         raise DomainError("weight vector must be nonnegative of length s")
     vmap = VeroneseMap(s, d)
@@ -603,7 +596,7 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
                                       budget)
         reduced_c = _constructive_pullback(source, vmap, order, budget)
     if method in ("oracle", "both"):
-        reduced_o = preimage_oracle(ideal, vmap, order, budget=budget)
+        reduced_o = preimage_oracle(ideal, vmap, omega, budget=budget)
     if method == "both" and tuple(reduced_c) != tuple(reduced_o):
         raise InternalCheckError("constructive and oracle pullbacks disagree")
     reduced = reduced_c if reduced_c is not None else reduced_o

@@ -325,13 +325,12 @@ def test_one_default_budget_per_oracle_call(monkeypatch):
     S3 = base_ring(3)
     ideal = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
     vmap = VeroneseMap(3, 2)
-    order = pullback_order(vmap, (2, 1, 1))
     _warm_shape_caches(3, 2)
     monkeypatch.setenv("VERONESE_GB_BUDGET", "13")
     with pytest.raises(BudgetExceededError):
-        preimage_oracle(ideal, vmap, order)
+        preimage_oracle(ideal, vmap, (2, 1, 1))
     monkeypatch.setenv("VERONESE_GB_BUDGET", "14")
-    assert preimage_oracle(ideal, vmap, order)
+    assert preimage_oracle(ideal, vmap, (2, 1, 1))
 
 
 def test_weight_pullback_examples():
@@ -416,8 +415,7 @@ def test_initial_pullback_identity_small():
     v = VeroneseMap(3, 2)
     weights = weight_pullback(omega, v)
 
-    from veronese_gb.veronese import pullback_order
-    up = preimage_oracle(I, v, pullback_order(v, omega))
+    up = preimage_oracle(I, v, omega)
     forms = [g.initial_form(weights) for g in up]
     lhs = buchberger(forms, v.order)
 
@@ -782,12 +780,13 @@ def _two_step_oracle(ideal, vmap, order, budget):
 
 
 def _weighted_oracle_cases(rng):
-    """(ideal, d, omega): the conic at d = 2..5, then seeded homogeneous
-    ideals at (3,2), (3,3) and (4,2) with weights from find_weight_vector."""
-    S3 = base_ring(3)
-    conic = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
+    """(ideal, d, omega): the conic at d = 2..5, the conic at d = 2 under
+    weights on y3 alone, then seeded homogeneous ideals at (3,2), (3,3) and
+    (4,2) with weights from find_weight_vector."""
+    conic = _conic()
     for d in (2, 3, 4, 5):
         yield conic, d, (2, 1, 1)
+    yield conic, 2, (0, 0, 5)
     for s, d in ((3, 2), (3, 3), (4, 2)):
         S = base_ring(s)
         for _ in range(3):
@@ -800,25 +799,14 @@ def test_weighted_oracle_equals_two_step_route(rng):
     checked = 0
     for ideal, d, omega in _weighted_oracle_cases(rng):
         vmap = VeroneseMap(ideal.ring.s, d)
-        order = pullback_order(vmap, omega)
         one, two = Budget(), Budget()
-        got = preimage_oracle(ideal, vmap, order, budget=one)
-        assert got == _two_step_oracle(ideal, vmap, order, two), \
+        got = preimage_oracle(ideal, vmap, omega, budget=one)
+        assert got == _two_step_oracle(ideal, vmap,
+                                       pullback_order(vmap, omega), two), \
             (d, omega, ideal.generators)
         assert one.spairs <= two.spairs
         checked += 1
-    assert checked == 13
-
-
-def test_oracle_refuses_an_order_that_moves_seed_leading_terms():
-    # weighting x[1,1,0] alone puts x[1,1,0]*x[0,0,2] above the chain's
-    # leading term x[1,0,1]*x[0,1,1] of their kernel binomial
-    S3 = base_ring(3)
-    conic = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
-    vmap = VeroneseMap(3, 2)
-    with pytest.raises(DomainError, match="leading terms"):
-        preimage_oracle(conic, vmap, Weighted((1, 0, 0, 0, 0, 0), vmap.order))
-    assert preimage_oracle(conic, vmap, pullback_order(vmap, (0, 0, 5)))
+    assert checked == 14
 
 
 @pytest.fixture
@@ -846,7 +834,7 @@ def test_oracle_memo_hit_charges_nothing(eliminations):
     gb = preimage_oracle(ideal, vmap, budget=miss)
     assert miss.spairs == 14 and eliminations == [(2, 2)]
     assert preimage_oracle(ideal, vmap, budget=hit) is gb
-    assert preimage_oracle(_base2_ideal("y1^3"), vmap, vmap.order) is gb
+    assert preimage_oracle(_base2_ideal("y1^3"), vmap) is gb
     assert hit.spairs == 0 and eliminations == [(2, 2)]
 
 
@@ -864,8 +852,7 @@ def test_oracle_memo_key(eliminations):
     preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap)
     preimage_oracle(_base2_ideal("y2^2", "y1^3"), vmap)
     preimage_oracle(_base2_ideal("y1^3", "y2^2"), VeroneseMap(2, 3))
-    preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap,
-                    pullback_order(vmap, (2, 1)))
+    preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap, (2, 1))
     assert eliminations == [(2, 2), (2, 2), (2, 3), (2, 2)]
     preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap)
     assert len(eliminations) == 4
