@@ -509,6 +509,8 @@ def test_degree_bounds_odd_delta_verdict():
         2, (1, 1)),
     lambda: pullback_homogeneous_ideal(_conic(), 2, (2.5, 1, 1)),
     lambda: preimage_oracle(_conic(), VeroneseMap(3, 2), (1, 1)),
+    lambda: preimage_oracle(_conic(), VeroneseMap(3, 2), (2.5, 1, 1)),
+    lambda: preimage_oracle(_conic(), VeroneseMap(3, 2), (-1, 1, 1)),
 ], ids=["veronese-map-s0", "layer-d0", "grading-unequal-dims",
         "toric-ring-mismatch", "homogeneous-non-base-ring",
         "homogeneous-omega-length", "generators-zero-ideal",
@@ -516,7 +518,8 @@ def test_degree_bounds_odd_delta_verdict():
         "homogeneous-unknown-method", "monomial-unknown-method",
         "monomial-veronese-ring", "monomial-generic-ring",
         "generators-veronese-ring", "homogeneous-veronese-ring",
-        "homogeneous-omega-fraction", "oracle-omega-length"])
+        "homogeneous-omega-fraction", "oracle-omega-length",
+        "oracle-omega-fraction", "oracle-omega-negative"])
 def test_domain_errors(call):
     with pytest.raises(DomainError):
         call()
@@ -854,6 +857,10 @@ def test_oracle_memo_key(eliminations):
     preimage_oracle(_base2_ideal("y1^3", "y2^2"), VeroneseMap(2, 3))
     preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap, (2, 1))
     assert eliminations == [(2, 2), (2, 2), (2, 3), (2, 2)]
+    # an integer string is read as its integer, as pullback_homogeneous_ideal
+    # reads it, so these weights are the ones above
+    preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap, ("2", 1))
+    assert len(eliminations) == 4
     preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap)
     assert len(eliminations) == 4
 
