@@ -309,11 +309,16 @@ class GBStats(Record):
         self.basis_peak = basis_peak
 
 
-def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
+def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
+               front=0):
     """Reduced Gröbner basis of the generated ideal, ascending by leading term.
 
     ``seed_gb`` may carry a list already known to be a Gröbner basis under
-    ``order``; its internal S-pairs are then skipped.
+    ``order``; its internal S-pairs are then skipped.  With ``front`` > 0,
+    under an order that eliminates the first ``front`` variables, only the
+    elements whose leading term is free of them are returned: only such
+    elements divide a front-free term, so those are interreduced among
+    themselves and the rest are left out.
 
     The divisor index is the only basis store: element k is
     ``index.items[k]`` and bit k of the sets of elements, which are ints.
@@ -401,7 +406,8 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None):
             stats.spairs += 1
             add_remainder(_spoly(a, b, lcm))
 
-    return _reduce_basis([item[5] for item in items], order, budget)
+    return _reduce_basis([item[5] for item in items
+                          if not any(item[2][:front])], order, budget)
 
 
 def _reduce_basis(polys, order, budget=None):
@@ -490,7 +496,7 @@ def eliminate(generators, front, back_ring, back_order, *, budget=None,
     if generators and back_ring.nvars + front != generators[0].ring.nvars:
         raise DomainError("front block plus back ring must span the joint ring")
     gb = buchberger(generators, elimination_order(front, back_order),
-                    budget=budget, seed_gb=seed_gb)
+                    budget=budget, seed_gb=seed_gb, front=front)
     return _front_free(gb, front, back_ring)
 
 
