@@ -19,10 +19,10 @@ from itertools import combinations_with_replacement
 
 from .errors import (DomainError, InternalCheckError, NonMonomialInitialError,
                      RingMismatchError)
-from .groebner import (Budget, Ideal, MonomialIdeal, _ExponentIndex,
-                       _front_free, _reduce_basis, buchberger, eliminate,
-                       elimination_order, find_weight_vector, graph_ideal,
-                       is_groebner_basis, monomial_image)
+from .groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
+                       _ExponentIndex, _front_free, _reduce_basis, buchberger,
+                       eliminate, elimination_order, find_weight_vector,
+                       graph_ideal, is_groebner_basis, monomial_image)
 from .orders import GammaRevLex, Weighted, multi_indices
 from .polyring import (MAX_EXCHANGE_WORK, Polynomial, as_integer, base_ring,
                        mono_divides, veronese_ring)
@@ -211,7 +211,8 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
     element that S-pairs would otherwise have to find.
 
     The target order is the chain order, or ``pullback_order(vmap, omega)``
-    for base weights ``omega``, and the seed is a Gröbner basis under the
+    for base weights ``omega``, read as :func:`pullback_homogeneous_ideal`
+    reads them, and the seed is a Gröbner basis under the
     block order of either.  Each seed element is a binomial with coprime
     terms that keeps its leading term: when a term holds a base variable the
     front block decides, and when neither does it is a kernel binomial,
@@ -227,7 +228,8 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
     """
     if ideal.ring != vmap.base:
         raise RingMismatchError("ideal must live in the base ring")
-    order = vmap.order if omega is None else pullback_order(vmap, omega)
+    order = vmap.order if omega is None else \
+        pullback_order(vmap, _base_weights(omega, vmap.s))
     key = (ideal.generators, vmap.s, vmap.d, order)
     gb = _ORACLE_MEMO.get(key)
     if gb is not None:
@@ -410,10 +412,26 @@ def _check_method(method):
                           f"got {method!r}")
 
 
-def _record_groebner_check(cert, basis, order, budget):
-    """Adds the S-pair check of the returned basis to a certificate."""
-    check = is_groebner_basis(basis, order, budget=budget)
-    cert["is_groebner"] = check.ok
+def _record_groebner_check(cert, basis, reduced, order, budget):
+    """Adds to a certificate whether ``basis`` is a Gröbner basis, checked
+    through ``reduced``, its interreduction, and the S-pairs that took.
+
+    The verdict is true exactly when ``reduced`` passes the S-pair test,
+    each of its leading terms is a multiple of one of ``basis``, and every
+    element of ``basis`` reduces to zero on it.  Then in(⟨reduced⟩) =
+    ⟨lt reduced⟩ ⊆ ⟨lt basis⟩ ⊆ in(⟨basis⟩) ⊆ in(⟨reduced⟩), so ``basis`` is
+    a Gröbner basis whether or not the interreduction was right.  The S-pair
+    test alone would not do: minimalizing a basis that is not a Gröbner
+    basis can drop one of its generators.
+    """
+    check = is_groebner_basis(reduced, order, budget=budget)
+    lts = _ExponentIndex()
+    for g in basis:
+        lts.add(g.leading_term(order)[0])
+    index = _DivisorIndex.of(reduced, order, basis[0].ring if basis else None)
+    cert["is_groebner"] = (
+        check.ok and all(lts.divisors(item[2]) for item in index.items)
+        and not any(index.remainder(g, budget) for g in basis))
     cert["spairs_checked"] = check.spairs
 
 
@@ -472,7 +490,7 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
         cert["members_in_target"] = all(_maps_into_monomial(vmap, g, ideal)
                                         for g in basis)
     if verify:
-        _record_groebner_check(cert, basis, order, budget)
+        _record_groebner_check(cert, basis, reduced, order, budget)
     if constructive and oracle_gb is not None:
         cert["matches_oracle"] = tuple(reduced) == tuple(oracle_gb)
         if method == "both" and cert["complete"] and \
@@ -488,6 +506,15 @@ def _maps_into_monomial(vmap, g, ideal):
     if not image:
         return True
     return all(ideal.contains(e) for e in image.terms)
+
+
+def _base_weights(omega, s):
+    """The base weights ω as a tuple of ints, each entry read with
+    :func:`as_integer`; refused unless nonnegative and of length s."""
+    omega = tuple(as_integer(w, "entries of omega") for w in omega)
+    if len(omega) != s or any(w < 0 for w in omega):
+        raise DomainError("weight vector must be nonnegative of length s")
+    return omega
 
 
 def weight_pullback(omega, vmap):
@@ -575,9 +602,7 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
         raise DomainError("ideal must be homogeneous in the standard grading")
     if omega is None:
         omega = find_weight_vector(ideal, base.default_order(), budget)
-    omega = tuple(as_integer(w, "entries of omega") for w in omega)
-    if len(omega) != s or any(w < 0 for w in omega):
-        raise DomainError("weight vector must be nonnegative of length s")
+    omega = _base_weights(omega, s)
     vmap = VeroneseMap(s, d)
 
     forms_ideal, monomial = ideal.initial_forms(omega, budget=budget)
@@ -615,7 +640,7 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
     cert["members_in_target"] = all(
         ideal.contains(vmap.image(g), budget=budget) for g in reduced)
     if verify:
-        _record_groebner_check(cert, reduced, order, budget)
+        _record_groebner_check(cert, reduced, reduced, order, budget)
     return PullbackResult(s, d, order, reduced, reduced,
                           "constructive" if reduced_c is not None else
                           "elimination-oracle", cert, omega)

@@ -9,8 +9,9 @@ import suites
 from veronese_gb.errors import (BudgetExceededError, DomainError,
                                 InternalCheckError, NonMonomialInitialError)
 from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
-                                  buchberger, eliminate, find_weight_vector,
-                                  graph_ideal)
+                                  _reduce_basis, buchberger, eliminate,
+                                  find_weight_vector, graph_ideal,
+                                  is_groebner_basis)
 from veronese_gb.orders import (Block, GammaRevLex, GrevLex, Weighted,
                                 multi_indices)
 from veronese_gb.polyring import (base_ring, generic_ring, parse_polynomial,
@@ -19,6 +20,7 @@ from veronese_gb.toric import (Configuration, certify_grading,
                                toric_groebner_basis, veronese_layer)
 from veronese_gb.veronese import (VeroneseMap, _constructive_pullback,
                                   _joint_graph_gb, _kernel_initial_for,
+                                  _record_groebner_check,
                                   bound_certificate, degree_bounds,
                                   exchange_binomials,
                                   homogeneous_pullback_generators,
@@ -299,6 +301,58 @@ def test_pullback_monomial_verify_spairs():
     M = MonomialIdeal.from_exponents(S2, [(2, 2)])
     res = pullback_monomial_ideal(M, 3, verify=True)
     assert res.certificate["is_groebner"]
+    # (y1^2*y2, y3^2) at (3,3): the S-pairs of the 19-element reduced basis,
+    # where the 47-element union has 328
+    M = MonomialIdeal.from_exponents(base_ring(3), [(2, 1, 0), (0, 0, 2)])
+    res = pullback_monomial_ideal(M, 3, verify=True)
+    assert res.certificate["is_groebner"]
+    assert res.certificate["spairs_checked"] == 47
+
+
+def _certify(basis, reduced, order):
+    cert = {}
+    _record_groebner_check(cert, basis, reduced, order, Budget())
+    return cert["is_groebner"]
+
+
+def test_groebner_check_needs_the_basis_inside_its_reduction():
+    # y1^2 - y2^2 and y1^2 share a leading term, so minimalizing keeps only
+    # the first, a Gröbner basis alone; y1^2 does not reduce to zero on it
+    S2, order = base_ring(2), GrevLex(2)
+    basis = [parse_polynomial(g, S2) for g in ("y1^2 - y2^2", "y1^2")]
+    reduced = _reduce_basis(basis, order)
+    assert reduced == (basis[0],)
+    assert is_groebner_basis(reduced, order).ok
+    assert not is_groebner_basis(basis, order).ok
+    assert not _certify(basis, reduced, order)
+
+
+def test_groebner_check_needs_the_reduction_leading_terms_from_the_basis():
+    # every element reduces to zero on [1], a Gröbner basis, but the leading
+    # term 1 is a multiple of no leading term of the basis
+    S2, order = base_ring(2), GrevLex(2)
+    basis = [parse_polynomial(g, S2) for g in ("y1^2 - y2^2", "y1^2")]
+    assert not _certify(basis, [S2.monomial((0, 0))], order)
+
+
+def test_groebner_check_of_a_pullback_equals_the_union_check(rng):
+    # below the bound with the oracle off the union is partial, and some
+    # partial unions are not Gröbner bases
+    verdicts = []
+    for s, d in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for _ in range(6):
+            gens = [tuple(rng.randint(0, 3) for _ in range(s))
+                    for _ in range(rng.randint(1, 2))]
+            M = MonomialIdeal.from_exponents(
+                base_ring(s), [g for g in gens if any(g)] or [(1,) * s])
+            for use_oracle in (True, False):
+                res = pullback_monomial_ideal(M, d, verify=True,
+                                              use_oracle=use_oracle)
+                union = is_groebner_basis(res.groebner_basis, res.order).ok
+                assert res.certificate["is_groebner"] == union, \
+                    (M.gens, d, use_oracle)
+                verdicts.append(union)
+    assert False in verdicts
 
 
 def _warm_shape_caches(s, d):
