@@ -212,11 +212,11 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
 
     The target order is the chain order, or ``pullback_order(vmap, omega)``
     for base weights ``omega``, read as :func:`pullback_homogeneous_ideal`
-    reads them, and the seed is a Gröbner basis under the
-    block order of either.  Each seed element is a binomial with coprime
-    terms that keeps its leading term: when a term holds a base variable the
-    front block decides, and when neither does it is a kernel binomial,
-    whose terms have the same pulled-back weight, so the chain tie decides.
+    reads them, and the seed is a Gröbner basis under the block order of
+    either.  Each seed element is a binomial with coprime terms that keeps
+    its leading term: when a term holds a base variable the front block
+    decides, and when neither does it is a kernel binomial, whose terms
+    have the same pulled-back weight, so the chain tie decides.
     The graph ideal is homogeneous for deg z = 1, deg x = d, so with the
     same leading terms both initial ideals have its Hilbert function, and
     one contains the other.
@@ -419,10 +419,11 @@ def _record_groebner_check(cert, basis, reduced, order, budget):
     The verdict is true exactly when ``reduced`` passes the S-pair test,
     each of its leading terms is a multiple of one of ``basis``, and every
     element of ``basis`` reduces to zero on it.  Then in(⟨reduced⟩) =
-    ⟨lt reduced⟩ ⊆ ⟨lt basis⟩ ⊆ in(⟨basis⟩) ⊆ in(⟨reduced⟩), so ``basis`` is
-    a Gröbner basis whether or not the interreduction was right.  The S-pair
-    test alone would not do: minimalizing a basis that is not a Gröbner
-    basis can drop one of its generators.
+    ⟨lt reduced⟩ ⊆ ⟨lt basis⟩ ⊆ in(⟨basis⟩) ⊆ in(⟨reduced⟩), by the three
+    conditions in turn, so ⟨lt basis⟩ = in(⟨basis⟩): ``basis`` is a Gröbner
+    basis whether or not the interreduction was right.  The S-pair test
+    alone would not do: minimalizing a basis that is not a Gröbner basis
+    can drop one of its generators.
     """
     check = is_groebner_basis(reduced, order, budget=budget)
     lts = _ExponentIndex()
@@ -446,9 +447,13 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
     ``method="oracle"`` the elimination basis is returned; "both" builds the
     constructive basis, records in ``matches_oracle`` whether it equals the
     elimination basis, and raises :class:`InternalCheckError` when a
-    complete one does not.  ``verify`` checks the S-pairs of the returned
-    basis under every method.  The elimination runs at most once, and the
-    zero ideal pulls back to the kernel under every method.
+    complete one does not.  ``verify`` certifies under every method that the
+    returned basis is a Gröbner basis.  The constructive basis is the union
+    of the exchange binomials and the generators, and it is certified
+    through its reduced basis, whose S-pairs ``spairs_checked`` counts (see
+    :func:`_record_groebner_check`); the oracle's basis is reduced already.
+    The elimination runs at most once, and the zero ideal pulls back to the
+    kernel under every method.
     """
     _check_method(method)
     if budget is None:
