@@ -1,5 +1,7 @@
 """The Veronese map, kernel bases, pullbacks, and the degree bounds."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -917,6 +919,18 @@ def test_oracle_memo_key(eliminations):
     assert len(eliminations) == 4
     preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap)
     assert len(eliminations) == 4
+
+
+@pytest.mark.parametrize("omega", [None, (2, 1)], ids=["chain", "weighted"])
+def test_oracle_memo_keeps_no_caller_order_alive(omega):
+    # the memo is keyed by values, so the key memo of the caller's chain
+    # order, the target or the tie of a weighted target, goes with the order
+    vmap = VeroneseMap(2, 2)
+    order = weakref.ref(vmap.order)
+    preimage_oracle(_base2_ideal("y1^3", "y2^2"), vmap, omega)
+    del vmap
+    gc.collect()
+    assert order() is None
 
 
 def test_oracle_memo_evicts_the_least_recently_used(eliminations):
