@@ -128,6 +128,14 @@ class _ExponentIndex:
                 touching |= col[0]
         return self.every & ~touching
 
+    def copy(self):
+        """The same entries in an index of its own: an entry added to one
+        of the two is not in the other."""
+        new = _ExponentIndex()
+        new.every = self.every
+        new.above = [list(col) for col in self.above]
+        return new
+
 
 class _DivisorIndex:
     """Picks, for a monomial, the dividing basis element with least leading term.
@@ -155,6 +163,13 @@ class _DivisorIndex:
                 raise DomainError("zero polynomial among divisors")
             index.add(g, g.leading_term(order)[0])
         return index
+
+    def copy(self):
+        """The same items, under the same order, in an index of its own."""
+        new = _DivisorIndex(self.order)
+        new.items = list(self.items)
+        new.lts = self.lts.copy()
+        return new
 
     def add(self, poly, lt):
         tail = {e: _int_if_integral(c) for e, c in poly.terms.items()
@@ -314,7 +329,11 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
     """Reduced Gröbner basis of the generated ideal, ascending by leading term.
 
     ``seed_gb`` may carry a list already known to be a Gröbner basis under
-    ``order``; its internal S-pairs are then skipped.  With ``front`` > 0,
+    ``order``; its internal S-pairs are then skipped.  It may also be a
+    ``_DivisorIndex`` over such a list under an order equal to ``order``,
+    which the run copies instead of indexing the list again; a memoized
+    order key equals a computed one, so the run takes the same pairs and
+    returns the same basis either way.  With ``front`` > 0,
     under an order that eliminates the first ``front`` variables, only the
     elements whose leading term is free of them are returned: only such
     elements divide a front-free term, so those are interreduced among
@@ -343,16 +362,19 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
     if stats is None:
         stats = GBStats()
     generators = list(generators)
-    ring = generators[0].ring if generators else None
-    if seed_gb:
-        ring = seed_gb[0].ring
-    if ring is None:
-        return ()
-
-    index = _DivisorIndex(order)
+    if isinstance(seed_gb, _DivisorIndex):
+        index = seed_gb.copy()
+    else:
+        index = _DivisorIndex(order)
+        for g in seed_gb or ():
+            index.add(g, g.leading_term(order)[0])
     items, lts = index.items, index.lts
-    for g in seed_gb or ():
-        index.add(g, g.leading_term(order)[0])
+    if items:
+        ring = items[0][5].ring
+    elif generators:
+        ring = generators[0].ring
+    else:
+        return ()
     treated = [lts.every] * len(items)
 
     # Selection: smallest lcm under the order (what the tie-sensitive plain
@@ -448,14 +470,20 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
 
     Each pair reduces ``_spoly``'s multiple of its S-polynomial, which is
     zero exactly when the S-polynomial is; the witness divides it out again.
+    ``polys`` may also be a ``_DivisorIndex`` under ``order``, which the
+    check reads in place of building its own.
     """
-    polys = [p for p in polys if p]
+    if isinstance(polys, _DivisorIndex):
+        index = polys
+    else:
+        polys = [p for p in polys if p]
+        index = _DivisorIndex.of(polys, order,
+                                 polys[0].ring if polys else None)
     if budget is None:
         budget = Budget()
-    index = _DivisorIndex.of(polys, order, polys[0].ring if polys else None)
     items = index.items
     count = 0
-    for j in range(len(polys)):
+    for j in range(len(items)):
         partners = (1 << j) - 1
         if skip_coprime:
             partners &= ~index.lts.coprime(items[j][2])
@@ -466,9 +494,9 @@ def is_groebner_basis(polys, order, *, budget=None, skip_coprime=True):
             r = _reduce_terms(_spoly(a, b, mono_lcm(a[2], b[2])), index,
                               order, budget)
             if r:
-                return GBCheck(False, count, (polys[i], polys[j]),
-                               Polynomial(polys[i].ring,
-                                          _exact(r, a[3] * b[3]), _clean=True))
+                return GBCheck(False, count, (a[5], b[5]),
+                               Polynomial(a[5].ring, _exact(r, a[3] * b[3]),
+                                          _clean=True))
     return GBCheck(True, count)
 
 
@@ -491,12 +519,18 @@ def eliminate(generators, front, back_ring, back_order, *, budget=None,
     The generators live in a ring whose first ``front`` positions are the
     variables to remove.  Returns the reduced Gröbner basis of the
     intersection under ``back_order``, re-indexed into ``back_ring``.
+    A ``_DivisorIndex`` passed as ``seed_gb`` (see :func:`buchberger`) must
+    be under an order equal to ``elimination_order(front, back_order)``, and
+    the run uses that order object, so that the keys its memo holds are not
+    computed again.
     """
     generators = list(generators)
     if generators and back_ring.nvars + front != generators[0].ring.nvars:
         raise DomainError("front block plus back ring must span the joint ring")
-    gb = buchberger(generators, elimination_order(front, back_order),
-                    budget=budget, seed_gb=seed_gb, front=front)
+    order = seed_gb.order if isinstance(seed_gb, _DivisorIndex) else \
+        elimination_order(front, back_order)
+    gb = buchberger(generators, order, budget=budget, seed_gb=seed_gb,
+                    front=front)
     return _front_free(gb, front, back_ring)
 
 

@@ -23,7 +23,7 @@ from .groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
                        _ExponentIndex, _front_free, _reduce_basis, buchberger,
                        eliminate, elimination_order, find_weight_vector,
                        graph_ideal, is_groebner_basis, monomial_image)
-from .orders import GammaRevLex, Weighted, multi_indices
+from .orders import GammaRevLex, TermOrder, Weighted, multi_indices
 from .polyring import (MAX_EXCHANGE_WORK, Polynomial, as_integer, base_ring,
                        mono_divides, veronese_ring)
 from .values import Record, Value, init_attr
@@ -194,9 +194,60 @@ def kernel_oracle_basis(s, d):
     return _front_free(_joint_graph_gb(s, d), s, VeroneseMap(s, d).ring)
 
 
-# The latest results of preimage_oracle, least recently used first.
+# The latest results of preimage_oracle, least recently used first, keyed by
+# value, (base generators, s, d, omega or None), so that no caller's order
+# lives on in a key.
 _ORACLE_MEMO = OrderedDict()
+# The latest oracle contexts, least recently used first, keyed by
+# (s, d, omega or None).
+_ORACLE_CONTEXTS = OrderedDict()
 ORACLE_MEMO_SIZE = 8
+# How many key-memo entries a context's order, its parts' memos included,
+# may keep from one run to the next.
+ORACLE_KEY_MEMO_CAP = 500
+
+
+def _oracle_order(s, d, omega):
+    """A new elimination order of the oracle, with parts of its own."""
+    vmap = VeroneseMap(s, d)
+    return elimination_order(
+        s, vmap.order if omega is None else pullback_order(vmap, omega))
+
+
+def _memo_entries(order):
+    """Entries in the key memos of an order and of the orders it is built
+    from."""
+    return len(order._cache) + sum(_memo_entries(part) for part in
+                                   order._values if isinstance(part, TermOrder))
+
+
+class _OracleContext:
+    """Where each seeded elimination of one shape under one target order
+    starts: ``seed``, the tuple :func:`_joint_graph_gb` returned, and
+    ``index``, the divisor index over it under the elimination order.  Each
+    run copies the index, and the order's key memo carries over from run to
+    run."""
+
+    __slots__ = ("seed", "index")
+
+    def __init__(self, seed, order):
+        self.seed = seed
+        self.index = _DivisorIndex.of(seed, order, seed[0].ring)
+
+
+def _oracle_context(s, d, omega):
+    """The context of (s, d, omega), built anew when missing or when its
+    seed is no longer the tuple that :func:`_joint_graph_gb` returns."""
+    key = (s, d, omega)
+    seed = _joint_graph_gb(s, d)
+    context = _ORACLE_CONTEXTS.get(key)
+    if context is None or context.seed is not seed:
+        context = _ORACLE_CONTEXTS[key] = _OracleContext(
+            seed, _oracle_order(s, d, omega))
+    _ORACLE_CONTEXTS.move_to_end(key)
+    if len(_ORACLE_CONTEXTS) > ORACLE_MEMO_SIZE:
+        _ORACLE_CONTEXTS.popitem(last=False)
+    return context
 
 
 def preimage_oracle(ideal, vmap, omega=None, budget=None):
@@ -223,14 +274,23 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
 
     The results of the latest ``ORACLE_MEMO_SIZE`` distinct calls are
     remembered, keyed by the base generators in their given order, (s, d)
-    and the target order.  A repeated call returns the remembered tuple and
-    charges the budget nothing; a call stopped by a cap remembers nothing.
+    and the weights ω or None.  A repeated call returns the remembered tuple
+    and charges the budget nothing; a call stopped by a cap remembers
+    nothing.  The elimination itself starts from the context of (s, d, ω)
+    among the latest ``ORACLE_MEMO_SIZE``: an elimination order of its own,
+    built once, and the divisor index over the seed under it, which each run
+    copies rather than rebuilds.  After a run the context drops its order
+    for a new one when the order's key memos, its parts' included, hold more
+    than ``ORACLE_KEY_MEMO_CAP`` entries.  A memoized key equals a computed
+    one and the copied index equals a rebuilt one, so a context changes no
+    pair, criterion decision or basis.
     """
     if ideal.ring != vmap.base:
         raise RingMismatchError("ideal must live in the base ring")
-    order = vmap.order if omega is None else \
-        pullback_order(vmap, _base_weights(omega, vmap.s))
-    key = (ideal.generators, vmap.s, vmap.d, order)
+    s, d = vmap.s, vmap.d
+    if omega is not None:
+        omega = _base_weights(omega, s)
+    key = (ideal.generators, s, d, omega)
     gb = _ORACLE_MEMO.get(key)
     if gb is not None:
         _ORACLE_MEMO.move_to_end(key)
@@ -238,10 +298,15 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
     if budget is None:
         budget = Budget()
     joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
-    position_map = list(range(vmap.s)) + [-1] * vmap.ring.nvars
+    position_map = list(range(s)) + [-1] * vmap.ring.nvars
     embedded = [g.map_positions(joint, position_map) for g in ideal.generators]
-    gb = eliminate(embedded + gens, vmap.s, vmap.ring, order, budget=budget,
-                   seed_gb=list(_joint_graph_gb(vmap.s, vmap.d)))
+    index = _oracle_context(s, d, omega).index
+    try:
+        gb = eliminate(embedded + gens, s, vmap.ring, index.order.back_order,
+                       budget=budget, seed_gb=index)
+    finally:
+        if _memo_entries(index.order) > ORACLE_KEY_MEMO_CAP:
+            index.order = _oracle_order(s, d, omega)
     _ORACLE_MEMO[key] = gb
     if len(_ORACLE_MEMO) > ORACLE_MEMO_SIZE:
         _ORACLE_MEMO.popitem(last=False)
@@ -378,9 +443,8 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     found = _ExponentIndex()
     for degree in range(1, degree_cap + 1):
         for e, image in zip(*_standard_table(s, d, degree)):
-            if found.divisors(e):
-                continue
-            if ideal.contains(image):
+            # the lookup over s variables before the one over the ring's
+            if ideal.contains(image) and not found.divisors(e):
                 accepted.append(e)
                 found.add(e)
     return tuple(accepted)
@@ -425,11 +489,11 @@ def _record_groebner_check(cert, basis, reduced, order, budget):
     alone would not do: minimalizing a basis that is not a Gröbner basis
     can drop one of its generators.
     """
-    check = is_groebner_basis(reduced, order, budget=budget)
+    index = _DivisorIndex.of(reduced, order, basis[0].ring if basis else None)
+    check = is_groebner_basis(index, order, budget=budget)
     lts = _ExponentIndex()
     for g in basis:
         lts.add(g.leading_term(order)[0])
-    index = _DivisorIndex.of(reduced, order, basis[0].ring if basis else None)
     cert["is_groebner"] = (
         check.ok and all(lts.divisors(item[2]) for item in index.items)
         and not any(index.remainder(g, budget) for g in basis))
@@ -507,10 +571,13 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
 
 
 def _maps_into_monomial(vmap, g, ideal):
-    image = vmap.image(g)
-    if not image:
-        return True
-    return all(ideal.contains(e) for e in image.terms)
+    """Whether every term of the image of g lies in the monomial ideal; a
+    kernel element's image is zero."""
+    image = {}
+    for e, c in g.terms.items():
+        u = vmap.image_exps(e)
+        image[u] = image.get(u, 0) + c
+    return all(ideal.contains(u) for u, c in image.items() if c)
 
 
 def _base_weights(omega, s):

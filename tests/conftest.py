@@ -15,6 +15,8 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def empty_oracle_memo():
-    """Each test starts with no remembered oracle results, so that an S-pair
-    count it reads does not depend on the tests that ran before it."""
+    """Each test starts with no remembered oracle results and no oracle
+    contexts, so that an S-pair count it reads, or a context it inspects,
+    does not depend on the tests that ran before it."""
     veronese._ORACLE_MEMO.clear()
+    veronese._ORACLE_CONTEXTS.clear()

@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import suites
+from veronese_gb import veronese
 from veronese_gb.errors import (BudgetExceededError, DomainError,
                                 InternalCheckError, NonMonomialInitialError)
 from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
@@ -805,10 +806,20 @@ BUCHBERGER_COUNTERS = {
 def test_graph_ideal_buchberger_counters(case):
     build, args, expected = BUCHBERGER_COUNTERS[case]
     gens, order, seed = build(*args)
-    stats = GBStats()
-    gb = buchberger(gens, order, seed_gb=seed, stats=stats)
-    assert (stats.spairs, stats.skipped_coprime, stats.skipped_chain,
-            stats.basis_peak, len(gb)) == expected
+    runs = [(order, seed)]
+    if build is _seeded_oracle_run:
+        # twice more from the oracle's context of the shape: the copied seed
+        # index, and the second time every order key from the memo
+        index = veronese._oracle_context(args[0], args[1], None).index
+        runs += [(index.order, index)] * 2
+    bases = set()
+    for order, seed in runs:
+        stats = GBStats()
+        gb = buchberger(gens, order, seed_gb=seed, stats=stats)
+        assert (stats.spairs, stats.skipped_coprime, stats.skipped_chain,
+                stats.basis_peak, len(gb)) == expected
+        bases.add(gb)
+    assert len(bases) == 1
 
 
 @pytest.mark.parametrize("s, d, gens, spairs", [
@@ -819,10 +830,43 @@ def test_graph_ideal_buchberger_counters(case):
 ], ids=["2-2", "2-3", "3-3", "4-2"])
 def test_seeded_preimage_oracle_spairs(s, d, gens, spairs):
     S = base_ring(s)
-    budget = Budget()
-    preimage_oracle(Ideal(S, [parse_polynomial(g, S) for g in gens]),
-                    VeroneseMap(s, d), budget=budget)
-    assert budget.spairs == spairs
+    ideal = Ideal(S, [parse_polynomial(g, S) for g in gens])
+    cold, warm = Budget(), Budget()
+    gb = preimage_oracle(ideal, VeroneseMap(s, d), budget=cold)
+    assert cold.spairs == spairs
+    # the same elimination again, from the context the first one left
+    veronese._ORACLE_MEMO.clear()
+    assert preimage_oracle(ideal, VeroneseMap(s, d), budget=warm) == gb
+    assert warm.spairs == spairs
+
+
+def test_oracle_context_serves_no_stale_seed():
+    ideal, vmap = _base2_ideal("y1^3"), VeroneseMap(2, 2)
+    first, second = Budget(), Budget()
+    gb = preimage_oracle(ideal, vmap, budget=first)
+    _joint_graph_gb.cache_clear()
+    veronese._ORACLE_MEMO.clear()
+    assert preimage_oracle(ideal, vmap, budget=second) == gb
+    assert second.spairs == first.spairs == 14
+    assert veronese._ORACLE_CONTEXTS[2, 2, None].seed is _joint_graph_gb(2, 2)
+
+
+def test_oracle_contexts_stay_bounded():
+    # more (s, d, omega) than contexts; last the (3,3) seeded case and one
+    # more ideal at (3,3), whose keys would take its memo past the cap
+    ideal = _base2_ideal("y1^3")
+    for k in range(1, veronese.ORACLE_MEMO_SIZE + 1):
+        preimage_oracle(ideal, VeroneseMap(2, 2), (k, 1))
+    S3 = base_ring(3)
+    for gens in (("y1^2*y2", "y3^3"), ("y1*y2*y3",)):
+        preimage_oracle(Ideal(S3, [parse_polynomial(g, S3) for g in gens]),
+                        VeroneseMap(3, 3))
+    contexts = veronese._ORACLE_CONTEXTS
+    assert len(contexts) == veronese.ORACLE_MEMO_SIZE
+    assert (3, 3, None) in contexts and (2, 2, (1, 1)) not in contexts
+    assert all(veronese._memo_entries(context.index.order)
+               <= veronese.ORACLE_KEY_MEMO_CAP
+               for context in contexts.values())
 
 
 def _two_step_oracle(ideal, vmap, order, budget):
