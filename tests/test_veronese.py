@@ -299,6 +299,21 @@ def test_pullback_monomial_both_runs_the_oracle_once(monkeypatch):
         pullback_monomial_ideal(M, 3, method="both")
 
 
+@pytest.mark.parametrize("g, inside", [
+    ("x[1,1]^2 - x[2,0]*x[0,2]", True),     # a kernel binomial: image zero
+    ("x[2,0]", True),
+    ("x[0,2]", False),
+    ("x[2,0] + x[0,2]", False),
+    ("x[1,1]*x[2,0] - x[1,1]^2", True),
+    ("x[1,1]*x[0,2] - x[1,1]^2", False),
+])
+def test_maps_into_monomial(g, inside):
+    vmap = VeroneseMap(2, 2)
+    ideal = MonomialIdeal.from_exponents(vmap.base, [(2, 0)])
+    assert veronese._maps_into_monomial(
+        vmap, parse_polynomial(g, vmap.ring), ideal) is inside
+
+
 def test_pullback_monomial_verify_spairs():
     S2 = base_ring(2)
     M = MonomialIdeal.from_exponents(S2, [(2, 2)])
@@ -849,6 +864,27 @@ def test_oracle_context_serves_no_stale_seed():
     assert preimage_oracle(ideal, vmap, budget=second) == gb
     assert second.spairs == first.spairs == 14
     assert veronese._ORACLE_CONTEXTS[2, 2, None].seed is _joint_graph_gb(2, 2)
+
+
+@pytest.mark.parametrize("omega", [None, (1, 2, 3)], ids=["chain", "weighted"])
+def test_oracle_context_serves_each_ideal_as_a_new_one(omega):
+    # a context that other runs left, their entries in its order's memo and
+    # in the index they copied, gives each ideal the basis and the S-pairs
+    # of a new context
+    S3, vmap = base_ring(3), VeroneseMap(3, 3)
+    ideals = [Ideal(S3, [parse_polynomial(g, S3) for g in gens]) for gens in
+              (("y1^2*y2", "y3^3"), ("y1*y2*y3",), ("y2^4", "y1*y3"))]
+    new = []
+    for ideal in ideals:
+        veronese._ORACLE_CONTEXTS.clear()
+        budget = Budget()
+        new.append((preimage_oracle(ideal, vmap, omega, budget=budget),
+                    budget.spairs))
+    veronese._ORACLE_MEMO.clear()
+    for ideal, expected in zip(ideals, new):
+        budget = Budget()
+        assert (preimage_oracle(ideal, vmap, omega, budget=budget),
+                budget.spairs) == expected
 
 
 def test_oracle_contexts_stay_bounded():
