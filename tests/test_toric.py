@@ -236,6 +236,32 @@ def test_one_default_budget_per_toric_certificate(monkeypatch):
     assert verify_veronese_toric(cfg, 2).ok
 
 
+@pytest.mark.parametrize("kind", ["weighted", "toric"])
+def test_below_bound_certificate_lifts_one_basis(kind, monkeypatch):
+    # the pullback lifts the basis of the ideal; below the bound too, the
+    # certificate reads the pullback of the initial ideal off the
+    # standard-monomial table and lifts nothing
+    from veronese_gb import veronese
+    real_lift = veronese.homogeneous_pullback_generators
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_lift(*args, **kwargs)
+
+    monkeypatch.setattr(veronese, "homogeneous_pullback_generators", counting)
+    if kind == "weighted":
+        S3 = base_ring(3)
+        conic = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
+        cert = pullback_homogeneous_ideal(conic, 3).certificate
+    else:
+        cert = verify_veronese_toric(Configuration.from_points(
+            CURVE + ((1, 3),)), 2).pullback.certificate
+    assert not cert["meets_bound"]
+    assert cert["initial_matches_monomial_pullback"]
+    assert len(calls) == 1
+
+
 def test_below_bound_certificates_eliminate_nothing_for_the_initial_ideal(
         monkeypatch):
     # below the quadratic bound the pullback of the initial ideal comes from

@@ -508,11 +508,13 @@ BELOW_BOUND_IDEALS = {
 }
 
 
-def _below_bound_draw(rng, s, d):
-    """A seeded monomial ideal with one to three generators whose quadratic
-    bound d does not meet."""
+def _below_bound_draw(rng, s, d, top=None):
+    """A seeded monomial ideal with one to three generators, with exponents
+    up to ``top`` (5 - s // 2 by default), whose quadratic bound d does not
+    meet."""
+    top = 5 - s // 2 if top is None else top
     while True:
-        gens = [tuple(rng.randint(0, 5 - s // 2) for _ in range(s))
+        gens = [tuple(rng.randint(0, top) for _ in range(s))
                 for _ in range(rng.randint(1, 3))]
         gens = [g for g in gens if any(g)]
         if gens:
@@ -541,6 +543,44 @@ def test_constructive_step_pulls_back_below_bound_monomial_ideals(rng):
             padded_once += mono.max_total_degree() <= d
             above_quadratic += max(g.total_degree() for g in got) > 2
     assert padded_once >= 4 and above_quadratic >= 4
+
+
+def _table_pullback(mono, d, cap):
+    """The kernel's leading-term ideal and the table's generators over a
+    monomial ideal up to the degree cap."""
+    s = mono.ring.s
+    return MonomialIdeal.from_exponents(
+        VeroneseMap(s, d).ring, kernel_initial(s, d).gens
+        + monomial_pullback_generators(mono, d, degree_cap=cap))
+
+
+def test_table_reads_below_bound_monomial_pullbacks(rng):
+    # below the bound, the table's generators up to max(2, delta), delta the
+    # largest degree of a minimal generator, give the leading-term ideal of
+    # the pullback that the constructive step and the oracle compute, and
+    # the certificate of the ideal pulled back as a homogeneous one holds
+    shapes = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
+    for k in range(30):
+        s, d = shapes[k % len(shapes)]
+        mono = _below_bound_draw(rng, s, d, top=3)
+        vmap, ideal = VeroneseMap(s, d), Ideal(mono.ring, mono.polynomials())
+        table = _table_pullback(mono, d, max(2, mono.max_total_degree()))
+        step = _constructive_pullback(mono.polynomials(), vmap, vmap.order,
+                                      Budget())
+        for basis in (step, preimage_oracle(ideal, vmap)):
+            assert table == MonomialIdeal.of_leading_terms(
+                vmap.ring, basis, vmap.order), (s, d, mono.gens)
+        res = pullback_homogeneous_ideal(ideal, d, (1,) * s)
+        assert res.certificate["initial_matches_monomial_pullback"]
+    # y1^3 at d = 2: x11^3 maps to y1^3*y2^3 and is standard, and no
+    # quadratic divisor of it maps into the ideal, so a cap of 2 misses it
+    mono = MonomialIdeal.from_exponents(base_ring(2), [(3, 0)])
+    assert not bound_certificate(mono, 2)["meets_bound"]
+    low, table = _table_pullback(mono, 2, 2), _table_pullback(mono, 2, 3)
+    assert low != table and all(table.contains(g) for g in low.gens)
+    res = pullback_homogeneous_ideal(Ideal(mono.ring, mono.polynomials()), 2,
+                                     (1, 1))
+    assert res.certificate["initial_matches_monomial_pullback"]
 
 
 def test_degree_bounds_odd_delta_verdict():
