@@ -430,7 +430,13 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     The standard monomials of each degree and their images come from the
     table behind :func:`standard_monomials`, so only the first pullback of a
     shape and degree builds them.  When d meets the quadratic bound a cap of
-    2 gives every generator; below it the caller chooses a sufficient cap.
+    2 gives every generator.  Below it, max(2, δ) does, with δ the largest
+    degree of a minimal generator of the ideal J: if a standard monomial m,
+    a product of variables x_{a_1}..x_{a_k}, has image Σ a_i ≥ g for a
+    minimal generator g, take for each coordinate j at most g_j factors
+    with a positive j-th entry whose j-th entries reach g_j.  Together they
+    make a divisor of m of degree at most deg g ≤ δ whose image lies in J,
+    and a divisor of a standard monomial is standard.
     """
     if ideal.ring.kind != "S":
         raise DomainError("pullbacks need a base ring y1..ys")
@@ -650,18 +656,19 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
     initial ideal; ``verify`` adds the S-pair check of the returned basis.
 
     The constructive route lifts the weighted basis of I that
-    :meth:`Ideal.initial_forms` computed.  At or above the bound the
-    pullback of the initial ideal in_ω(I) has the theorem's quadratic basis,
-    so its leading-term ideal is the kernel's plus the quadratic standard
-    monomials whose image lies in in_ω(I), read from the table of
-    :func:`monomial_pullback_generators`; no S-pair is reduced.  Below it,
-    it comes from the constructive step that pulls back I, under the chain
-    order: the kernel basis with each minimal generator m of in_ω(I),
-    padded to degree d·⌈deg m/d⌉ and lifted.  These generate the pullback,
-    because a monomial c of in_ω(I) of degree kd splits as c1·c2 with m | c1
-    and deg c1 = d·⌈deg m/d⌉, and the reduced basis they complete to is the
-    one :func:`pullback_monomial_ideal` gives, since a reduced Gröbner basis
-    is unique.
+    :meth:`Ideal.initial_forms` computed.  The right-hand side of the check,
+    the chain-order leading-term ideal of the pullback P(J) of J = in_ω(I),
+    is the kernel's plus the standard monomials whose image lies in J, read
+    from the table of :func:`monomial_pullback_generators` up to a degree
+    cap; no S-pair is reduced.  Every other monomial lies in the kernel's
+    leading-term ideal, and a standard monomial m lies in in(P(J)) exactly
+    when its image c lies in J: if f in P(J) has leading term m and
+    c is not in J, the coefficients of f over the fiber of c sum to 0, since
+    the image of f lies in the monomial ideal J, so f has another term in
+    that fiber, below m; but m is the least monomial of its fiber.  The cap
+    is 2 at or above the bound, by the theorem, and max(2, δ) below it, δ
+    the largest degree of a minimal generator of J, by the divisor argument
+    of :func:`monomial_pullback_generators`.
     """
     _check_method(method)
     if budget is None:
@@ -700,14 +707,13 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
 
     cert = bound_certificate(init, d)
     lhs = MonomialIdeal.of_leading_terms(vmap.ring, reduced, order)
-    if cert["meets_bound"]:
-        pulled = () if init.is_zero else monomial_pullback_generators(init, d)
-        rhs = MonomialIdeal.from_exponents(
-            vmap.ring, kernel_initial(s, d).gens + pulled)
+    if init.is_zero:
+        pulled = ()
     else:
-        mono = _constructive_pullback(init.polynomials(), vmap, vmap.order,
-                                      budget)
-        rhs = MonomialIdeal.of_leading_terms(vmap.ring, mono, vmap.order)
+        cap = 2 if cert["meets_bound"] else max(2, init.max_total_degree())
+        pulled = monomial_pullback_generators(init, d, degree_cap=cap)
+    rhs = MonomialIdeal.from_exponents(vmap.ring,
+                                       kernel_initial(s, d).gens + pulled)
     cert["initial_matches_monomial_pullback"] = lhs == rhs
     cert["members_in_target"] = all(
         ideal.contains(vmap.image(g), budget=budget) for g in reduced)

@@ -225,14 +225,14 @@ def test_verify_pipeline_curve_small_degree():
 
 
 def test_one_default_budget_per_toric_certificate(monkeypatch):
-    # the toric kernel takes 9 S-pairs and the pullback 86
+    # the toric kernel takes 9 S-pairs and the pullback 44
     cfg = Configuration.from_points(CURVE + ((1, 3),))
     _joint_graph_gb(4, 2)  # the shape caches run on a budget of their own
     kernel_initial(4, 2)
-    monkeypatch.setenv("VERONESE_GB_BUDGET", "94")
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "52")
     with pytest.raises(BudgetExceededError):
         verify_veronese_toric(cfg, 2)
-    monkeypatch.setenv("VERONESE_GB_BUDGET", "95")
+    monkeypatch.setenv("VERONESE_GB_BUDGET", "53")
     assert verify_veronese_toric(cfg, 2).ok
 
 
@@ -264,9 +264,9 @@ def test_below_bound_certificate_lifts_one_basis(kind, monkeypatch):
 
 def test_below_bound_certificates_eliminate_nothing_for_the_initial_ideal(
         monkeypatch):
-    # below the quadratic bound the pullback of the initial ideal comes from
-    # the constructive step; the elimination oracle runs only when asked to
-    # cross-check the ideal itself
+    # below the quadratic bound the pullback of the initial ideal is read
+    # off the standard-monomial table; the elimination oracle runs only when
+    # asked to cross-check the ideal itself
     from veronese_gb import veronese
     real_oracle = veronese.preimage_oracle
 
