@@ -3,6 +3,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -895,15 +896,20 @@ def test_seeded_preimage_oracle_spairs(s, d, gens, spairs):
     assert warm.spairs == spairs
 
 
-def test_oracle_context_serves_no_stale_seed():
+def test_oracle_context_serves_no_stale_seed(monkeypatch):
+    # a new cache for the graph basis, rather than an emptied one, so that
+    # the other shapes stay cached for the tests after this one
     ideal, vmap = _base2_ideal("y1^3"), VeroneseMap(2, 2)
     first, second = Budget(), Budget()
     gb = preimage_oracle(ideal, vmap, budget=first)
-    _joint_graph_gb.cache_clear()
+    monkeypatch.setattr(veronese, "_joint_graph_gb",
+                        lru_cache(maxsize=None)(_joint_graph_gb.__wrapped__))
     veronese._ORACLE_MEMO.clear()
     assert preimage_oracle(ideal, vmap, budget=second) == gb
     assert second.spairs == first.spairs == 14
-    assert veronese._ORACLE_CONTEXTS[2, 2, None].seed is _joint_graph_gb(2, 2)
+    seed = veronese._ORACLE_CONTEXTS[2, 2, None].seed
+    assert seed is veronese._joint_graph_gb(2, 2)
+    assert seed is not _joint_graph_gb(2, 2)
 
 
 @pytest.mark.parametrize("omega", [None, (1, 2, 3)], ids=["chain", "weighted"])
