@@ -604,3 +604,35 @@ def test_import_generates_no_dataclass_code():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pullback", "conic.json", "--d", "5", "--omega", "2,1,1"],
+    ["toric", "curve_config.json", "--veronese", "5"],
+], ids=["pullback-conic-d5", "toric-veronese-5"])
+def test_cold_at_bound_commands_enumerate_no_exchange_binomials(
+        argv, monkeypatch, capsys):
+    # the two slowest small commands read the (3,5) kernel basis off the
+    # standard-monomial table; new shape caches, rather than emptied ones,
+    # so that no earlier test's entry hides a call and the later tests keep
+    # theirs
+    from functools import lru_cache
+
+    from veronese_gb import cli, veronese
+    calls = []
+    enumerate_pairs = veronese.exchange_binomials.__wrapped__
+
+    def counted(s, d):
+        calls.append((s, d))
+        return enumerate_pairs(s, d)
+
+    for name in ("kernel_groebner_basis", "kernel_initial"):
+        monkeypatch.setattr(veronese, name, lru_cache(maxsize=None)(
+            getattr(veronese, name).__wrapped__))
+    counted = lru_cache(maxsize=None)(counted)
+    monkeypatch.setattr(veronese, "exchange_binomials", counted)
+    monkeypatch.setattr(cli, "exchange_binomials", counted)
+    assert cli.main(["--json", *(str(DATA / a) if a.endswith(".json") else a
+                                 for a in argv)]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]
+    assert calls == []
