@@ -23,8 +23,9 @@ MAX_EXPONENT = 2**31 - 1
 MAX_VARIABLES = 10_000
 # Largest count of candidate exchange pairs times ring variables that
 # ``veronese.exchange_binomials`` enumerates, each pair as two dense exponent
-# tuples.  (2, 100) needs about 10^6; the largest shapes in use, (3, 6) and
-# (4, 4), need 37,044 and 84,000.
+# tuples; ``veronese.kernel_groebner_basis`` refuses the same shapes.
+# (2, 100) needs about 10^6; the largest shapes in use, (3, 6) and (4, 4),
+# need 37,044 and 84,000.
 MAX_EXCHANGE_WORK = 10**7
 
 

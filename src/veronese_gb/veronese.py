@@ -16,6 +16,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import add
 
 from .errors import (DomainError, InternalCheckError, NonMonomialInitialError,
                      RingMismatchError)
@@ -102,6 +103,18 @@ class VeroneseMap(Value):
         return Polynomial(self.ring, terms)
 
 
+def _check_exchange_work(vmap):
+    """Refuses a shape whose candidate exchange pairs times ring variables
+    exceed ``MAX_EXCHANGE_WORK``, before anything of the shape is built."""
+    s, d = vmap.s, vmap.d
+    candidates = math.comb(d + s - 2, s - 1) ** 2 * math.comb(s, 2)
+    if candidates * vmap.ring.nvars > MAX_EXCHANGE_WORK:
+        raise DomainError(
+            f"the exchange binomials for s={s}, d={d} have {candidates} "
+            f"candidate pairs over {vmap.ring.nvars} variables, past the cap "
+            f"of {MAX_EXCHANGE_WORK} pairs times variables")
+
+
 @lru_cache(maxsize=None)
 def exchange_binomials(s, d):
     """All nonzero quadratic exchange binomials, deduplicated and oriented.
@@ -109,17 +122,12 @@ def exchange_binomials(s, d):
     For every pair of degree-(d-1) indices and positions i < j, the product
     of the two bumped variables equals the cross-bumped product in the base
     ring; the difference is normalized so its leading term has coefficient +1
-    under the chain revlex order.  Shapes whose candidate pairs times ring
-    variables exceed ``MAX_EXCHANGE_WORK`` are refused before enumerating.
+    under the chain revlex order.  Shapes past ``MAX_EXCHANGE_WORK`` are
+    refused before enumerating.
     """
     vmap = VeroneseMap(s, d)
+    _check_exchange_work(vmap)
     ring, order = vmap.ring, vmap.order
-    candidates = math.comb(d + s - 2, s - 1) ** 2 * math.comb(s, 2)
-    if candidates * ring.nvars > MAX_EXCHANGE_WORK:
-        raise DomainError(
-            f"the exchange binomials for s={s}, d={d} have {candidates} "
-            f"candidate pairs over {ring.nvars} variables, past the cap of "
-            f"{MAX_EXCHANGE_WORK} pairs times variables")
     pos_of = ring.index_position
 
     def bump(a, i):
@@ -158,13 +166,39 @@ def exchange_binomials(s, d):
 
 @lru_cache(maxsize=None)
 def kernel_groebner_basis(s, d):
-    """Reduced basis of the substitution kernel under the chain revlex order.
+    """Reduced basis of the substitution kernel under the chain revlex order,
+    ascending, read off the standard-monomial table of degree 2.
 
-    Interreduces the exchange binomials; that they form a Gröbner basis is
-    certified separately by :func:`verify_exchange_basis`.
+    The kernel is toric, so the normal form of a monomial is the least
+    monomial of its fiber, and its reduced basis is quadratic (Sturmfels,
+    *Gröbner Bases and Convex Polytopes*, ch. 4 and 14; Conti and Traverso,
+    AAECC-9, 1991).  The kernel holds no linear form, so every quadratic
+    monomial m that is not its fiber's minimum is a minimal leading term,
+    and the basis is {m - min fiber(m)}; :func:`_standard_table` holds the
+    minima.  The shapes :func:`exchange_binomials` refuses are refused here,
+    before the table is read.  :func:`verify_exchange_basis` certifies that
+    this basis is the interreduced exchange binomials and the oracle's.
     """
     vmap = VeroneseMap(s, d)
-    return _reduce_basis(list(exchange_binomials(s, d)), vmap.order)
+    _check_exchange_work(vmap)
+    ring, key = vmap.ring, vmap.order.key
+    mons, images = _standard_table(s, d, 2)
+    least = dict(zip(images, mons))
+    indices = ring.indices
+    n = ring.nvars
+    out = []
+    for p in range(n):
+        for q in range(p, n):
+            e = [0] * n
+            e[p] += 1
+            e[q] += 1
+            m = tuple(e)
+            low = least[tuple(map(add, indices[p], indices[q]))]
+            if m != low:
+                out.append((key(m), Polynomial(
+                    ring, {m: Fraction(1), low: Fraction(-1)}, _clean=True)))
+    out.sort(key=lambda item: item[0])
+    return tuple(g for _, g in out)
 
 
 @lru_cache(maxsize=None)
@@ -336,14 +370,22 @@ class KernelCertificate(Record):
 
 def verify_exchange_basis(s, d, budget=None):
     """Certify the exchange binomials: kernel membership, S-pair closure,
-    and agreement with the elimination oracle."""
+    and agreement with the elimination oracle.
+
+    The exchange binomials are interreduced here, so that the closure check
+    proves they generate the kernel whose reduced basis is compared;
+    ``matches_oracle`` holds only when that interreduction,
+    :func:`kernel_groebner_basis` and :func:`kernel_oracle_basis` are one
+    tuple.
+    """
     vmap = VeroneseMap(s, d)
     basis = exchange_binomials(s, d)
     in_kernel = all(not vmap.image(g) for g in basis)
     check = is_groebner_basis(basis, vmap.order, budget=budget,
                               skip_coprime=False)
-    reduced = kernel_groebner_basis(s, d)
-    matches = tuple(reduced) == tuple(kernel_oracle_basis(s, d))
+    reduced = _reduce_basis(list(basis), vmap.order)
+    matches = reduced == kernel_groebner_basis(s, d) == \
+        tuple(kernel_oracle_basis(s, d))
     return KernelCertificate(s, d, len(basis), len(reduced), in_kernel,
                              check.ok, matches, check.spairs)
 
@@ -403,7 +445,7 @@ def standard_monomials(s, d, degree):
     yield from _standard_table(s, d, degree)[0]
 
 
-# Read only by perfbench's cache counters and the tests' reference filter.
+# Read only by perfbench's cache counters.
 @lru_cache(maxsize=None)
 def _kernel_initial_for(s, d):
     return kernel_initial(s, d)

@@ -23,7 +23,7 @@ from veronese_gb.polyring import (base_ring, generic_ring, parse_polynomial,
 from veronese_gb.toric import (Configuration, certify_grading,
                                toric_groebner_basis, veronese_layer)
 from veronese_gb.veronese import (VeroneseMap, _constructive_pullback,
-                                  _joint_graph_gb, _kernel_initial_for,
+                                  _joint_graph_gb,
                                   _record_groebner_check,
                                   bound_certificate, degree_bounds,
                                   exchange_binomials,
@@ -139,6 +139,59 @@ def test_kernel_matches_oracle():
         assert kernel_groebner_basis(s, d) == kernel_oracle_basis(s, d) \
             == toric, (s, d)
         assert _fraction_coeffs(toric)
+
+
+def test_kernel_basis_is_the_interreduced_exchange_set():
+    # every shape up to (6, 6) that the exchange cap admits, an empty kernel
+    # at s = 1 and at d = 1 included: the table's basis is the exchange
+    # binomials' interreduction, element by element and term by term.  The
+    # undecorated functions, so that no unbounded cache keeps the large
+    # shapes for the tests after this one.
+    admitted, refused = 0, []
+    for s in range(1, 7):
+        for d in range(1, 7):
+            try:
+                got = kernel_groebner_basis.__wrapped__(s, d)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    exchange_binomials.__wrapped__(s, d)
+                refused.append((s, d))
+                continue
+            order = VeroneseMap(s, d).order
+            want = _reduce_basis(list(exchange_binomials.__wrapped__(s, d)),
+                                 order)
+            assert got == want, (s, d)
+            assert [list(g.terms.items()) for g in got] == \
+                [list(g.terms.items()) for g in want], (s, d)
+            assert _fraction_coeffs(got), (s, d)
+            assert (got == ()) == (s == 1 or d == 1), (s, d)
+            admitted += 1
+    assert admitted == 33 and refused == [(5, 6), (6, 5), (6, 6)]
+
+
+def test_kernel_basis_refuses_what_the_exchange_cap_refuses(monkeypatch):
+    # (2, 300) has 301 variables and 90,000 candidate exchange pairs; the
+    # cap refuses it before any standard-monomial table is read
+    def no_table(*key):
+        raise AssertionError(f"table {key} read past the cap")
+
+    monkeypatch.setattr(veronese, "_standard_table", no_table)
+    with pytest.raises(DomainError, match="past the cap") as table_route:
+        kernel_groebner_basis(2, 300)
+    with pytest.raises(DomainError) as exchange_route:
+        exchange_binomials(2, 300)
+    assert str(table_route.value) == str(exchange_route.value)
+
+
+def test_exchange_certificate_compares_three_routes(monkeypatch):
+    # the exchange set still passes the closure check, but a kernel basis
+    # that lost an element disagrees with its interreduction and the oracle
+    full = kernel_groebner_basis(3, 2)
+    monkeypatch.setattr(veronese, "kernel_groebner_basis",
+                        lambda s, d: full[1:])
+    cert = verify_exchange_basis(3, 2)
+    assert cert.in_kernel and cert.is_groebner
+    assert not cert.matches_oracle and not cert.ok
 
 
 def test_kernel_size_matches_dimension_count():
@@ -697,10 +750,20 @@ def test_standard_monomials_of_a_high_degree_called_directly():
     assert list(standard_monomials(1, 3, 2500)) == [(2500,)]
 
 
+@lru_cache(maxsize=None)
+def _exchange_initial_gens(s, d):
+    """Leading terms of the interreduced exchange binomials: the kernel's
+    initial ideal by a route that reads no standard-monomial table, which
+    ``kernel_groebner_basis`` does."""
+    order = VeroneseMap(s, d).order
+    return tuple(g.leading_term(order)[0] for g in
+                 _reduce_basis(list(exchange_binomials(s, d)), order))
+
+
 def _standard_monomials_reference(s, d, degree):
     """Every degree-``degree`` monomial in ascending position order, kept
     when no minimal generator of the initial ideal divides it."""
-    gens = _kernel_initial_for(s, d).gens
+    gens = _exchange_initial_gens(s, d)
     n = VeroneseMap(s, d).ring.nvars
     out = []
     for combo in combinations_with_replacement(range(n), degree):
@@ -739,7 +802,7 @@ def _pullback_generators_reference(ideal, d, cap):
     and no kept monomial divides it."""
     s = ideal.ring.s
     vmap = VeroneseMap(s, d)
-    kernel_gens = kernel_initial(s, d).gens
+    kernel_gens = _exchange_initial_gens(s, d)
     kept = []
     for degree in range(1, cap + 1):
         for combo in combinations_with_replacement(range(vmap.ring.nvars),
