@@ -129,8 +129,16 @@ def parse_order_spec(spec, ring):
 
 
 def gb_block(polys, order, ring, budget):
-    return {"ring": ring_to_json(ring),
-            "polynomials": [poly_to_json(g, order) for g in polys],
+    # one ring object for the block and every polynomial in its ring, which
+    # report_json renders once per depth
+    rings = {ring: ring_to_json(ring)}
+    polynomials = []
+    for g in polys:
+        p = poly_to_json(g, order)
+        p["ring"] = rings.setdefault(g.ring, p["ring"])
+        polynomials.append(p)
+    return {"ring": rings[ring],
+            "polynomials": polynomials,
             "metadata": {"order": order.fingerprint,
                          "spair_count": budget.spairs,
                          "reduced": True}}
@@ -147,9 +155,88 @@ def make_report(command, input_payload, outputs, budget, started):
             "timing_ms": int((time.perf_counter() - started) * 1000)}
 
 
+def report_json(value):
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, byte for
+    byte.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder and renders
+    every occurrence of a value anew, and a basis block repeats its ring's
+    index table in each polynomial.  Here a first walk finds the dicts that
+    occur more than once, and each of them is rendered once per depth.  A
+    string is escaped by the encoder's own function, and any other value
+    that is not a container or an exact int, and a key that is not a
+    string, is rendered by ``json.dumps`` itself.
+    """
+    seen, repeated = set(), set()
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, dict):
+            if id(v) in seen:
+                repeated.add(id(v))
+                continue
+            seen.add(id(v))
+            stack.extend(v.values())
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+    encode = json.encoder.encode_basestring_ascii
+    rendered = {}
+    out = []
+
+    def render(v, indent):
+        if isinstance(v, str):
+            out.append(encode(v))
+        elif isinstance(v, dict):
+            if not v:
+                out.append("{}")
+                return
+            memo = (id(v), len(indent)) if id(v) in repeated else None
+            text = rendered.get(memo)
+            if text is not None:
+                out.append(text)
+                return
+            start = len(out)
+            inner = indent + "  "
+            head = "{\n" + inner
+            for k, x in sorted(v.items()):
+                out.append(head)
+                out.append(encode(k if isinstance(k, str) else json.dumps(k)))
+                out.append(": ")
+                render(x, inner)
+                head = ",\n" + inner
+            out.append("\n" + indent + "}")
+            if memo is not None:
+                rendered[memo] = out[start] = "".join(out[start:])
+                del out[start + 1:]
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                out.append("[]")
+                return
+            inner = indent + "  "
+            if all(type(x) is int for x in v):
+                out.append("[\n" + inner + (",\n" + inner).join(map(repr, v))
+                           + "\n" + indent + "]")
+                return
+            head = "[\n" + inner
+            for x in v:
+                out.append(head)
+                render(x, inner)
+                head = ",\n" + inner
+            out.append("\n" + indent + "]")
+        elif type(v) is int:
+            out.append(repr(v))
+        else:
+            out.append(json.dumps(v))
+
+    render(value, "")
+    return "".join(out)
+
+
 def emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True) if args.json \
-        else render_text(report)
+    """Writes the report to stdout, or to ``--out``: under ``--json`` the
+    text of :func:`report_json`, byte-identical to ``json.dumps(report,
+    indent=2, sort_keys=True)``, and otherwise :func:`render_text`."""
+    text = report_json(report) if args.json else render_text(report)
     if not args.out:
         print(text)
         return

@@ -577,6 +577,70 @@ def test_order_spec_variants():
     assert proc.returncode == 2  # gamma needs a Veronese ring
 
 
+# quotes, a backslash, control characters, non-ASCII text and a separator
+# that JavaScript reads as a line break
+WRITER_STRINGS = ("", "ring", 'a "quoted" word', "back\\slash",
+                  "tab\tline\nnul\x00unit\x1fdel\x7f", "é ü 𝔽 ∞", "\u2028")
+
+
+def _json_value(rng, depth):
+    """A random value that json.dumps accepts, nested at most 4 deep."""
+    roll = rng.randrange(11 if depth < 4 else 6)
+    if roll == 0:
+        return rng.choice(WRITER_STRINGS) + str(rng.randrange(10))
+    if roll == 1:
+        return rng.choice((-1, 1)) * rng.randrange(2**70)
+    if roll == 2:
+        return rng.choice((True, False, None, 0.1, -2.5, float("inf")))
+    if roll == 3:
+        return rng.choice(((), [], {}, ""))
+    if roll == 4:
+        return [rng.randrange(-3, 2**65) for _ in range(rng.randrange(1, 6))]
+    if roll == 5:
+        return rng.randrange(-5, 5)
+    size = rng.randrange(1, 5)
+    if roll in (6, 7, 8):
+        return {rng.choice(WRITER_STRINGS) + str(i): _json_value(rng, depth + 1)
+                for i in range(size)}
+    items = [_json_value(rng, depth + 1) for _ in range(size)]
+    return items if roll == 9 else tuple(items)
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_writer_matches_json_dumps(rng):
+    from veronese_gb.cli import report_json
+    for _ in range(300):
+        value = _json_value(rng, 0)
+        assert report_json(value) == _dumps(value), value
+    # one dict object twice at one depth and once at two others, as a basis
+    # block shares its ring, inside and beside random values
+    for _ in range(50):
+        shared = {"index_table": [[2, 0], [1, 1], [0, 2]], "kind": "Rd",
+                  "more": _json_value(rng, 2)}
+        value = {"block": [shared, shared, _json_value(rng, 2)],
+                 "deeper": {"ring": {"ring": shared}}, "top": shared,
+                 "other": _json_value(rng, 1)}
+        assert report_json(value) == _dumps(value)
+    # every golden, parsed and written again, is its own text
+    for path in sorted(GOLDEN.glob("*.json")):
+        text = path.read_text()
+        assert report_json(json.loads(text)) + "\n" == text, path.name
+
+
+def test_basis_block_shares_one_ring_object():
+    from veronese_gb import cli
+    from veronese_gb.groebner import Budget
+    from veronese_gb.veronese import VeroneseMap, kernel_groebner_basis
+    vmap = VeroneseMap(2, 3)
+    block = cli.gb_block(list(kernel_groebner_basis(2, 3)), vmap.order,
+                         vmap.ring, Budget())
+    assert len(block["polynomials"]) == 3
+    assert all(p["ring"] is block["ring"] for p in block["polynomials"])
+
+
 def test_timing_survives_a_wall_clock_step_back(monkeypatch, capsys):
     # NTP or an operator may set the wall clock back while a command runs;
     # the elapsed time must come from a monotonic clock
