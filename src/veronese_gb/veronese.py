@@ -105,7 +105,8 @@ class VeroneseMap(Value):
 
 def _check_exchange_work(vmap):
     """Refuses a shape whose candidate exchange pairs times ring variables
-    exceed ``MAX_EXCHANGE_WORK``, before anything of the shape is built."""
+    exceed ``MAX_EXCHANGE_WORK``, before its exchange binomials or its
+    standard-monomial table are built."""
     s, d = vmap.s, vmap.d
     candidates = math.comb(d + s - 2, s - 1) ** 2 * math.comb(s, 2)
     if candidates * vmap.ring.nvars > MAX_EXCHANGE_WORK:
