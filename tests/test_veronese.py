@@ -23,8 +23,7 @@ from veronese_gb.polyring import (base_ring, generic_ring, parse_polynomial,
 from veronese_gb.toric import (Configuration, certify_grading,
                                toric_groebner_basis, veronese_layer)
 from veronese_gb.veronese import (VeroneseMap, _constructive_pullback,
-                                  _joint_graph_gb,
-                                  _record_groebner_check,
+                                  _joint_graph_gb, _record_groebner_check,
                                   bound_certificate, degree_bounds,
                                   exchange_binomials,
                                   homogeneous_pullback_generators,
