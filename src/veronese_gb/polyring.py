@@ -384,154 +384,135 @@ def format_polynomial(poly):
                         poly.sorted_terms(poly.ring.default_order()))
 
 
-class _Tokenizer:
-    SYMBOLS = "+-*^/[],"
-
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        self._scan()
-
-    def _scan(self):
-        text = self.text
-        i, line, col = 0, 1, 1
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                i += 1
-                line += 1
-                col = 1
-                continue
-            if ch.isspace():
-                i += 1
-                col += 1
-                continue
-            if ch.isdecimal():
-                j = i
-                while j < len(text) and text[j].isdecimal():
-                    j += 1
-                self.tokens.append(("INT", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("NAME", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            if ch in self.SYMBOLS:
-                self.tokens.append((ch, ch, line, col))
-                i += 1
-                col += 1
-                continue
+def _scan(text):
+    """The tokens of ``text``, each (kind, text, line, column), ending with
+    an END token; kind is INT, NAME or the symbol itself."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        j = i + 1
+        if ch.isdecimal():
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            kind = "INT"
+        elif ch.isalpha() or ch == "_":
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            kind = "NAME"
+        elif ch in "+-*^/[],":
+            kind = ch
+        else:
             raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("END", "", line, col))
-
-
-class _Parser:
-    def __init__(self, text, ring):
-        self.toks = _Tokenizer(text).tokens
-        self.i = 0
-        self.ring = ring
-
-    def _peek(self):
-        return self.toks[self.i]
-
-    def _next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def _error(self, msg, tok):
-        raise ParseError(msg, tok[2], tok[3])
-
-    def _expect(self, kind):
-        tok = self._next()
-        if tok[0] != kind:
-            self._error(f"expected {kind!r}, found {tok[1]!r}", tok)
-        return tok
-
-    def parse(self):
-        poly = self.ring.zero
-        sign = 1
-        tok = self._peek()
-        if tok[0] in "+-":
-            self._next()
-            sign = -1 if tok[0] == "-" else 1
-        while True:
-            poly = poly + self._term() * sign
-            tok = self._next()
-            if tok[0] == "END":
-                return poly
-            if tok[0] == "+":
-                sign = 1
-            elif tok[0] == "-":
-                sign = -1
-            else:
-                self._error(f"expected '+', '-' or end, found {tok[1]!r}", tok)
-
-    def _term(self):
-        poly = self._factor()
-        while self._peek()[0] == "*":
-            self._next()
-            poly = poly * self._factor()
-        return poly
-
-    def _factor(self):
-        tok = self._peek()
-        if tok[0] == "INT":
-            return self.ring.constant(self._coefficient())
-        if tok[0] == "NAME":
-            return self._varpow()
-        self._error(f"expected a coefficient or variable, found {tok[1]!r}", tok)
-
-    def _coefficient(self):
-        num = int(self._expect("INT")[1])
-        if self._peek()[0] == "/":
-            self._next()
-            tok = self._expect("INT")
-            den = int(tok[1])
-            if den == 0:
-                self._error("zero denominator", tok)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def _int(self):
-        tok = self._expect("INT")
-        value = int(tok[1])
-        if value > MAX_EXPONENT:
-            self._error("exponent overflow", tok)
-        return value
-
-    def _varpow(self):
-        tok = self._expect("NAME")
-        name = tok[1]
-        if name == "x" and self._peek()[0] == "[":
-            self._next()
-            entries = [self._int()]
-            while self._peek()[0] == ",":
-                self._next()
-                entries.append(self._int())
-            self._expect("]")
-            name = "x[%s]" % ",".join(map(str, entries))
-        pos = self.ring.position.get(name)
-        if pos is None:
-            self._error(f"unknown variable {name!r}", tok)
-        exp = 1
-        if self._peek()[0] == "^":
-            self._next()
-            exp = self._int()
-        e = [0] * self.ring.nvars
-        e[pos] = exp
-        return self.ring.monomial(tuple(e))
+        tokens.append((kind, text[i:j], line, col))
+        col += j - i
+        i = j
+    tokens.append(("END", "", line, col))
+    return tokens
 
 
 def parse_polynomial(text, ring):
-    """Parse the text grammar (coefficients, '*', '^', y-names, x[indices])."""
-    return _Parser(text, ring).parse()
+    """Parse terms joined by '+' and '-', each a '*'-product of coefficients
+    (p or p/q) and variables of ``ring`` (y-names, x[indices]) with optional
+    '^' exponents; integers are decimal digits of any script.
+
+    The text is scanned whole first, so an unexpected character is reported
+    ahead of any other error.  Each term is then read in one pass, its
+    coefficient and exponents accumulating in place.  Bad syntax, an unknown
+    variable, a zero denominator, or an exponent or index past
+    ``MAX_EXPONENT`` is a ParseError at its line and column; an exponent sum
+    past it, in a term not zero so far, is a DomainError.
+    """
+    tokens = _scan(text)
+    i = 0
+
+    def take(kind):
+        nonlocal i
+        tok = tokens[i]
+        i += 1
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}",
+                             tok[2], tok[3])
+        return tok
+
+    def exponent():
+        tok = take("INT")
+        value = int(tok[1])
+        if value > MAX_EXPONENT:
+            raise ParseError("exponent overflow", tok[2], tok[3])
+        return value
+
+    terms = {}
+    sign = 1
+    if tokens[0][0] in "+-":
+        sign = -1 if tokens[0][0] == "-" else 1
+        i = 1
+    while True:
+        coeff, exps = Fraction(sign), [0] * ring.nvars
+        while True:
+            tok = tokens[i]
+            i += 1
+            if tok[0] == "INT":
+                c = int(tok[1])
+                if tokens[i][0] == "/":
+                    i += 1
+                    tok = take("INT")
+                    den = int(tok[1])
+                    if not den:
+                        raise ParseError("zero denominator", tok[2], tok[3])
+                    c = Fraction(c, den)
+                coeff *= c
+            elif tok[0] == "NAME":
+                name = tok[1]
+                if name == "x" and tokens[i][0] == "[":
+                    i += 1
+                    entries = [exponent()]
+                    while tokens[i][0] == ",":
+                        i += 1
+                        entries.append(exponent())
+                    take("]")
+                    name = "x[%s]" % ",".join(map(str, entries))
+                pos = ring.position.get(name)
+                if pos is None:
+                    raise ParseError(f"unknown variable {name!r}",
+                                     tok[2], tok[3])
+                exp = 1
+                if tokens[i][0] == "^":
+                    i += 1
+                    exp = exponent()
+                if coeff and exps[pos] + exp > MAX_EXPONENT:
+                    raise DomainError("exponent overflow")
+                exps[pos] += exp
+            else:
+                raise ParseError("expected a coefficient or variable, "
+                                 f"found {tok[1]!r}", tok[2], tok[3])
+            if tokens[i][0] != "*":
+                break
+            i += 1
+        if coeff:
+            e = tuple(exps)
+            v = terms.get(e, 0) + coeff
+            if v:
+                terms[e] = v
+            else:
+                del terms[e]
+        tok = tokens[i]
+        i += 1
+        if tok[0] == "END":
+            return Polynomial(ring, terms, _clean=True)
+        if tok[0] not in "+-":
+            raise ParseError(f"expected '+', '-' or end, found {tok[1]!r}",
+                             tok[2], tok[3])
+        sign = -1 if tok[0] == "-" else 1
 
 
 # ---------------------------------------------------------------------------

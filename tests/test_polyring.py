@@ -7,10 +7,11 @@ import pytest
 
 from veronese_gb.errors import (DimensionError, DomainError, ParseError,
                                 RingMismatchError)
-from veronese_gb.polyring import (MAX_EXPONENT, base_ring, format_polynomial,
-                                  generic_ring, joint_ring, parse_polynomial,
-                                  poly_from_json, poly_to_json, ring_from_json,
-                                  ring_to_json, veronese_ring)
+from veronese_gb.polyring import (MAX_EXPONENT, Polynomial, base_ring,
+                                  format_polynomial, generic_ring, joint_ring,
+                                  parse_polynomial, poly_from_json,
+                                  poly_to_json, ring_from_json, ring_to_json,
+                                  veronese_ring)
 
 
 def test_ring_shapes():
@@ -50,6 +51,12 @@ def test_parse_examples():
 
     assert parse_polynomial("0", S) == S.zero
     assert parse_polynomial("- y1 + y1", S) == S.zero
+    # every factor of a term multiplies in, and like terms add up
+    h = parse_polynomial("2*y1*3/4*y1", S)
+    assert h.terms == {(2, 0, 0): Fraction(3, 2)}
+    assert type(h.terms[(2, 0, 0)]) is Fraction
+    assert parse_polynomial("y1 - y1 + 2", S) == S.constant(2)
+    assert parse_polynomial("-y1*0 + y2", S) == S.variable(1)
 
 
 def test_parse_error_positions():
@@ -71,6 +78,14 @@ def test_parse_error_positions():
     with pytest.raises(ParseError):
         parse_polynomial("1/0*y1", S)
 
+    R = veronese_ring(2, 2)
+    with pytest.raises(ParseError, match="exponent overflow") as err:
+        parse_polynomial(f"x[{MAX_EXPONENT + 1},0]", R)
+    assert (err.value.line, err.value.col) == (1, 3)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x[1,2", R)
+    assert str(err.value) == "expected ']', found '' (line 1, column 6)"
+
 
 def test_parse_reads_only_decimal_digits_as_integers():
     # superscript digits are digits to str.isdigit but not to int()
@@ -87,6 +102,31 @@ def test_parse_reads_only_decimal_digits_as_integers():
     assert "unknown variable" in str(err.value)
     # a decimal digit of another script is still a digit
     assert parse_polynomial("\u0663*y1", S) == parse_polynomial("3*y1", S)
+
+
+def test_parse_exponent_sum_overflow():
+    # a term whose coefficient is zero so far never overflows; a nonzero one
+    # that does is out of the domain, not a syntax error
+    S = base_ring(2)
+    assert parse_polynomial(f"0*y1^{MAX_EXPONENT}*y1", S) == S.zero
+    assert parse_polynomial(f"y1^{MAX_EXPONENT}*0*y1 + y2", S) == S.variable(1)
+    assert parse_polynomial(f"y1^{MAX_EXPONENT}*y2", S).terms == {
+        (MAX_EXPONENT, 1): Fraction(1)}
+    for text in (f"y1^{MAX_EXPONENT}*y1", f"y2 + 3*y1*y1^{MAX_EXPONENT}"):
+        with pytest.raises(DomainError, match="exponent overflow"):
+            parse_polynomial(text, S)
+
+
+def test_parse_does_no_polynomial_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic while parsing")
+
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    S = base_ring(3)
+    f = parse_polynomial("-2*y1*y2^2 + 3/4*y2*y1*y3 - y1*5*y1 + y2*y1*7", S)
+    assert f.terms == {(1, 2, 0): Fraction(-2), (1, 1, 1): Fraction(3, 4),
+                       (2, 0, 0): Fraction(-5), (1, 1, 0): Fraction(7)}
 
 
 def test_print_parse_round_trip():
