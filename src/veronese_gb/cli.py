@@ -19,8 +19,9 @@ ideal of a homogeneous one.  A zero toric kernel reports ``bound: null``.
 S-pairs once in ``spairs_used``; it exits 6 only when a complete
 constructive basis disagrees with the oracle, and a basis that ``--cap`` or
 ``--no-oracle`` left partial is flagged partial instead.  ``--cap`` and
-``--no-oracle`` shape only the constructive monomial route; ``--verify``
-checks the returned basis on both routes and under every method.
+``--no-oracle`` shape only the constructive monomial route, though a
+``--cap`` below 1 exits 2 there under every method; ``--verify`` checks the
+returned basis on both routes and under every method.
 Reports are byte-identical across runs except for the ``timing_ms`` field.
 """
 
@@ -249,6 +250,7 @@ def emit(report, args):
 
 def render_text(report):
     lines = [f"# {report['command']}"]
+    names_of = {}  # id of a ring dict, which gb_block shares -> its names
 
     def walk(prefix, value):
         if isinstance(value, dict):
@@ -256,10 +258,12 @@ def render_text(report):
                 lines.append(f"{prefix} ({len(value['polynomials'])} elements, "
                              f"order {value['metadata']['order']}):")
                 for p in value["polynomials"]:
-                    names = ring_from_json(p["ring"]).names
-                    lines.append("  " + format_terms(
-                        names, ((t["exps"], Fraction(t["coeff"]))
-                                for t in p["terms"])))
+                    ring = p["ring"]
+                    if id(ring) not in names_of:
+                        names_of[id(ring)] = ring_from_json(ring).names
+                    terms = ((t["exps"], Fraction(t["coeff"]))
+                             for t in p["terms"])
+                    lines.append("  " + format_terms(names_of[id(ring)], terms))
                 return
             for k in sorted(value):
                 walk(f"{prefix}.{k}" if prefix else k, value[k])

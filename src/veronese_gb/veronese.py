@@ -566,9 +566,12 @@ def pullback_monomial_ideal(ideal, d, degree_cap=2, verify=False, budget=None,
     through its reduced basis, whose S-pairs ``spairs_checked`` counts (see
     :func:`_record_groebner_check`); the oracle's basis is reduced already.
     The elimination runs at most once, and the zero ideal pulls back to the
-    kernel under every method.
+    kernel under every method.  A ``degree_cap`` below 1 is a DomainError
+    under every method, raised before any work.
     """
     _check_method(method)
+    if degree_cap < 1:
+        raise DomainError("degree cap must be at least 1")
     if budget is None:
         budget = Budget()
     ring = ideal.ring

@@ -235,6 +235,17 @@ def test_method_both_capped_result_is_partial_not_a_defect(args, code):
     assert out["certificate"]["matches_oracle"] is False
 
 
+@pytest.mark.parametrize("args", [
+    ["tests/data/square_square.json", "--d", "3"],
+    ["tests/data/square_square.json", "--d", "2"],
+    ["tests/data/square_square.json", "--d", "2", "--method", "oracle"],
+    ["tests/data/empty_ideal.json", "--d", "2"],
+], ids=["at-bound", "below-bound", "oracle", "zero-ideal"])
+def test_cap_below_one_is_refused_on_every_route(args):
+    proc = run_cli("pullback", *args, "--cap", "0")
+    assert_one_error_line(proc, 2)
+    assert "degree cap must be at least 1" in proc.stderr
+
 @pytest.mark.parametrize("method", ["constructive", "oracle", "both"])
 def test_pullback_verify_under_every_method(method):
     args = ["pullback", "tests/data/square_square.json", "--d", "3",
@@ -421,6 +432,25 @@ def test_text_report_verbatim(args, expected):
              if not ln.startswith("timing_ms: ")]
     assert "\n".join(lines) + "\n" == expected
 
+
+@pytest.mark.parametrize("args,calls", [
+    (["pullback", "conic.json", "--d", "5", "--omega", "2,1,1"], 3),
+    (["toric", "curve_config.json", "--veronese", "5"], 2),
+], ids=["pullback", "toric"])
+def test_text_report_reads_each_ring_once(args, calls, monkeypatch, capsys):
+    # the input file's ring, if any, and one ring per basis block
+    from veronese_gb import cli
+    seen, real = [], cli.ring_from_json
+
+    def counted(obj):
+        seen.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(cli, "ring_from_json", counted)
+    assert cli.main([str(DATA / a) if a.endswith(".json") else a
+                     for a in args]) == 0
+    assert len(seen) == calls
+    assert capsys.readouterr().out.startswith(f"# {args[0]}")
 
 def test_single_variable_basis_is_empty():
     proc = run_cli("--json", "veronese", "--s", "1", "--d", "7")

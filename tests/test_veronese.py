@@ -667,6 +667,15 @@ def test_degree_bounds_odd_delta_verdict():
         MonomialIdeal.from_exponents(veronese_ring(2, 2), [(2, 0, 0)]), 6),
     lambda: pullback_monomial_ideal(
         MonomialIdeal.from_exponents(generic_ring(("a", "b")), [(2, 0)]), 2),
+    lambda: pullback_monomial_ideal(
+        MonomialIdeal.from_exponents(base_ring(2), [(2, 2)]), 3, degree_cap=0),
+    lambda: pullback_monomial_ideal(
+        MonomialIdeal.from_exponents(base_ring(2), [(2, 2)]), 2, degree_cap=0),
+    lambda: pullback_monomial_ideal(
+        MonomialIdeal.from_exponents(base_ring(2), [(2, 2)]), 2, degree_cap=0,
+        method="oracle"),
+    lambda: pullback_monomial_ideal(MonomialIdeal(base_ring(2), ()), 2,
+                                    degree_cap=-1),
     lambda: monomial_pullback_generators(
         MonomialIdeal.from_exponents(veronese_ring(2, 2), [(2, 0, 0)]), 2),
     lambda: pullback_homogeneous_ideal(
@@ -682,6 +691,8 @@ def test_degree_bounds_odd_delta_verdict():
         "generators-cap-0", "weight-pullback-length",
         "homogeneous-unknown-method", "monomial-unknown-method",
         "monomial-veronese-ring", "monomial-generic-ring",
+        "monomial-cap-0-at-bound", "monomial-cap-0-below-bound",
+        "monomial-cap-0-oracle", "monomial-cap-negative-zero-ideal",
         "generators-veronese-ring", "homogeneous-veronese-ring",
         "homogeneous-omega-fraction", "oracle-omega-length",
         "oracle-omega-fraction", "oracle-omega-negative"])
