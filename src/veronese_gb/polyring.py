@@ -499,12 +499,7 @@ def parse_polynomial(text, ring):
                 break
             i += 1
         if coeff:
-            e = tuple(exps)
-            v = terms.get(e, 0) + coeff
-            if v:
-                terms[e] = v
-            else:
-                del terms[e]
+            add_terms(terms, {tuple(exps): 1}, coeff)
         tok = tokens[i]
         i += 1
         if tok[0] == "END":
