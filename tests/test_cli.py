@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import veronese_gb
+from veronese_gb.polyring import MAX_EXPONENT
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
@@ -528,25 +529,84 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (800 * 2**20, 800 * 2**20))
 
 
-@pytest.mark.parametrize("args", [
-    ["veronese", "--s", "2", "--d", "2000"],
-    ["veronese", "--s", "2", "--d", "300"],
-    ["pullback", "tests/data/square_square.json", "--d", "2000"],
-    ["pullback", "CI", "--d", "2000", "--omega", "2,1"],
-], ids=["veronese-2-2000", "veronese-2-300", "monomial-pullback",
-        "weighted-pullback"])
-def test_exchange_binomials_cap(args, tmp_path):
-    # (2, 2000) has 2,001 variables, under the ring cap, and 4 * 10^6
-    # candidate exchange pairs; they are refused before any is enumerated
-    ci = tmp_path / "ci.json"
-    ci.write_text('{"ring": {"kind": "S", "s": 2}, '
-                  '"generators": ["y1^2 - y2^2"]}')
-    args = [str(ci) if a == "CI" else a for a in args]
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+# Inputs refused before any Groebner basis, lift or standard-monomial table,
+# each with what its one error line says.  (2, 2000) has 2,001 variables,
+# under the ring cap, and 4 * 10^6 candidate exchange pairs; (3, 120) has
+# 7,381 variables.  "CI", "BIG" and "LONG" name files that _refused_argv
+# writes.  --budget and the coefficient cap act during the work, so they are
+# not here.
+REFUSED_BEFORE_WORK = [
+    pytest.param(["veronese", "--s", "2", "--d", "2000"], "past the cap",
+                 id="veronese-2-2000"),
+    pytest.param(["veronese", "--s", "2", "--d", "300"], "past the cap",
+                 id="veronese-2-300"),
+    pytest.param(["pullback", "tests/data/square_square.json", "--d", "2000"],
+                 "past the cap", id="monomial-pullback"),
+    pytest.param(["pullback", "CI", "--d", "2000", "--omega", "2,1"],
+                 "past the cap", id="weighted-pullback"),
+    pytest.param(["toric", "tests/data/curve_config.json", "--veronese", "120"],
+                 "past the cap", id="toric-veronese"),
+    pytest.param(["veronese", "--s", "3", "--d", "200"],
+                 "exceeds the cap of 10000", id="ring-size"),
+    pytest.param(["pullback", "tests/data/square_square.json", "--d", "2",
+                  "--cap", "0"], "degree cap must be at least 1",
+                 id="degree-cap"),
+    pytest.param(["gbasis", "BIG"], "exponent overflow (line 1, column 4)",
+                 id="exponent"),
+    pytest.param(["gbasis", "LONG"], f"integer has more than {INT_DIGITS} "
+                 "digits (line 1, column 6)", id="digit-limit",
+                 marks=pytest.mark.skipif(
+                     not INT_DIGITS, reason="no limit on int() of a digit "
+                     "string")),
+]
+
+
+def _refused_argv(args, tmp_path):
+    """``args`` with each input path absolute, and CI, BIG and LONG written
+    as base-ring ideal files under ``tmp_path``."""
+    generators = {"CI": "y1^2 - y2^2", "BIG": f"y1^{MAX_EXPONENT + 1}",
+                  "LONG": "y1 + " + "9" * (INT_DIGITS + 1) + "*y2"}
+    argv = []
+    for a in args:
+        if a in generators:
+            path = tmp_path / f"{a}.json"
+            path.write_text(json.dumps({"ring": {"kind": "S", "s": 2},
+                                        "generators": [generators[a]]}))
+            a = str(path)
+        elif a.startswith("tests/"):
+            a = str(HERE.parent / a)
+        argv.append(a)
+    return argv
+
+
+@pytest.mark.parametrize("args, message", REFUSED_BEFORE_WORK)
+def test_exchange_binomials_cap(args, message, tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "veronese_gb.cli", *args], capture_output=True,
-        text=True, cwd=HERE.parent, preexec_fn=_limit_address_space,
-        timeout=120)
+        [sys.executable, "-m", "veronese_gb.cli",
+         *_refused_argv(args, tmp_path)], capture_output=True, text=True,
+        cwd=HERE.parent, preexec_fn=_limit_address_space, timeout=120)
     assert_one_error_line(proc, 2)
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", REFUSED_BEFORE_WORK)
+def test_refusals_come_before_any_work(args, message, tmp_path, monkeypatch,
+                                       capsys):
+    from veronese_gb import cli, groebner, veronese
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    for owner, name in ((groebner, "buchberger"), (veronese, "buchberger"),
+                        (veronese.VeroneseMap, "lift"),
+                        (veronese, "_standard_table")):
+        monkeypatch.setattr(owner, name, no_work)
+    assert cli.main(_refused_argv(args, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_pullback_oracle_method():

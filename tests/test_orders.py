@@ -124,13 +124,15 @@ def test_initial_form_examples():
 
 def test_key_memo_contract():
     # perfbench/tracing.py counts key calls by patching each class's own
-    # ``key`` and reads ``order._cache`` to tell hits from misses
+    # ``key`` and reads ``order._cache`` to tell hits from misses; a
+    # composite order memoizes each key once, in its own memo, and leaves
+    # its parts' memos empty
     from veronese_gb.orders import Block
 
     def make():
         return [(Lex(3, (2, 0, 1)), 3), (GrevLex(3), 3), (GammaRevLex(2, 2), 3),
                 (Weighted((1, 2, 3), GrevLex(3)), 3),
-                (Block(1, GrevLex(1), GrevLex(2)), 3)]
+                (Block(1, GrevLex(1), Weighted((1, 1), GrevLex(2))), 3)]
 
     assert {type(o) for o, _ in make()} == {Lex, GrevLex, GammaRevLex,
                                             Weighted, Block}
@@ -141,6 +143,10 @@ def test_key_memo_contract():
         k = order.key(exps)
         assert order._cache[exps] == k
         assert order.key(exps) is k
+    weighted, block = filled[3][0], filled[4][0]
+    for part in (weighted.tie, block.front_order, block.back_order,
+                 block.back_order.tie):
+        assert part._cache == {}
     for (a, _), (b, _) in zip(fresh, filled):
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 

@@ -1,6 +1,7 @@
 """Ring construction, arithmetic, the text grammar, and JSON round trips."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,23 @@ def test_parse_reads_only_decimal_digits_as_integers():
     assert "unknown variable" in str(err.value)
     # a decimal digit of another script is still a digit
     assert parse_polynomial("\u0663*y1", S) == parse_polynomial("3*y1", S)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no limit on int() of a digit string")
+def test_parse_refuses_a_digit_run_past_the_int_limit():
+    # int() refuses a digit run past the interpreter's limit; each place an
+    # integer is read reports it as a ParseError at the run's token
+    S, R = base_ring(2), veronese_ring(2, 2)
+    long = "9" * (sys.get_int_max_str_digits() + 1)
+    for text, ring, col in ((f"y1 + {long}*y2", S, 6),
+                            (f"y1 + 1/{long}*y2", S, 8),
+                            (f"y1^{long}", S, 4),
+                            (f"x[{long},0]", R, 3),
+                            (f"x[2,0] - x[0,{long}]", R, 14)):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, ring)
+        assert (err.value.line, err.value.col) == (1, col), text
 
 
 def test_parse_exponent_sum_overflow():

@@ -182,6 +182,25 @@ def test_kernel_basis_refuses_what_the_exchange_cap_refuses(monkeypatch):
     assert str(table_route.value) == str(exchange_route.value)
 
 
+def test_weighted_and_toric_routes_refuse_the_shape_before_any_lift(
+        monkeypatch):
+    # (3, 120) has 7,381 variables, under the ring cap, and the exchange cap
+    # refuses it; neither route lifts a padded multiple or computes a toric
+    # kernel first
+    from veronese_gb import toric
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the exchange cap refused")
+
+    monkeypatch.setattr(VeroneseMap, "lift", no_work)
+    monkeypatch.setattr(toric, "toric_ideal", no_work)
+    with pytest.raises(DomainError, match="past the cap"):
+        pullback_homogeneous_ideal(_conic(), 120, (2, 1, 1))
+    with pytest.raises(DomainError, match="past the cap"):
+        toric.verify_veronese_toric(
+            Configuration.from_points([(1, 0), (1, 1), (1, 2)]), 120)
+
+
 def test_exchange_certificate_compares_three_routes(monkeypatch):
     # the exchange set still passes the closure check, but a kernel basis
     # that lost an element disagrees with its interreduction and the oracle
@@ -1019,8 +1038,7 @@ def test_oracle_contexts_stay_bounded():
     contexts = veronese._ORACLE_CONTEXTS
     assert len(contexts) == veronese.ORACLE_MEMO_SIZE
     assert (3, 3, None) in contexts and (2, 2, (1, 1)) not in contexts
-    assert all(veronese._memo_entries(context.index.order)
-               <= veronese.ORACLE_KEY_MEMO_CAP
+    assert all(len(context.index.order._cache) <= veronese.ORACLE_KEY_MEMO_CAP
                for context in contexts.values())
 
 
