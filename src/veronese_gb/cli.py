@@ -43,9 +43,10 @@ from .polyring import (SCALAR, format_terms, generic_ring, json_shape,
                        parse_polynomial, poly_from_json, poly_to_json,
                        ring_from_json, ring_to_json)
 from .toric import Configuration, toric_ideal, verify_veronese_toric
-from .veronese import (METHODS, VeroneseMap, degree_bounds,
-                       exchange_binomials, pullback_homogeneous_ideal,
-                       pullback_monomial_ideal, verify_exchange_basis)
+from .veronese import (METHODS, VeroneseMap, _check_exchange_work,
+                       degree_bounds, exchange_binomials,
+                       pullback_homogeneous_ideal, pullback_monomial_ideal,
+                       verify_exchange_basis)
 
 # what a shell reports for a writer killed by SIGPIPE
 PIPE_CLOSED = 141
@@ -346,6 +347,10 @@ def cmd_pullback(args, budget):
 
 def cmd_toric(args, budget):
     config = load_configuration_file(args.config)
+    if args.veronese is not None:
+        # refuse the layer's shape before computing the kernel
+        vmap = VeroneseMap(config.size, args.veronese)
+        _check_exchange_work(vmap)
     ideal = toric_ideal(config, budget)
     order = ideal.ring.default_order()
     outputs = {"lambda": [str(x) for x in config.grading],
@@ -354,7 +359,6 @@ def cmd_toric(args, budget):
     if args.veronese is not None:
         cert = verify_veronese_toric(config, args.veronese,
                                      method=args.method, budget=budget)
-        vmap = VeroneseMap(config.size, args.veronese)
         outputs["veronese"] = {
             "d": args.veronese,
             "omega": list(cert.omega),

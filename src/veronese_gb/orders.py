@@ -12,6 +12,10 @@ order may concatenate its parts' keys: ``Weighted`` puts the weight in front
 of its tie order's key, and ``Block`` appends the back key to the front key.
 Flat keys also compare faster than nested ones, which matters in the
 Buchberger queue and the reduction loop.
+
+Each order memoizes its own keys.  A composite order builds its keys from
+its parts' unmemoized ``_key``, so a monomial seen under it is memoized once,
+in its own memo, and a part's memo fills only when the part is used alone.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ class TermOrder(Value):
     """Base class; subclasses fill in _key and fingerprint.
 
     ``key`` memoizes ``_key`` in ``_cache``, a plain instance attribute that
-    each ``__init__`` sets and equality ignores.  Each subclass binds
+    each ``__init__`` sets and equality ignores.  The memo holds this order's
+    keys only: a composite order keys through its parts' ``_key``, never
+    their ``key``, so their memos stay empty.  Each subclass binds
     ``key = TermOrder.key`` in its own class dict, because
     ``perfbench/tracing.py`` patches ``cls.__dict__["key"]`` to count calls.
     """
@@ -166,7 +172,7 @@ class Weighted(TermOrder):
     def _key(self, exps):
         _check_len(exps, len(self.weights))
         w = sum(wi * ei for wi, ei in zip(self.weights, exps))
-        return (w, *self.tie.key(exps))
+        return (w, *self.tie._key(exps))
 
     @property
     def fingerprint(self):
@@ -194,8 +200,8 @@ class Block(TermOrder):
     key = TermOrder.key
 
     def _key(self, exps):
-        return (self.front_order.key(exps[:self.front])
-                + self.back_order.key(exps[self.front:]))
+        return (self.front_order._key(exps[:self.front])
+                + self.back_order._key(exps[self.front:]))
 
     @property
     def fingerprint(self):

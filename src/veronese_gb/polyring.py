@@ -8,6 +8,7 @@ convention: every operation returns a fresh polynomial.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from operator import add, le, sub
@@ -428,12 +429,21 @@ def parse_polynomial(text, ring):
     The text is scanned whole first, so an unexpected character is reported
     ahead of any other error.  Each term is then read in one pass, its
     coefficient and exponents accumulating in place.  Bad syntax, an unknown
-    variable, a zero denominator, or an exponent or index past
+    variable, a zero denominator, a digit run longer than ``int()`` reads
+    (``sys.get_int_max_str_digits()``), or an exponent or index past
     ``MAX_EXPONENT`` is a ParseError at its line and column; an exponent sum
     past it, in a term not zero so far, is a DomainError.
     """
     tokens = _scan(text)
     i = 0
+
+    def integer(tok):
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise ParseError(f"integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits",
+                             tok[2], tok[3]) from None
 
     def take(kind):
         nonlocal i
@@ -446,7 +456,7 @@ def parse_polynomial(text, ring):
 
     def exponent():
         tok = take("INT")
-        value = int(tok[1])
+        value = integer(tok)
         if value > MAX_EXPONENT:
             raise ParseError("exponent overflow", tok[2], tok[3])
         return value
@@ -462,11 +472,11 @@ def parse_polynomial(text, ring):
             tok = tokens[i]
             i += 1
             if tok[0] == "INT":
-                c = int(tok[1])
+                c = integer(tok)
                 if tokens[i][0] == "/":
                     i += 1
                     tok = take("INT")
-                    den = int(tok[1])
+                    den = integer(tok)
                     if not den:
                         raise ParseError("zero denominator", tok[2], tok[3])
                     c = Fraction(c, den)

@@ -15,7 +15,8 @@ from .groebner import (Budget, Ideal, _DivisorIndex, eliminate, graph_ideal,
                        monomial_image)
 from .polyring import as_fraction, as_integer, base_ring
 from .values import Record, Value, init_attr
-from .veronese import VeroneseMap, multi_indices, pullback_homogeneous_ideal
+from .veronese import (VeroneseMap, _check_exchange_work, multi_indices,
+                       pullback_homogeneous_ideal)
 
 
 def _row_reduce(rows, ncols):
@@ -210,14 +211,16 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
     the default order, and checks binomiality, image equality under the
     layer's monomial map, and the recorded duplicate-point identifications.
     The weights and the bound are the pullback's, the bound None for a zero
-    kernel.
+    kernel.  A shape that the exchange cap refuses is refused before the
+    kernel is computed.
     """
     if budget is None:
         budget = Budget()
+    vmap = VeroneseMap(config.size, d)
+    _check_exchange_work(vmap)
     ideal = toric_ideal(config, budget)
     pb = pullback_homogeneous_ideal(ideal, d, method=method, budget=budget)
     layer = veronese_layer(config, d)
-    vmap = VeroneseMap(config.size, d)
 
     all_binomial = all(g.is_binomial_pm1() for g in pb.reduced)
     images_equal = True

@@ -24,7 +24,7 @@ from .groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
                        _ExponentIndex, _front_free, _reduce_basis, buchberger,
                        eliminate, elimination_order, find_weight_vector,
                        graph_ideal, is_groebner_basis, monomial_image)
-from .orders import GammaRevLex, TermOrder, Weighted, multi_indices
+from .orders import GammaRevLex, Weighted, multi_indices
 from .polyring import (MAX_EXCHANGE_WORK, Polynomial, as_integer, base_ring,
                        mono_divides, veronese_ring)
 from .values import Record, Value, init_attr
@@ -237,23 +237,9 @@ _ORACLE_MEMO = OrderedDict()
 # (s, d, omega or None).
 _ORACLE_CONTEXTS = OrderedDict()
 ORACLE_MEMO_SIZE = 8
-# How many key-memo entries a context's order, its parts' memos included,
-# may keep from one run to the next.
+# How many key-memo entries a context's order may keep from one run to the
+# next.
 ORACLE_KEY_MEMO_CAP = 500
-
-
-def _oracle_order(s, d, omega):
-    """A new elimination order of the oracle, with parts of its own."""
-    vmap = VeroneseMap(s, d)
-    return elimination_order(
-        s, vmap.order if omega is None else pullback_order(vmap, omega))
-
-
-def _memo_entries(order):
-    """Entries in the key memos of an order and of the orders it is built
-    from."""
-    return len(order._cache) + sum(_memo_entries(part) for part in
-                                   order._values if isinstance(part, TermOrder))
 
 
 class _OracleContext:
@@ -277,8 +263,10 @@ def _oracle_context(s, d, omega):
     seed = _joint_graph_gb(s, d)
     context = _ORACLE_CONTEXTS.get(key)
     if context is None or context.seed is not seed:
-        context = _ORACLE_CONTEXTS[key] = _OracleContext(
-            seed, _oracle_order(s, d, omega))
+        vmap = VeroneseMap(s, d)
+        order = elimination_order(
+            s, vmap.order if omega is None else pullback_order(vmap, omega))
+        context = _ORACLE_CONTEXTS[key] = _OracleContext(seed, order)
     _ORACLE_CONTEXTS.move_to_end(key)
     if len(_ORACLE_CONTEXTS) > ORACLE_MEMO_SIZE:
         _ORACLE_CONTEXTS.popitem(last=False)
@@ -314,11 +302,11 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
     nothing.  The elimination itself starts from the context of (s, d, ω)
     among the latest ``ORACLE_MEMO_SIZE``: an elimination order of its own,
     built once, and the divisor index over the seed under it, which each run
-    copies rather than rebuilds.  After a run the context drops its order
-    for a new one when the order's key memos, its parts' included, hold more
-    than ``ORACLE_KEY_MEMO_CAP`` entries.  A memoized key equals a computed
-    one and the copied index equals a rebuilt one, so a context changes no
-    pair, criterion decision or basis.
+    copies rather than rebuilds.  After a run the context empties its
+    order's key memo when it holds more than ``ORACLE_KEY_MEMO_CAP``
+    entries.  A memoized key equals a computed one and the copied index
+    equals a rebuilt one, so a context changes no pair, criterion decision
+    or basis.
     """
     if ideal.ring != vmap.base:
         raise RingMismatchError("ideal must live in the base ring")
@@ -340,8 +328,8 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
         gb = eliminate(embedded + gens, s, vmap.ring, index.order.back_order,
                        budget=budget, seed_gb=index)
     finally:
-        if _memo_entries(index.order) > ORACLE_KEY_MEMO_CAP:
-            index.order = _oracle_order(s, d, omega)
+        if len(index.order._cache) > ORACLE_KEY_MEMO_CAP:
+            index.order._cache.clear()
     _ORACLE_MEMO[key] = gb
     if len(_ORACLE_MEMO) > ORACLE_MEMO_SIZE:
         _ORACLE_MEMO.popitem(last=False)
@@ -700,6 +688,9 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
     records the quadratic bound for the weight initial ideal and that the
     pullback's leading-term ideal agrees with the pullback of the weight
     initial ideal; ``verify`` adds the S-pair check of the returned basis.
+    A shape that :func:`exchange_binomials` refuses is refused right after
+    the checks that read only the input, before any weight, initial form or
+    lift is computed.
 
     The constructive route lifts the weighted basis of I that
     :meth:`Ideal.initial_forms` computed.  The right-hand side of the check,
@@ -725,10 +716,12 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
         raise DomainError("pullbacks need a base ring y1..ys")
     if not ideal.is_homogeneous():
         raise DomainError("ideal must be homogeneous in the standard grading")
+    if omega is not None:
+        omega = _base_weights(omega, s)
+    vmap = VeroneseMap(s, d)
+    _check_exchange_work(vmap)
     if omega is None:
         omega = find_weight_vector(ideal, base.default_order(), budget)
-    omega = _base_weights(omega, s)
-    vmap = VeroneseMap(s, d)
 
     forms_ideal, monomial = ideal.initial_forms(omega, budget=budget)
     if not monomial:
