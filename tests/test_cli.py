@@ -596,7 +596,7 @@ def test_refusals_come_before_any_work(args, message, tmp_path, monkeypatch,
                                        capsys):
     from veronese_gb import cli, groebner, veronese
 
-    def no_work(*args, **kwargs):
+    def no_work(*_, **__):
         raise AssertionError("work done before the refusal")
 
     for owner, name in ((groebner, "buchberger"), (veronese, "buchberger"),
