@@ -28,7 +28,6 @@ Reports are byte-identical across runs except for the ``timing_ms`` field.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -48,6 +47,16 @@ from .veronese import (METHODS, VeroneseMap, _check_exchange_work,
                        pullback_homogeneous_ideal, pullback_monomial_ideal,
                        verify_exchange_basis)
 
+try:
+    # hashlib maps OpenSSL, 3.5 MB and several ms of every command's start:
+    # the interpreter's built-in module first, as the standard random does
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 # what a shell reports for a writer killed by SIGPIPE
 PIPE_CLOSED = 141
 
@@ -56,10 +65,26 @@ def _reject_constant(name):
     raise DomainError(f"{name} is not a JSON number")
 
 
+def _int(text, where):
+    """``int(text)``; a digit run longer than ``int()`` reads
+    (``sys.get_int_max_str_digits()``) is a DomainError that names ``where``,
+    a file or an option, and does not echo the run."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not (limit and digits.isdecimal() and len(digits) > limit):
+            raise
+        raise DomainError(f"{where} has a number with more than {limit} "
+                          "digits") from None
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant,
+                             parse_int=lambda text: _int(text, path))
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from None
     except RecursionError:
@@ -95,10 +120,12 @@ def parse_order_spec(spec, ring):
     weighted:w1,..,wn[:tie=SPEC] | block:K[:back=SPEC]."""
     head, _, rest = spec.partition(":")
     if head == "lex":
-        prio = tuple(int(x) for x in rest.split(",")) if rest else None
+        prio = (tuple(_int(x, "--order") for x in rest.split(","))
+                    if rest else None)
         return Lex(ring.nvars, prio)
     if head == "grevlex":
-        chain = tuple(int(x) for x in rest.split(",")) if rest else None
+        chain = (tuple(_int(x, "--order") for x in rest.split(","))
+                     if rest else None)
         return GrevLex(ring.nvars, chain)
     if head == "gamma":
         if ring.kind != "Rd":
@@ -106,7 +133,7 @@ def parse_order_spec(spec, ring):
         return GammaRevLex(ring.s, ring.d)
     if head == "weighted":
         wpart, _, tiepart = rest.partition(":")
-        weights = tuple(int(x) for x in wpart.split(","))
+        weights = tuple(_int(x, "--order") for x in wpart.split(","))
         if len(weights) != ring.nvars:
             raise DimensionError("weight count must match the ring")
         tie = ring.default_order()
@@ -117,7 +144,7 @@ def parse_order_spec(spec, ring):
         return Weighted(weights, tie)
     if head == "block":
         kpart, _, backpart = rest.partition(":")
-        k = int(kpart)
+        k = _int(kpart, "--order")
         if not 0 <= k <= ring.nvars:
             raise DomainError("block size outside the ring")
         back_ring = generic_ring(ring.names[k:])
@@ -147,7 +174,7 @@ def gb_block(polys, order, ring, budget):
 
 
 def make_report(command, input_payload, outputs, budget, started):
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(input_payload, sort_keys=True).encode()).hexdigest()
     return {"command": command,
             "inputs_digest": digest,
@@ -320,7 +347,7 @@ def cmd_pullback(args, budget):
     if ideal.ring.kind != "S":
         raise DomainError("pullback input must live in a base ring y1..ys")
     if args.omega or not all(g.is_monomial() for g in ideal.generators):
-        omega = (tuple(int(x) for x in args.omega.split(","))
+        omega = (tuple(_int(x, "--omega") for x in args.omega.split(","))
                  if args.omega else None)
         res = pullback_homogeneous_ideal(ideal, args.d, omega,
                                          method=args.method, budget=budget,
@@ -472,8 +499,9 @@ def main(argv=None):
         print(f"error: {exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code
     except (KeyError, ValueError) as exc:
-        # malformed input that no reader names: a missing JSON key, or int()
-        # of an order spec or of --omega
+        # malformed input that no reader names: a missing JSON key, a file
+        # that is not UTF-8, or an order spec or --omega entry that is not an
+        # integer (one past int()'s digit limit is a DomainError)
         print(f"error: {exc}", file=sys.stderr)
         return VeroneseGBError.exit_code
     if getattr(args, "strict", False) and outputs["partial"]:

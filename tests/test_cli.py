@@ -530,13 +530,16 @@ def _limit_address_space():
 
 
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+NEEDS_INT_DIGITS = pytest.mark.skipif(
+    not INT_DIGITS, reason="no limit on int() of a digit string")
 
 # Inputs refused before any Groebner basis, lift or standard-monomial table,
 # each with what its one error line says.  (2, 2000) has 2,001 variables,
 # under the ring cap, and 4 * 10^6 candidate exchange pairs; (3, 120) has
-# 7,381 variables.  "CI", "BIG" and "LONG" name files that _refused_argv
-# writes.  --budget and the coefficient cap act during the work, so they are
-# not here.
+# 7,381 variables.  "CI", "BIG", "LONG" and "HUGE" name files that
+# _refused_argv writes, and it replaces "NINES" with a digit run one past
+# int()'s limit.  --budget and the coefficient cap act during the work, so
+# they are not here.
 REFUSED_BEFORE_WORK = [
     pytest.param(["veronese", "--s", "2", "--d", "2000"], "past the cap",
                  id="veronese-2-2000"),
@@ -557,27 +560,48 @@ REFUSED_BEFORE_WORK = [
                  id="exponent"),
     pytest.param(["gbasis", "LONG"], f"integer has more than {INT_DIGITS} "
                  "digits (line 1, column 6)", id="digit-limit",
-                 marks=pytest.mark.skipif(
-                     not INT_DIGITS, reason="no limit on int() of a digit "
-                     "string")),
+                 marks=NEEDS_INT_DIGITS),
+    pytest.param(["gbasis", "HUGE"], f"HUGE.json has a number with more than "
+                 f"{INT_DIGITS} digits", id="digit-limit-json",
+                 marks=NEEDS_INT_DIGITS),
+    pytest.param(["pullback", "tests/data/conic.json", "--d", "2", "--omega",
+                  "NINES,1,1"], f"--omega has a number with more than "
+                 f"{INT_DIGITS} digits", id="digit-limit-omega",
+                 marks=NEEDS_INT_DIGITS),
+    pytest.param(["gbasis", "tests/data/elim_curve.json", "--order",
+                  "block:NINES"], f"--order has a number with more than "
+                 f"{INT_DIGITS} digits", id="digit-limit-block",
+                 marks=NEEDS_INT_DIGITS),
+    pytest.param(["gbasis", "tests/data/elim_curve.json", "--order",
+                  "weighted:NINES,1,1"], f"--order has a number with more "
+                 f"than {INT_DIGITS} digits", id="digit-limit-weighted",
+                 marks=NEEDS_INT_DIGITS),
 ]
 
 
 def _refused_argv(args, tmp_path):
-    """``args`` with each input path absolute, and CI, BIG and LONG written
-    as base-ring ideal files under ``tmp_path``."""
-    generators = {"CI": "y1^2 - y2^2", "BIG": f"y1^{MAX_EXPONENT + 1}",
-                  "LONG": "y1 + " + "9" * (INT_DIGITS + 1) + "*y2"}
+    """``args`` with each input path absolute, NINES replaced, and CI, BIG
+    and LONG written under ``tmp_path`` as base-ring ideal files, and HUGE
+    as a file whose ring has NINES variables."""
+    nines = "9" * (INT_DIGITS + 1)
+
+    def ideal(generator):
+        return json.dumps({"ring": {"kind": "S", "s": 2},
+                           "generators": [generator]})
+
+    files = {"CI": ideal("y1^2 - y2^2"),
+             "BIG": ideal(f"y1^{MAX_EXPONENT + 1}"),
+             "LONG": ideal(f"y1 + {nines}*y2"),
+             "HUGE": f'{{"ring": {{"kind": "S", "s": {nines}}}}}'}
     argv = []
     for a in args:
-        if a in generators:
+        if a in files:
             path = tmp_path / f"{a}.json"
-            path.write_text(json.dumps({"ring": {"kind": "S", "s": 2},
-                                        "generators": [generators[a]]}))
+            path.write_text(files[a])
             a = str(path)
         elif a.startswith("tests/"):
             a = str(HERE.parent / a)
-        argv.append(a)
+        argv.append(a.replace("NINES", nines))
     return argv
 
 
@@ -589,6 +613,7 @@ def test_exchange_binomials_cap(args, message, tmp_path):
         cwd=HERE.parent, preexec_fn=_limit_address_space, timeout=120)
     assert_one_error_line(proc, 2)
     assert message in proc.stderr
+    assert "9" * 50 not in proc.stderr
 
 
 @pytest.mark.parametrize("args, message", REFUSED_BEFORE_WORK)
@@ -606,7 +631,7 @@ def test_refusals_come_before_any_work(args, message, tmp_path, monkeypatch,
     assert cli.main(_refused_argv(args, tmp_path)) == 2
     out, err = capsys.readouterr()
     assert not out and err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    assert message in err and "9" * 50 not in err
 
 
 def test_pullback_oracle_method():
@@ -746,18 +771,37 @@ def test_timing_survives_a_wall_clock_step_back(monkeypatch, capsys):
 
 def test_import_generates_no_dataclass_code():
     # Every CLI command starts a process, and dataclasses with inspect, plus
-    # the methods they generate, cost a fifth of a small command.  -S keeps
-    # site-packages, which may import either module itself, out of the way.
+    # the methods they generate, cost a fifth of a small command; hashlib
+    # maps OpenSSL's libcrypto through _hashlib, 3.5 MB resident.  -S keeps
+    # site-packages, which may import any of them itself, out of the way.
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import veronese_gb.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & "
+            "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & "
             "(set(sys.modules) - before)))\n")
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_digest_falls_back_to_hashlib():
+    # an interpreter built without the built-in hash modules
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from veronese_gb import cli\n"
+            "assert cli.sha256 is hashlib.sha256, cli.sha256\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--json", *dict(GOLDEN_CASES)[
+            "bounds_square"]], capture_output=True, text=True, env=env,
+        cwd=HERE.parent, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads((GOLDEN / "bounds_square.json").read_text())
+    assert report_of(proc) == expected
 
 
 @pytest.mark.parametrize("argv", [
