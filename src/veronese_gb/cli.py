@@ -5,11 +5,11 @@ report that could not be written because stdout was closed, and otherwise
 the ``exit_code`` of the error type raised, which ``errors`` sets: 2
 unreadable input (an unreadable path, an unwritable ``--out``, JSON nested
 past the interpreter's limit, a non-finite or zero-denominator number, a
-ring past the variable cap, a shape past the exchange-binomial cap) or a
-malformed ``VERONESE_GB_BUDGET``, 3 resource budget exhausted, 4 weight
-vector with a non-monomial initial ideal, 5 point set that is not a
-configuration, 6 a result that failed an internal consistency check (a
-defect in the package).
+number past ``int()``'s digit limit, a ring past the variable cap, a shape
+past the exchange-binomial cap) or a malformed ``VERONESE_GB_BUDGET``, 3
+resource budget exhausted, 4 weight vector with a non-monomial initial
+ideal, 5 point set that is not a configuration, 6 a result that failed an
+internal consistency check (a defect in the package).
 ``pullback`` sends monomial generators without ``--omega`` to the monomial
 route and every other input to the weighted route, under ``--omega`` or,
 without it, under weights derived from the default order.  ``bounds``
