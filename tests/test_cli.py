@@ -210,42 +210,17 @@ def test_bad_configuration_exit_code():
     assert proc.returncode == 5
 
 
-def test_strict_partial_exit():
-    args = ["pullback", "tests/data/square_square.json", "--d", "2",
-            "--no-oracle", "--cap", "1"]
-    relaxed = run_cli("--json", *args)
-    assert relaxed.returncode == 0
-    assert json.loads(relaxed.stdout)["outputs"]["partial"] is True
-    strict = run_cli("--json", *args, "--strict")
-    assert strict.returncode == 1
+@pytest.mark.parametrize("option", [["--cap", "2"], ["--no-oracle"],
+                                    ["--strict"]],
+                         ids=["cap", "no-oracle", "strict"])
+def test_pullback_has_no_partial_result_options(option):
+    # the monomial route returns one complete basis at every d, so nothing
+    # selects a partial one or an exit code for it
+    proc = run_cli("pullback", "tests/data/square_square.json", "--d", "3",
+                   *option)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
 
-
-@pytest.mark.parametrize("args,code", [
-    (["--d", "3", "--verify", "--cap", "1"], 0),
-    (["--d", "2", "--no-oracle", "--cap", "1", "--strict"], 1),
-], ids=["capped", "capped-no-oracle-strict"])
-def test_method_both_capped_result_is_partial_not_a_defect(args, code):
-    # the capped constructive basis misses generators the oracle has; the
-    # certificate says so, and --strict, not exit 6, decides the exit code
-    proc = run_cli("--json", "pullback", "tests/data/square_square.json",
-                   "--method", "both", *args)
-    assert proc.returncode == code, proc.stderr
-    out = json.loads(proc.stdout)["outputs"]
-    assert out["partial"] is True
-    assert out["certificate"]["complete"] is False
-    assert out["certificate"]["matches_oracle"] is False
-
-
-@pytest.mark.parametrize("args", [
-    ["tests/data/square_square.json", "--d", "3"],
-    ["tests/data/square_square.json", "--d", "2"],
-    ["tests/data/square_square.json", "--d", "2", "--method", "oracle"],
-    ["tests/data/empty_ideal.json", "--d", "2"],
-], ids=["at-bound", "below-bound", "oracle", "zero-ideal"])
-def test_cap_below_one_is_refused_on_every_route(args):
-    proc = run_cli("pullback", *args, "--cap", "0")
-    assert_one_error_line(proc, 2)
-    assert "degree cap must be at least 1" in proc.stderr
 
 @pytest.mark.parametrize("method", ["constructive", "oracle", "both"])
 def test_pullback_verify_under_every_method(method):
@@ -536,9 +511,9 @@ NEEDS_INT_DIGITS = pytest.mark.skipif(
 # Inputs refused before any Groebner basis, lift or standard-monomial table,
 # each with what its one error line says.  (2, 2000) has 2,001 variables,
 # under the ring cap, and 4 * 10^6 candidate exchange pairs; (3, 120) has
-# 7,381 variables.  "CI", "BIG", "LONG" and "HUGE" name files that
-# _refused_argv writes, and it replaces "NINES" with a digit run one past
-# int()'s limit.  --budget and the coefficient cap act during the work, so
+# 7,381 variables.  "CI", "BIG", "LONG", "HUGE", "TEXT" and "POINT" name
+# files that _refused_argv writes, and it replaces "NINES" with a digit run
+# one past int()'s limit.  --budget and the coefficient cap act during the work, so
 # they are not here.
 REFUSED_BEFORE_WORK = [
     pytest.param(["veronese", "--s", "2", "--d", "2000"], "past the cap",
@@ -553,9 +528,6 @@ REFUSED_BEFORE_WORK = [
                  "past the cap", id="toric-veronese"),
     pytest.param(["veronese", "--s", "3", "--d", "200"],
                  "exceeds the cap of 10000", id="ring-size"),
-    pytest.param(["pullback", "tests/data/square_square.json", "--d", "2",
-                  "--cap", "0"], "degree cap must be at least 1",
-                 id="degree-cap"),
     pytest.param(["gbasis", "BIG"], "exponent overflow (line 1, column 4)",
                  id="exponent"),
     pytest.param(["gbasis", "LONG"], f"integer has more than {INT_DIGITS} "
@@ -563,6 +535,12 @@ REFUSED_BEFORE_WORK = [
                  marks=NEEDS_INT_DIGITS),
     pytest.param(["gbasis", "HUGE"], f"HUGE.json has a number with more than "
                  f"{INT_DIGITS} digits", id="digit-limit-json",
+                 marks=NEEDS_INT_DIGITS),
+    pytest.param(["gbasis", "TEXT"], f"ring.s has a number with more than "
+                 f"{INT_DIGITS} digits", id="digit-limit-json-string",
+                 marks=NEEDS_INT_DIGITS),
+    pytest.param(["toric", "POINT"], f"point coordinates has a number with "
+                 f"more than {INT_DIGITS} digits", id="digit-limit-point",
                  marks=NEEDS_INT_DIGITS),
     pytest.param(["pullback", "tests/data/conic.json", "--d", "2", "--omega",
                   "NINES,1,1"], f"--omega has a number with more than "
@@ -581,8 +559,10 @@ REFUSED_BEFORE_WORK = [
 
 def _refused_argv(args, tmp_path):
     """``args`` with each input path absolute, NINES replaced, and CI, BIG
-    and LONG written under ``tmp_path`` as base-ring ideal files, and HUGE
-    as a file whose ring has NINES variables."""
+    and LONG written under ``tmp_path`` as base-ring ideal files, HUGE and
+    TEXT as files whose ring has NINES variables, as a JSON number and as a
+    string, and POINT as a configuration with NINES as a string
+    coordinate."""
     nines = "9" * (INT_DIGITS + 1)
 
     def ideal(generator):
@@ -592,7 +572,9 @@ def _refused_argv(args, tmp_path):
     files = {"CI": ideal("y1^2 - y2^2"),
              "BIG": ideal(f"y1^{MAX_EXPONENT + 1}"),
              "LONG": ideal(f"y1 + {nines}*y2"),
-             "HUGE": f'{{"ring": {{"kind": "S", "s": {nines}}}}}'}
+             "HUGE": f'{{"ring": {{"kind": "S", "s": {nines}}}}}',
+             "TEXT": json.dumps({"ring": {"kind": "S", "s": nines}}),
+             "POINT": json.dumps({"points": [[nines, 1], [1, 1]]})}
     argv = []
     for a in args:
         if a in files:
@@ -632,6 +614,34 @@ def test_refusals_come_before_any_work(args, message, tmp_path, monkeypatch,
     out, err = capsys.readouterr()
     assert not out and err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "9" * 50 not in err
+
+
+@NEEDS_INT_DIGITS
+@pytest.mark.parametrize("argv, name", [
+    (["veronese", "--s", "NINES", "--d", "2"], "--s"),
+    (["pullback", "tests/data/square_square.json", "--d", "NINES"], "--d"),
+    (["--budget", "NINES", "bounds", "tests/data/square_square.json"],
+     "--budget"),
+    (["toric", "tests/data/curve_config.json", "--veronese", "NINES"],
+     "--veronese"),
+    (["bounds", "tests/data/square_square.json"], "VERONESE_GB_BUDGET"),
+], ids=["s", "d", "budget", "veronese", "env-budget"])
+def test_digit_limit_in_an_option_or_variable(argv, name):
+    # the option's value, or VERONESE_GB_BUDGET when no option holds NINES,
+    # is a digit run one past int()'s limit; the message names where it was
+    # and the limit, and does not echo the run
+    nines = "9" * (INT_DIGITS + 1)
+    env = dict(os.environ, VERONESE_GB_BUDGET="" if "NINES" in argv
+               else nines)
+    proc = subprocess.run(
+        [sys.executable, "-m", "veronese_gb.cli",
+         *(a.replace("NINES", nines) for a in argv)],
+        capture_output=True, text=True, cwd=HERE.parent, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr[-300:]
+    assert len(proc.stderr.encode()) < 1024
+    last = proc.stderr.splitlines()[-1]
+    assert name in last and f"more than {INT_DIGITS} digits" in last
+    assert "9" * 50 not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_pullback_oracle_method():

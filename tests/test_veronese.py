@@ -323,9 +323,6 @@ def test_pullback_monomial_below_bound_uses_oracle():
     assert not res.certificate["meets_bound"]
     assert res.certificate["complete"]
     assert res.certificate["matches_oracle"]
-    # an honest partial result when the oracle is disabled and the cap is low
-    res_partial = pullback_monomial_ideal(M, 2, degree_cap=1, use_oracle=False)
-    assert res_partial.certificate["complete"] is False
 
 
 def test_pullback_monomial_oracle_method():
@@ -426,22 +423,27 @@ def test_groebner_check_needs_the_reduction_leading_terms_from_the_basis():
 
 
 def test_groebner_check_of_a_pullback_equals_the_union_check(rng):
-    # below the bound with the oracle off the union is partial, and some
-    # partial unions are not Gröbner bases
+    # each pullback's union, and the union of the exchange binomials with
+    # the generators of degree at most 2, which below the bound can miss
+    # generators and then need not be a Gröbner basis
     verdicts = []
     for s, d in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        vmap = VeroneseMap(s, d)
         for _ in range(6):
             gens = [tuple(rng.randint(0, 3) for _ in range(s))
                     for _ in range(rng.randint(1, 2))]
             M = MonomialIdeal.from_exponents(
                 base_ring(s), [g for g in gens if any(g)] or [(1,) * s])
-            for use_oracle in (True, False):
-                res = pullback_monomial_ideal(M, d, verify=True,
-                                              use_oracle=use_oracle)
-                union = is_groebner_basis(res.groebner_basis, res.order).ok
-                assert res.certificate["is_groebner"] == union, \
-                    (M.gens, d, use_oracle)
-                verdicts.append(union)
+            res = pullback_monomial_ideal(M, d, verify=True)
+            union = is_groebner_basis(res.groebner_basis, res.order).ok
+            assert res.certificate["is_groebner"] == union, (M.gens, d)
+            capped = exchange_binomials(s, d) + tuple(
+                vmap.ring.monomial(e)
+                for e in monomial_pullback_generators(M, d, 2))
+            union = is_groebner_basis(capped, vmap.order).ok
+            assert _certify(capped, _reduce_basis(list(capped), vmap.order),
+                            vmap.order) == union, (M.gens, d)
+            verdicts.append(union)
     assert False in verdicts
 
 
@@ -686,15 +688,6 @@ def test_degree_bounds_odd_delta_verdict():
         MonomialIdeal.from_exponents(veronese_ring(2, 2), [(2, 0, 0)]), 6),
     lambda: pullback_monomial_ideal(
         MonomialIdeal.from_exponents(generic_ring(("a", "b")), [(2, 0)]), 2),
-    lambda: pullback_monomial_ideal(
-        MonomialIdeal.from_exponents(base_ring(2), [(2, 2)]), 3, degree_cap=0),
-    lambda: pullback_monomial_ideal(
-        MonomialIdeal.from_exponents(base_ring(2), [(2, 2)]), 2, degree_cap=0),
-    lambda: pullback_monomial_ideal(
-        MonomialIdeal.from_exponents(base_ring(2), [(2, 2)]), 2, degree_cap=0,
-        method="oracle"),
-    lambda: pullback_monomial_ideal(MonomialIdeal(base_ring(2), ()), 2,
-                                    degree_cap=-1),
     lambda: monomial_pullback_generators(
         MonomialIdeal.from_exponents(veronese_ring(2, 2), [(2, 0, 0)]), 2),
     lambda: pullback_homogeneous_ideal(
@@ -710,8 +703,6 @@ def test_degree_bounds_odd_delta_verdict():
         "generators-cap-0", "weight-pullback-length",
         "homogeneous-unknown-method", "monomial-unknown-method",
         "monomial-veronese-ring", "monomial-generic-ring",
-        "monomial-cap-0-at-bound", "monomial-cap-0-below-bound",
-        "monomial-cap-0-oracle", "monomial-cap-negative-zero-ideal",
         "generators-veronese-ring", "homogeneous-veronese-ring",
         "homogeneous-omega-fraction", "oracle-omega-length",
         "oracle-omega-fraction", "oracle-omega-negative"])
