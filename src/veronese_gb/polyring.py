@@ -541,15 +541,36 @@ def json_shape(value, shape, field, entries=None):
     return value
 
 
+def read_int(text, where):
+    """``text``, read from a file, an option or an environment variable, as
+    an int.  Text that ``int()`` refuses is a DomainError naming ``where``;
+    for a digit run longer than ``int()`` reads
+    (``sys.get_int_max_str_digits()``) it names the limit instead of
+    echoing the run."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and digits.isdecimal() and len(digits) > limit:
+            raise DomainError(f"{where} has a number with more than {limit} "
+                              "digits") from None
+        raise DomainError(f"{where} must be an integer, got {text!r}") \
+            from None
+
+
 def as_integer(value, field):
     """``value`` as an int: an integer, a whole number such as 2.0, or an
-    integer string such as "3".  Anything else, 2.7 included, is a
-    DomainError naming ``field`` rather than a silent truncation."""
+    integer string such as "3", read by :func:`read_int`.  Anything else,
+    2.7 included, is a DomainError naming ``field`` rather than a silent
+    truncation."""
+    if isinstance(value, str):
+        return read_int(value, field)
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or (number != value and not isinstance(value, str)):
+    if number is None or number != value:
         raise DomainError(f"{field} must be an integer, got {value!r}")
     return number
 
