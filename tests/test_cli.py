@@ -511,10 +511,10 @@ NEEDS_INT_DIGITS = pytest.mark.skipif(
 # Inputs refused before any Groebner basis, lift or standard-monomial table,
 # each with what its one error line says.  (2, 2000) has 2,001 variables,
 # under the ring cap, and 4 * 10^6 candidate exchange pairs; (3, 120) has
-# 7,381 variables.  "CI", "BIG", "LONG", "HUGE", "TEXT" and "POINT" name
-# files that _refused_argv writes, and it replaces "NINES" with a digit run
-# one past int()'s limit.  --budget and the coefficient cap act during the work, so
-# they are not here.
+# 7,381 variables.  "CI", "BIG", "LONG", "HUGE", "TEXT", "POINT", "COEFF" and
+# "LAMBDA" name files that _refused_argv writes, and it replaces "NINES" with
+# a digit run one past int()'s limit.  --budget and the coefficient cap act
+# during the work, so they are not here.
 REFUSED_BEFORE_WORK = [
     pytest.param(["veronese", "--s", "2", "--d", "2000"], "past the cap",
                  id="veronese-2-2000"),
@@ -542,6 +542,12 @@ REFUSED_BEFORE_WORK = [
     pytest.param(["toric", "POINT"], f"point coordinates has a number with "
                  f"more than {INT_DIGITS} digits", id="digit-limit-point",
                  marks=NEEDS_INT_DIGITS),
+    pytest.param(["gbasis", "COEFF"], f"coeff has a number with more than "
+                 f"{INT_DIGITS} digits", id="digit-limit-coeff",
+                 marks=NEEDS_INT_DIGITS),
+    pytest.param(["toric", "LAMBDA"], f"entries of lambda has a number with "
+                 f"more than {INT_DIGITS} digits", id="digit-limit-lambda",
+                 marks=NEEDS_INT_DIGITS),
     pytest.param(["pullback", "tests/data/conic.json", "--d", "2", "--omega",
                   "NINES,1,1"], f"--omega has a number with more than "
                  f"{INT_DIGITS} digits", id="digit-limit-omega",
@@ -561,8 +567,9 @@ def _refused_argv(args, tmp_path):
     """``args`` with each input path absolute, NINES replaced, and CI, BIG
     and LONG written under ``tmp_path`` as base-ring ideal files, HUGE and
     TEXT as files whose ring has NINES variables, as a JSON number and as a
-    string, and POINT as a configuration with NINES as a string
-    coordinate."""
+    string, POINT as a configuration with NINES as a string coordinate,
+    COEFF as an ideal file with NINES as a string coefficient, and LAMBDA as
+    a configuration with NINES as a string entry of its grading."""
     nines = "9" * (INT_DIGITS + 1)
 
     def ideal(generator):
@@ -574,7 +581,11 @@ def _refused_argv(args, tmp_path):
              "LONG": ideal(f"y1 + {nines}*y2"),
              "HUGE": f'{{"ring": {{"kind": "S", "s": {nines}}}}}',
              "TEXT": json.dumps({"ring": {"kind": "S", "s": nines}}),
-             "POINT": json.dumps({"points": [[nines, 1], [1, 1]]})}
+             "POINT": json.dumps({"points": [[nines, 1], [1, 1]]}),
+             "COEFF": json.dumps({"ring": {"kind": "S", "s": 2}, "generators": [
+                 {"terms": [{"coeff": nines, "exps": [1, 0]}]}]}),
+             "LAMBDA": json.dumps({"points": [[1, 0], [1, 1]],
+                                   "lambda": [nines, 0]})}
     argv = []
     for a in args:
         if a in files:
@@ -642,6 +653,19 @@ def test_digit_limit_in_an_option_or_variable(argv, name):
     last = proc.stderr.splitlines()[-1]
     assert name in last and f"more than {INT_DIGITS} digits" in last
     assert "9" * 50 not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("generators", [["y1 - t", "y2 - t^2"], ["y1^2"]],
+                         ids=["weighted-route", "monomial-route"])
+def test_pullback_refuses_a_generic_ring(generators, tmp_path):
+    # the library's refusal is the one message on either route
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps({
+        "ring": {"kind": "generic", "names": ["t", "y1", "y2"]},
+        "generators": generators}))
+    proc = run_cli("--json", "pullback", str(path), "--d", "2")
+    assert_one_error_line(proc, 2)
+    assert "pullbacks need a base ring y1..ys" in proc.stderr
 
 
 def test_pullback_oracle_method():

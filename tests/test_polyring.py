@@ -8,8 +8,8 @@ import pytest
 
 from veronese_gb.errors import (DimensionError, DomainError, ParseError,
                                 RingMismatchError)
-from veronese_gb.polyring import (MAX_EXPONENT, Polynomial, base_ring,
-                                  format_polynomial, generic_ring, joint_ring,
+from veronese_gb.polyring import (MAX_EXPONENT, Polynomial, as_fraction,
+                                  base_ring, format_polynomial, generic_ring, joint_ring,
                                   parse_polynomial, poly_from_json,
                                   poly_to_json, ring_from_json, ring_to_json,
                                   veronese_ring)
@@ -120,6 +120,25 @@ def test_parse_refuses_a_digit_run_past_the_int_limit():
         with pytest.raises(ParseError) as err:
             parse_polynomial(text, ring)
         assert (err.value.line, err.value.col) == (1, col), text
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no limit on int() of a digit string")
+def test_rational_string_past_the_int_limit_names_the_field():
+    # a numerator, denominator or decimal part that int() refuses is
+    # refused with the field and the limit, not with the run; a short
+    # malformed string keeps its own message
+    limit = sys.get_int_max_str_digits()
+    long = "9" * (limit + 1)
+    for text in (long, f"-{long}", f"1/{long}", f"0.{long}"):
+        with pytest.raises(DomainError) as err:
+            as_fraction(text, "coeff")
+        assert str(err.value) == \
+            f"coeff has a number with more than {limit} digits", text
+    with pytest.raises(DomainError, match="coeff must be a finite rational "
+                       "number, got '1/0'"):
+        as_fraction("1/0", "coeff")
+    assert as_fraction(f"{long[1:]}/1", "coeff") == int(long[1:])
 
 
 def test_parse_exponent_sum_overflow():

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import suites
-from veronese_gb import veronese
+from veronese_gb import groebner, veronese
 from veronese_gb.errors import (BudgetExceededError, DomainError,
                                 InternalCheckError, NonMonomialInitialError)
 from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
@@ -180,6 +180,28 @@ def test_kernel_basis_refuses_what_the_exchange_cap_refuses(monkeypatch):
     with pytest.raises(DomainError) as exchange_route:
         exchange_binomials(2, 300)
     assert str(table_route.value) == str(exchange_route.value)
+
+
+@pytest.mark.parametrize("route", [
+    lambda: VeroneseMap(2, 300),
+    lambda: exchange_binomials(2, 300),
+    lambda: kernel_oracle_basis(2, 300),
+    lambda: _joint_graph_gb(2, 300),
+    lambda: list(standard_monomials(2, 300, 2)),
+    lambda: preimage_oracle(_base2_ideal("y1^3"), VeroneseMap(2, 300)),
+], ids=["map", "exchange", "oracle-basis", "joint-graph", "standard-monomials",
+        "preimage-oracle"])
+def test_every_library_route_refuses_the_shape_past_the_exchange_cap(
+        route, monkeypatch):
+    # building the map is where a shape is admitted, so a library route
+    # that no caller checks first is refused before any Groebner basis too
+    def no_work(*_, **__):
+        raise AssertionError("Buchberger started past the cap")
+
+    for owner in (groebner, veronese):
+        monkeypatch.setattr(owner, "buchberger", no_work)
+    with pytest.raises(DomainError, match="past the cap"):
+        route()
 
 
 def test_weighted_and_toric_routes_refuse_the_shape_before_any_lift(
