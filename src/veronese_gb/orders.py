@@ -27,8 +27,6 @@ from itertools import combinations
 from .errors import DimensionError, DomainError
 from .values import Value, init_attr
 
-Exps = tuple  # dense exponent vector, one entry per ring variable
-
 
 def _check_len(exps, n):
     if len(exps) != n:

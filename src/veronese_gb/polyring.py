@@ -22,12 +22,6 @@ MAX_EXPONENT = 2**31 - 1
 # dozen variables; past this a ring from input is refused before its names,
 # or a Veronese ring's multi-indices, are enumerated.
 MAX_VARIABLES = 10_000
-# Largest count of candidate exchange pairs times ring variables that
-# ``veronese.exchange_binomials`` enumerates, each pair as two dense exponent
-# tuples; ``veronese.kernel_groebner_basis`` refuses the same shapes.
-# (2, 100) needs about 10^6; the largest shapes in use, (3, 6) and (4, 4),
-# need 37,044 and 84,000.
-MAX_EXCHANGE_WORK = 10**7
 
 
 class Ring(Value):
@@ -541,20 +535,25 @@ def json_shape(value, shape, field, entries=None):
     return value
 
 
+def _check_digit_limit(text, where):
+    """Raises a DomainError naming ``where`` and ``int()``'s digit limit
+    (``sys.get_int_max_str_digits()``), without echoing ``text``, when the
+    text a reader could not read holds more digits than that limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and sum(map(str.isdecimal, text)) > limit:
+        raise DomainError(f"{where} has a number with more than {limit} "
+                          "digits") from None
+
+
 def read_int(text, where):
     """``text``, read from a file, an option or an environment variable, as
-    an int.  Text that ``int()`` refuses is a DomainError naming ``where``;
-    for a digit run longer than ``int()`` reads
-    (``sys.get_int_max_str_digits()``) it names the limit instead of
-    echoing the run."""
+    an int.  Text that ``int()`` refuses is a DomainError naming ``where``,
+    and for more digits than ``int()`` reads, the limit (see
+    :func:`_check_digit_limit`)."""
     try:
         return int(text)
     except ValueError:
-        digits = text.strip().lstrip("+-")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and digits.isdecimal() and len(digits) > limit:
-            raise DomainError(f"{where} has a number with more than {limit} "
-                              "digits") from None
+        _check_digit_limit(text, where)
         raise DomainError(f"{where} must be an integer, got {text!r}") \
             from None
 
@@ -578,10 +577,14 @@ def as_integer(value, field):
 def as_fraction(value, field):
     """``value`` as a Fraction: an integer, a finite number such as 0.5, or a
     rational string such as "-3/2".  Anything else, 1e400 (read as inf) and
-    "1/0" included, is a DomainError naming ``field``."""
+    "1/0" included, is a DomainError naming ``field``, and a string with more
+    digits than ``int()`` reads names the limit (see
+    :func:`_check_digit_limit`)."""
     try:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        if isinstance(value, str):
+            _check_digit_limit(value, field)
         raise DomainError(f"{field} must be a finite rational number, "
                           f"got {value!r}") from None
 

@@ -25,17 +25,29 @@ from .groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
                        eliminate, elimination_order, find_weight_vector,
                        graph_ideal, is_groebner_basis, monomial_image)
 from .orders import GammaRevLex, Weighted, multi_indices
-from .polyring import (MAX_EXCHANGE_WORK, Polynomial, as_integer, base_ring,
-                       mono_divides, veronese_ring)
+from .polyring import (Polynomial, as_integer, base_ring, mono_divides,
+                       veronese_ring)
 from .values import Record, Value, init_attr
 
 # The pullback routes: the constructive basis, the elimination oracle, or
 # both with a check that they agree.
 METHODS = ("constructive", "oracle", "both")
+# Largest count of candidate exchange pairs times ring variables of a shape
+# that VeroneseMap admits; exchange_binomials enumerates each pair as two
+# dense exponent tuples.  (2, 100) needs about 10^6; the largest shapes in
+# use, (3, 6) and (4, 4), need 37,044 and 84,000.
+MAX_EXCHANGE_WORK = 10**7
 
 
 class VeroneseMap(Value):
-    """The substitution sending each degree-d variable to its base monomial."""
+    """The substitution sending each degree-d variable to its base monomial.
+
+    Building the map is where a shape (s, d) is admitted: a shape whose
+    candidate exchange pairs times ring variables exceed
+    ``MAX_EXCHANGE_WORK`` is refused here, so every route through the map,
+    the kernel bases, the standard-monomial table, the elimination oracle
+    and both pullbacks, refuses it before any work.
+    """
 
     _fields = ("s", "d")
 
@@ -46,6 +58,12 @@ class VeroneseMap(Value):
         init_attr(self, "d", d)
         init_attr(self, "_values", (s, d))
         init_attr(self, "ring", veronese_ring(s, d))
+        candidates = math.comb(d + s - 2, s - 1) ** 2 * math.comb(s, 2)
+        if candidates * self.ring.nvars > MAX_EXCHANGE_WORK:
+            raise DomainError(
+                f"the exchange binomials for s={s}, d={d} have {candidates} "
+                f"candidate pairs over {self.ring.nvars} variables, past the "
+                f"cap of {MAX_EXCHANGE_WORK} pairs times variables")
         init_attr(self, "base", base_ring(s))
         init_attr(self, "order", GammaRevLex(s, d))
 
@@ -103,19 +121,6 @@ class VeroneseMap(Value):
         return Polynomial(self.ring, terms)
 
 
-def _check_exchange_work(vmap):
-    """Refuses a shape whose candidate exchange pairs times ring variables
-    exceed ``MAX_EXCHANGE_WORK``, before its exchange binomials or its
-    standard-monomial table are built."""
-    s, d = vmap.s, vmap.d
-    candidates = math.comb(d + s - 2, s - 1) ** 2 * math.comb(s, 2)
-    if candidates * vmap.ring.nvars > MAX_EXCHANGE_WORK:
-        raise DomainError(
-            f"the exchange binomials for s={s}, d={d} have {candidates} "
-            f"candidate pairs over {vmap.ring.nvars} variables, past the cap "
-            f"of {MAX_EXCHANGE_WORK} pairs times variables")
-
-
 @lru_cache(maxsize=None)
 def exchange_binomials(s, d):
     """All nonzero quadratic exchange binomials, deduplicated and oriented.
@@ -124,10 +129,9 @@ def exchange_binomials(s, d):
     of the two bumped variables equals the cross-bumped product in the base
     ring; the difference is normalized so its leading term has coefficient +1
     under the chain revlex order.  Shapes past ``MAX_EXCHANGE_WORK`` are
-    refused before enumerating.
+    refused by :class:`VeroneseMap` before enumerating.
     """
     vmap = VeroneseMap(s, d)
-    _check_exchange_work(vmap)
     ring, order = vmap.ring, vmap.order
     pos_of = ring.index_position
 
@@ -176,12 +180,12 @@ def kernel_groebner_basis(s, d):
     AAECC-9, 1991).  The kernel holds no linear form, so every quadratic
     monomial m that is not its fiber's minimum is a minimal leading term,
     and the basis is {m - min fiber(m)}; :func:`_standard_table` holds the
-    minima.  The shapes :func:`exchange_binomials` refuses are refused here,
-    before the table is read.  :func:`verify_exchange_basis` certifies that
-    this basis is the interreduced exchange binomials and the oracle's.
+    minima.  A shape past ``MAX_EXCHANGE_WORK`` is refused by
+    :class:`VeroneseMap` before the table is read.
+    :func:`verify_exchange_basis` certifies that this basis is the
+    interreduced exchange binomials and the oracle's.
     """
     vmap = VeroneseMap(s, d)
-    _check_exchange_work(vmap)
     ring, key = vmap.ring, vmap.order.key
     mons, images = _standard_table(s, d, 2)
     least = dict(zip(images, mons))
@@ -609,11 +613,7 @@ def pullback_monomial_ideal(ideal, d, verify=False, budget=None,
 def _maps_into_monomial(vmap, g, ideal):
     """Whether every term of the image of g lies in the monomial ideal; a
     kernel element's image is zero."""
-    image = {}
-    for e, c in g.terms.items():
-        u = vmap.image_exps(e)
-        image[u] = image.get(u, 0) + c
-    return all(ideal.contains(u) for u, c in image.items() if c)
+    return all(ideal.contains(u) for u in vmap.image(g).terms)
 
 
 def _base_weights(omega, s):
@@ -684,9 +684,9 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
     records the quadratic bound for the weight initial ideal and that the
     pullback's leading-term ideal agrees with the pullback of the weight
     initial ideal; ``verify`` adds the S-pair check of the returned basis.
-    A shape that :func:`exchange_binomials` refuses is refused right after
-    the checks that read only the input, before any weight, initial form or
-    lift is computed.
+    A shape past ``MAX_EXCHANGE_WORK`` is refused by :class:`VeroneseMap`
+    right after the checks that read only the input, before any weight,
+    initial form or lift is computed.
 
     The constructive route lifts the weighted basis of I that
     :meth:`Ideal.initial_forms` computed.  The right-hand side of the check,
@@ -715,7 +715,6 @@ def pullback_homogeneous_ideal(ideal, d, omega=None, method="constructive",
     if omega is not None:
         omega = _base_weights(omega, s)
     vmap = VeroneseMap(s, d)
-    _check_exchange_work(vmap)
     if omega is None:
         omega = find_weight_vector(ideal, base.default_order(), budget)
 
