@@ -78,7 +78,10 @@ class VeroneseMap(Value):
         for e, coeff in poly.terms.items():
             c = self.image_exps(e)
             terms[c] = terms.get(c, 0) + coeff
-        return Polynomial(self.base, terms)
+        # each sum is a Fraction and each key has s entries, so the terms
+        # need only their zeros dropped
+        return Polynomial(self.base, {c: v for c, v in terms.items() if v},
+                          _clean=True)
 
     def min_divisor_variable(self, u):
         """Least variable whose image divides the image of the monomial u."""
