@@ -459,6 +459,21 @@ def test_pullback_of_zero_ideal_verifies():
     assert cert["spairs_checked"] == 2
 
 
+@pytest.mark.parametrize("omega", [[], ["--omega", "1,1"]],
+                         ids=["monomial", "weighted"])
+def test_pullback_of_unit_ideal_is_the_unit_ideal(omega, tmp_path):
+    unit = tmp_path / "unit.json"
+    unit.write_text('{"ring": {"kind": "S", "s": 2}, "generators": ["1"]}')
+    proc = run_cli("--json", "pullback", str(unit), "--d", "2", *omega,
+                   "--method", "both", "--verify")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)["outputs"]
+    assert [p["terms"] for p in out["reduced"]["polynomials"]] == \
+        [[{"coeff": "1", "exps": [0, 0, 0]}]]
+    assert out["certificate"]["is_groebner"] is True
+    assert out["certificate"].get("initial_matches_monomial_pullback", True)
+
+
 def test_pullback_with_weights_certifies_quadratic():
     # --verify checks the S-pairs on the weighted route as on the monomial one
     proc = run_cli("--json", "pullback", "tests/data/conic.json",

@@ -537,6 +537,26 @@ def test_pullback_homogeneous_zero_ideal():
     assert tuple(res.reduced) == tuple(kernel_groebner_basis(3, 2))
 
 
+@pytest.mark.parametrize("method", ["constructive", "oracle", "both"])
+def test_unit_ideal_pulls_back_to_the_unit_ideal(method):
+    # the constant monomial's image, the origin, lies in <1>, so the
+    # pullback is <1> on both routes, and the degree-0 standard monomial is
+    # the generator the monomial pullback reads
+    S2, R2 = base_ring(2), VeroneseMap(2, 2).ring
+    unit = MonomialIdeal.from_exponents(S2, [(0, 0)])
+    assert monomial_pullback_generators(unit, 2) == ((0, 0, 0),)
+    res = pullback_monomial_ideal(unit, 2, verify=True, method=method)
+    assert res.reduced == (R2.one,)
+    assert res.certificate.get("matches_oracle", True)
+    assert res.certificate["is_groebner"]
+    homogeneous = Ideal(S2, [parse_polynomial(g, S2) for g in ("y1 - y2", "1")])
+    res = pullback_homogeneous_ideal(homogeneous, 2, method=method,
+                                     verify=True)
+    assert tuple(res.reduced) == (R2.one,)
+    assert res.certificate["initial_matches_monomial_pullback"]
+    assert res.certificate["is_groebner"]
+
+
 def test_pullback_homogeneous_derives_the_weights():
     # without omega the weights come from the default order, and the result
     # is the one those weights give when passed in
