@@ -463,7 +463,8 @@ def bound_certificate(ideal, d):
 
 def monomial_pullback_generators(ideal, d, degree_cap=2):
     """Minimal generators, up to the degree cap, of the ideal of standard
-    monomials whose image lands in the given monomial ideal.
+    monomials whose image lands in the given monomial ideal.  The table is
+    read from degree 0, so the unit ideal pulls back to the unit ideal.
 
     The standard monomials of each degree and their images come from the
     table behind :func:`standard_monomials`, so only the first pullback of a
@@ -485,7 +486,7 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     s = ideal.ring.s
     accepted = []
     found = _ExponentIndex()
-    for degree in range(1, degree_cap + 1):
+    for degree in range(degree_cap + 1):
         for e, image in zip(*_standard_table(s, d, degree)):
             # the lookup over s variables before the one over the ring's
             if ideal.contains(image) and not found.divisors(e):
