@@ -236,13 +236,8 @@ def kernel_oracle_basis(s, d):
     return _front_free(_joint_graph_gb(s, d), s, VeroneseMap(s, d).ring)
 
 
-# The latest results of preimage_oracle, least recently used first, keyed by
-# value, (base generators, s, d, omega or None), so that no caller's order
-# lives on in a key.
-_ORACLE_MEMO = OrderedDict()
-# The latest oracle contexts, least recently used first, keyed by
-# (s, d, omega or None).
-_ORACLE_CONTEXTS = OrderedDict()
+# How many (s, d, omega or None) contexts preimage_oracle keeps, and how many
+# results each context keeps.
 ORACLE_MEMO_SIZE = 8
 # How many key-memo entries a context's order may keep from one run to the
 # next.
@@ -251,33 +246,25 @@ ORACLE_KEY_MEMO_CAP = 500
 
 class _OracleContext:
     """Where each seeded elimination of one shape under one target order
-    starts: ``seed``, the tuple :func:`_joint_graph_gb` returned, and
-    ``index``, the divisor index over it under the elimination order.  Each
-    run copies the index, and the order's key memo carries over from run to
-    run."""
+    starts, and what it found: the joint ring and the graph generators,
+    ``index``, the divisor index over :func:`_joint_graph_gb` under the
+    elimination order, which each run copies, and ``results``, the latest
+    reduced bases, least recently used first, keyed by base generators."""
 
-    __slots__ = ("seed", "index")
+    __slots__ = ("joint", "gens", "index", "results")
 
-    def __init__(self, seed, order):
-        self.seed = seed
-        self.index = _DivisorIndex.of(seed, order, seed[0].ring)
-
-
-def _oracle_context(s, d, omega):
-    """The context of (s, d, omega), built anew when missing or when its
-    seed is no longer the tuple that :func:`_joint_graph_gb` returns."""
-    key = (s, d, omega)
-    seed = _joint_graph_gb(s, d)
-    context = _ORACLE_CONTEXTS.get(key)
-    if context is None or context.seed is not seed:
+    def __init__(self, s, d, omega):
         vmap = VeroneseMap(s, d)
+        self.joint, self.gens = graph_ideal(vmap.ring.indices, vmap.ring)
         order = elimination_order(
             s, vmap.order if omega is None else pullback_order(vmap, omega))
-        context = _ORACLE_CONTEXTS[key] = _OracleContext(seed, order)
-    _ORACLE_CONTEXTS.move_to_end(key)
-    if len(_ORACLE_CONTEXTS) > ORACLE_MEMO_SIZE:
-        _ORACLE_CONTEXTS.popitem(last=False)
-    return context
+        self.index = _DivisorIndex.of(_joint_graph_gb(s, d), order, self.joint)
+        self.results = OrderedDict()
+
+
+@lru_cache(maxsize=ORACLE_MEMO_SIZE)
+def _oracle_context(s, d, omega):
+    return _OracleContext(s, d, omega)
 
 
 def preimage_oracle(ideal, vmap, omega=None, budget=None):
@@ -302,44 +289,48 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
     same leading terms both initial ideals have its Hilbert function, and
     one contains the other.
 
-    The results of the latest ``ORACLE_MEMO_SIZE`` distinct calls are
-    remembered, keyed by the base generators in their given order, (s, d)
-    and the weights ω or None.  A repeated call returns the remembered tuple
-    and charges the budget nothing; a call stopped by a cap remembers
-    nothing.  The elimination itself starts from the context of (s, d, ω)
-    among the latest ``ORACLE_MEMO_SIZE``: an elimination order of its own,
-    built once, and the divisor index over the seed under it, which each run
-    copies rather than rebuilds.  After a run the context empties its
-    order's key memo when it holds more than ``ORACLE_KEY_MEMO_CAP``
-    entries.  A memoized key equals a computed one and the copied index
-    equals a rebuilt one, so a context changes no pair, criterion decision
-    or basis.
+    Each run starts from the context of (s, d, ω), one of the latest
+    ``ORACLE_MEMO_SIZE``: the joint ring and graph generators, built once,
+    an elimination order of its own, and the divisor index over the seed
+    under it, which each run copies rather than rebuilds.  The context also
+    remembers the results of its latest ``ORACLE_MEMO_SIZE`` distinct calls,
+    keyed by the base generators in their given order.  A repeated call
+    returns the remembered tuple and charges the budget nothing; a call
+    stopped by a cap remembers nothing.  The keys are values, so no caller's
+    order lives on in them.  After a run the context empties its order's key
+    memo when it holds more than ``ORACLE_KEY_MEMO_CAP`` entries.  A
+    memoized key equals a computed one and the copied index equals a rebuilt
+    one, so a context changes no pair, criterion decision or basis.  The
+    seed is a function of (s, d) alone, so a context built before
+    :func:`_joint_graph_gb` was emptied still holds the basis it would
+    return now.
     """
     if ideal.ring != vmap.base:
         raise RingMismatchError("ideal must live in the base ring")
     s, d = vmap.s, vmap.d
     if omega is not None:
         omega = _base_weights(omega, s)
-    key = (ideal.generators, s, d, omega)
-    gb = _ORACLE_MEMO.get(key)
+    context = _oracle_context(s, d, omega)
+    results, key = context.results, ideal.generators
+    gb = results.get(key)
     if gb is not None:
-        _ORACLE_MEMO.move_to_end(key)
+        results.move_to_end(key)
         return gb
     if budget is None:
         budget = Budget()
-    joint, gens = graph_ideal(vmap.ring.indices, vmap.ring)
     position_map = list(range(s)) + [-1] * vmap.ring.nvars
-    embedded = [g.map_positions(joint, position_map) for g in ideal.generators]
-    index = _oracle_context(s, d, omega).index
+    embedded = [g.map_positions(context.joint, position_map)
+                for g in ideal.generators]
+    index = context.index
     try:
-        gb = eliminate(embedded + gens, s, vmap.ring, index.order.back_order,
-                       budget=budget, seed_gb=index)
+        gb = eliminate(embedded + context.gens, s, vmap.ring,
+                       index.order.back_order, budget=budget, seed_gb=index)
     finally:
         if len(index.order._cache) > ORACLE_KEY_MEMO_CAP:
             index.order._cache.clear()
-    _ORACLE_MEMO[key] = gb
-    if len(_ORACLE_MEMO) > ORACLE_MEMO_SIZE:
-        _ORACLE_MEMO.popitem(last=False)
+    results[key] = gb
+    if len(results) > ORACLE_MEMO_SIZE:
+        results.popitem(last=False)
     return gb
 
 

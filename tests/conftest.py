@@ -15,8 +15,8 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def empty_oracle_memo():
-    """Each test starts with no remembered oracle results and no oracle
-    contexts, so that an S-pair count it reads, or a context it inspects,
-    does not depend on the tests that ran before it."""
-    veronese._ORACLE_MEMO.clear()
-    veronese._ORACLE_CONTEXTS.clear()
+    """Each test starts with no oracle contexts, and so with no remembered
+    oracle results, which each context keeps for its own shape, so that an
+    S-pair count it reads, or a context it inspects, does not depend on the
+    tests that ran before it."""
+    veronese._oracle_context.cache_clear()

@@ -1016,25 +1016,26 @@ def test_seeded_preimage_oracle_spairs(s, d, gens, spairs):
     gb = preimage_oracle(ideal, VeroneseMap(s, d), budget=cold)
     assert cold.spairs == spairs
     # the same elimination again, from the context the first one left
-    veronese._ORACLE_MEMO.clear()
+    veronese._oracle_context(s, d, None).results.clear()
     assert preimage_oracle(ideal, VeroneseMap(s, d), budget=warm) == gb
     assert warm.spairs == spairs
 
 
 def test_oracle_context_serves_no_stale_seed(monkeypatch):
     # a new cache for the graph basis, rather than an emptied one, so that
-    # the other shapes stay cached for the tests after this one
+    # the other shapes stay cached for the tests after this one; the
+    # context built from the old cache holds the basis the new one returns
     ideal, vmap = _base2_ideal("y1^3"), VeroneseMap(2, 2)
     first, second = Budget(), Budget()
     gb = preimage_oracle(ideal, vmap, budget=first)
     monkeypatch.setattr(veronese, "_joint_graph_gb",
                         lru_cache(maxsize=None)(_joint_graph_gb.__wrapped__))
-    veronese._ORACLE_MEMO.clear()
+    context = veronese._oracle_context(2, 2, None)
+    context.results.clear()
     assert preimage_oracle(ideal, vmap, budget=second) == gb
     assert second.spairs == first.spairs == 14
-    seed = veronese._ORACLE_CONTEXTS[2, 2, None].seed
-    assert seed is veronese._joint_graph_gb(2, 2)
-    assert seed is not _joint_graph_gb(2, 2)
+    assert tuple(item[5] for item in context.index.items) == \
+        veronese._joint_graph_gb(2, 2)
 
 
 @pytest.mark.parametrize("omega", [None, (1, 2, 3)], ids=["chain", "weighted"])
@@ -1047,11 +1048,11 @@ def test_oracle_context_serves_each_ideal_as_a_new_one(omega):
               (("y1^2*y2", "y3^3"), ("y1*y2*y3",), ("y2^4", "y1*y3"))]
     new = []
     for ideal in ideals:
-        veronese._ORACLE_CONTEXTS.clear()
+        veronese._oracle_context.cache_clear()
         budget = Budget()
         new.append((preimage_oracle(ideal, vmap, omega, budget=budget),
                     budget.spairs))
-    veronese._ORACLE_MEMO.clear()
+    veronese._oracle_context(3, 3, omega).results.clear()
     for ideal, expected in zip(ideals, new):
         budget = Budget()
         assert (preimage_oracle(ideal, vmap, omega, budget=budget),
@@ -1068,11 +1069,17 @@ def test_oracle_contexts_stay_bounded():
     for gens in (("y1^2*y2", "y3^3"), ("y1*y2*y3",)):
         preimage_oracle(Ideal(S3, [parse_polynomial(g, S3) for g in gens]),
                         VeroneseMap(3, 3))
-    contexts = veronese._ORACLE_CONTEXTS
-    assert len(contexts) == veronese.ORACLE_MEMO_SIZE
-    assert (3, 3, None) in contexts and (2, 2, (1, 1)) not in contexts
+    info = veronese._oracle_context.cache_info()
+    assert info.currsize == info.maxsize == veronese.ORACLE_MEMO_SIZE
+    # the latest keys are all hits, so they are the ones kept
+    kept = [(2, 2, (k, 1)) for k in range(2, veronese.ORACLE_MEMO_SIZE + 1)]
+    contexts = [veronese._oracle_context(*key) for key in kept + [(3, 3, None)]]
+    after = veronese._oracle_context.cache_info()
+    assert (after.hits - info.hits, after.misses) == (len(contexts), info.misses)
+    assert [len(context.results) for context in contexts] == \
+        [1] * len(kept) + [2]
     assert all(len(context.index.order._cache) <= veronese.ORACLE_KEY_MEMO_CAP
-               for context in contexts.values())
+               for context in contexts)
 
 
 def _two_step_oracle(ideal, vmap, order, budget):
