@@ -46,8 +46,7 @@ def default_spair_cap():
 class Budget(Record):
     """Resource caps; counters survive across the calls sharing the budget."""
 
-    def __init__(self, spair_cap=None, coeff_bits=DEFAULT_COEFF_BITS,
-                 spairs=0):
+    def __init__(self, spair_cap=None, coeff_bits=DEFAULT_COEFF_BITS):
         if spair_cap is None:
             spair_cap = default_spair_cap()
         elif spair_cap < 0:
@@ -55,7 +54,7 @@ class Budget(Record):
                 f"the S-pair cap must be at least 0, got {spair_cap}")
         self.spair_cap = spair_cap
         self.coeff_bits = coeff_bits
-        self.spairs = spairs
+        self.spairs = 0
 
     def charge_spair(self):
         self.spairs += 1

@@ -103,8 +103,7 @@ def test_cached_attributes_stay_out_of_equality():
 
 # class: field names in positional order, and the defaults of the trailing ones
 RECORDS = {
-    Budget: (("spair_cap", "coeff_bits", "spairs"),
-             {"coeff_bits": DEFAULT_COEFF_BITS, "spairs": 0}),
+    Budget: (("spair_cap", "coeff_bits"), {"coeff_bits": DEFAULT_COEFF_BITS}),
     GBStats: (("spairs", "skipped_coprime", "skipped_chain", "basis_peak"),
               {"spairs": 0, "skipped_coprime": 0, "skipped_chain": 0,
                "basis_peak": 0}),
@@ -151,9 +150,13 @@ def test_records_stay_mutable_counters():
     stats.spairs += 2
     assert (stats.spairs, stats.skipped_coprime, stats.skipped_chain,
             stats.basis_peak) == (2, 0, 0, 0)
+    # a budget's S-pair counter starts at 0 and is not a constructor field
     budget = Budget(spair_cap=1)
+    assert budget.spairs == 0
     budget.charge_spair()
     assert budget.spairs == 1
+    with pytest.raises(TypeError):
+        Budget(spairs=1)
     assert "check_coeff" in vars(Budget)
 
 
