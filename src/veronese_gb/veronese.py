@@ -262,9 +262,7 @@ class _OracleContext:
         self.results = OrderedDict()
 
 
-@lru_cache(maxsize=ORACLE_MEMO_SIZE)
-def _oracle_context(s, d, omega):
-    return _OracleContext(s, d, omega)
+_oracle_context = lru_cache(maxsize=ORACLE_MEMO_SIZE)(_OracleContext)
 
 
 def preimage_oracle(ideal, vmap, omega=None, budget=None):
