@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import veronese_gb
+from veronese_gb.groebner import GBCheck
 from veronese_gb.polyring import MAX_EXPONENT
 
 HERE = pathlib.Path(__file__).parent
@@ -349,6 +350,86 @@ def test_internal_check_failure_exit_code(site, target, fake, argv, message,
     out, err = capsys.readouterr()
     assert not out
     assert err == f"error: internal check failed: {message}\n"
+
+
+def _check_fails(*args, **kwargs):
+    return GBCheck(False, 0)
+
+
+def _never(*args, **kwargs):
+    return False
+
+
+class _NothingReduces:
+    """A divisor index under which every polynomial is its own remainder."""
+
+    @classmethod
+    def of(cls, *args):
+        return cls()
+
+    def remainder(self, f, budget=None):
+        return f
+
+
+MONOMIAL_BELOW = ["pullback", "square_square.json", "--d", "2", "--verify"]
+WEIGHTED = ["pullback", "conic.json", "--d", "2", "--omega", "2,1,1",
+            "--verify"]
+KERNEL = ["veronese", "--s", "2", "--d", "3", "--verify"]
+LAYER = ["toric", "curve_config.json", "--veronese", "2"]
+
+# (command and check, what fails it, the replacement, argv, the false
+# verdicts the error line names)
+FALSE_VERDICTS = [
+    ("pullback-monomial-is_groebner", "veronese_gb.veronese.is_groebner_basis",
+     _check_fails, MONOMIAL_BELOW, "is_groebner"),
+    ("pullback-monomial-members_in_target",
+     "veronese_gb.veronese._maps_into_monomial", _never, MONOMIAL_BELOW,
+     "members_in_target"),
+    # below the bound the constructive method compares with the oracle and
+    # raises nothing of its own
+    ("pullback-monomial-matches_oracle", "veronese_gb.veronese.preimage_oracle",
+     _no_oracle_basis, MONOMIAL_BELOW, "matches_oracle"),
+    ("pullback-weighted-is_groebner", "veronese_gb.veronese.is_groebner_basis",
+     _check_fails, WEIGHTED, "is_groebner"),
+    ("pullback-weighted-members_in_target",
+     "veronese_gb.groebner.Ideal.contains", _never, WEIGHTED,
+     "members_in_target"),
+    ("pullback-weighted-initial_matches_monomial_pullback",
+     "veronese_gb.veronese.monomial_pullback_generators", lambda *a, **k: (),
+     WEIGHTED, "initial_matches_monomial_pullback"),
+    ("veronese-in_kernel", "veronese_gb.veronese.VeroneseMap.image",
+     lambda self, poly: poly, KERNEL, "in_kernel, ok"),
+    ("veronese-is_groebner", "veronese_gb.veronese.is_groebner_basis",
+     _check_fails, KERNEL, "is_groebner, ok"),
+    ("veronese-matches_oracle", "veronese_gb.veronese.kernel_oracle_basis",
+     lambda s, d: (), KERNEL, "matches_oracle, ok"),
+    ("toric-all_binomial", "veronese_gb.polyring.Polynomial.is_binomial_pm1",
+     _never, LAYER, "all_binomial, ok"),
+    ("toric-images_equal", "veronese_gb.toric.Configuration.image_exps",
+     lambda self, exps: exps, LAYER, "images_equal, ok"),
+    ("toric-duplicates_linear", "veronese_gb.toric._DivisorIndex",
+     _NothingReduces, LAYER, "duplicates_linear, ok"),
+    # only ok states that the basis is quadratic at the bound
+    ("toric-quadratic", "veronese_gb.veronese.PullbackResult.max_degree",
+     property(lambda self: 3), ["toric", "curve_config.json", "--veronese",
+                                "5"], "max_degree 3 at the bound, ok"),
+]
+
+
+@pytest.mark.parametrize("site,target,fake,argv,names", FALSE_VERDICTS,
+                         ids=[c[0] for c in FALSE_VERDICTS])
+def test_false_verdict_exit_code(site, target, fake, argv, names,
+                                 monkeypatch, capsys):
+    # every verdict a command reports fails it, with no report written, and
+    # the one error line names each false field
+    from veronese_gb import cli
+    monkeypatch.setattr(target, fake)
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(["--json", *argv]) == 6
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == ("error: internal check failed: false verdicts in the "
+                   f"{argv[0]} certificate: {names}\n")
 
 
 def test_text_mode_mentions_basis():

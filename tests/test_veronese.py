@@ -11,7 +11,8 @@ import pytest
 import suites
 from veronese_gb import groebner, veronese
 from veronese_gb.errors import (BudgetExceededError, DomainError,
-                                InternalCheckError, NonMonomialInitialError)
+                                InternalCheckError, NonMonomialInitialError,
+                                RingMismatchError)
 from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
                                   _reduce_basis, buchberger, eliminate,
                                   find_weight_vector, graph_ideal,
@@ -94,6 +95,22 @@ def test_min_preimage_is_standard(rng):
         assert not init.contains(u)
     with pytest.raises(DomainError):
         v.min_preimage((1, 0, 0))
+
+
+def test_lift_and_min_preimage_refuse_another_ring():
+    # a polynomial of another ring is refused as image() refuses one, not
+    # lifted by its exponents, and so is an image of the wrong length
+    vmap = VeroneseMap(2, 2)
+    assert vmap.lift(parse_polynomial("y1^2 - 2*y1*y2", vmap.base)) == \
+        parse_polynomial("x[2,0] - 2*x[1,1]", vmap.ring)
+    for ring, text in ((base_ring(3), "y1*y2"),
+                       (generic_ring(("a", "b")), "a^2 - b^2"),
+                       (base_ring(1), "y1^2")):
+        with pytest.raises(RingMismatchError, match="base ring"):
+            vmap.lift(parse_polynomial(text, ring))
+    for c in ((1, 1, 0, 0), (2, 0)):
+        with pytest.raises(DomainError, match="3 entries"):
+            VeroneseMap(3, 2).min_preimage(c)
 
 
 def test_exchange_binomials_small():
