@@ -9,7 +9,7 @@ limit, a ring past the variable cap, a shape past the exchange-binomial
 cap) or a malformed ``VERONESE_GB_BUDGET``, 3 resource budget exhausted, 4
 weight vector with a non-monomial initial ideal, 5 point set that is not a
 configuration, 6 a result that failed an internal consistency check (a
-defect in the package).
+defect in the package), a false certificate verdict among them.
 ``pullback`` sends monomial generators without ``--omega`` to the monomial
 route and every other input to the weighted route, under ``--omega`` or,
 without it, under weights derived from the default order.  ``bounds``
@@ -18,7 +18,16 @@ ideal of a homogeneous one.  A zero toric kernel reports ``bound: null``.
 ``pullback`` returns a complete basis at every d.  ``--method both`` runs
 the elimination oracle once, counts its S-pairs once in ``spairs_used``,
 and exits 6 when the constructive basis disagrees with it; ``--verify``
-checks the returned basis on both routes and under every method.
+checks the returned basis on both routes and under every method.  A
+certificate's verdicts are checks, and a false one exits 6 with no report
+and one line naming every false verdict: ``is_groebner``,
+``members_in_target``, ``initial_matches_monomial_pullback`` and
+``matches_oracle`` on ``pullback``; ``in_kernel``, ``is_groebner``,
+``matches_oracle`` and ``ok`` on ``veronese --verify``; ``all_binomial``,
+``images_equal``, ``duplicates_linear`` and ``ok`` on ``toric --veronese``,
+whose ``ok`` also needs a basis of degree at most 2 at the bound, which the
+line names too.  ``meets_bound`` and the verdicts of ``bounds`` state facts
+about the input, not checks.
 Reports are byte-identical across runs except for the ``timing_ms`` field.
 """
 
@@ -31,7 +40,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import DimensionError, DomainError, ParseError, VeroneseGBError
+from .errors import (DimensionError, DomainError, InternalCheckError,
+                     ParseError, VeroneseGBError)
 from .groebner import (Budget, Ideal, MonomialIdeal, eliminate,
                        elimination_order)
 from .orders import Block, GammaRevLex, GrevLex, Lex, Weighted
@@ -55,6 +65,9 @@ except ImportError:
 
 # what a shell reports for a writer killed by SIGPIPE
 PIPE_CLOSED = 141
+# the fields of a pullback certificate that state a check
+PULLBACK_VERDICTS = ("is_groebner", "members_in_target",
+                     "initial_matches_monomial_pullback", "matches_oracle")
 
 
 def _reject_constant(name):
@@ -292,6 +305,17 @@ def render_text(report):
     return "\n".join(lines)
 
 
+def fail_on_false(command, verdicts):
+    """Raises :class:`InternalCheckError`, before any report is written,
+    when one of ``verdicts``, a mapping from names to the command's
+    certificate checks, is false; the one-line message names each false
+    one."""
+    false = [name for name, value in verdicts.items() if not value]
+    if false:
+        raise InternalCheckError(f"false verdicts in the {command} "
+                                 f"certificate: {', '.join(false)}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -329,6 +353,10 @@ def cmd_veronese(args, budget):
             "spairs_checked": cert.spairs,
             "reduced_size": cert.reduced_size,
             "ok": cert.ok}
+        fail_on_false("veronese", {"in_kernel": cert.in_kernel,
+                                   "is_groebner": cert.is_groebner,
+                                   "matches_oracle": cert.matches_oracle,
+                                   "ok": cert.ok})
     return {"s": args.s, "d": args.d, "verify": bool(args.verify)}, outputs
 
 
@@ -345,6 +373,9 @@ def cmd_pullback(args, budget):
             ideal.ring, ideal.generators, ideal.ring.default_order())
         res = pullback_monomial_ideal(mono, args.d, verify=args.verify,
                                       budget=budget, method=args.method)
+    fail_on_false("pullback", {name: res.certificate[name]
+                               for name in PULLBACK_VERDICTS
+                               if name in res.certificate})
     vmap = VeroneseMap(ideal.ring.s, args.d)
     outputs = {"groebner_basis": gb_block(list(res.groebner_basis), res.order,
                                           vmap.ring, budget),
@@ -373,6 +404,13 @@ def cmd_toric(args, budget):
     if args.veronese is not None:
         cert = verify_veronese_toric(config, args.veronese,
                                      method=args.method, budget=budget)
+        fail_on_false("toric", {
+            "all_binomial": cert.all_binomial,
+            "images_equal": cert.images_equal,
+            "duplicates_linear": cert.duplicates_linear,
+            f"max_degree {cert.max_degree} at the bound":
+                not cert.meets_bound or cert.max_degree <= 2,
+            "ok": cert.ok})
         outputs["veronese"] = {
             "d": args.veronese,
             "omega": list(cert.omega),

@@ -26,7 +26,7 @@ from .errors import (BudgetExceededError, DimensionError, DomainError,
 from .orders import Block, GrevLex, Weighted
 from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
                        mono_deg, mono_div, mono_lcm, read_int)
-from .values import Record, Value, init_attr
+from .values import Record, Value
 
 DEFAULT_SPAIR_CAP = 10**6
 DEFAULT_COEFF_BITS = 1_000_000
@@ -578,9 +578,7 @@ class MonomialIdeal(Value):
     _fields = ("ring", "gens")
 
     def __init__(self, ring, gens):
-        init_attr(self, "ring", ring)
-        init_attr(self, "gens", gens)
-        init_attr(self, "_values", (ring, gens))
+        super().__init__(ring, gens)
 
     @classmethod
     def from_exponents(cls, ring, exps_iter):

@@ -37,12 +37,17 @@ class TermOrder(Value):
     """Base class; subclasses fill in _key and fingerprint.
 
     ``key`` memoizes ``_key`` in ``_cache``, a plain instance attribute that
-    each ``__init__`` sets and equality ignores.  The memo holds this order's
+    ``TermOrder.__init__`` makes, empty, after the fields, and that equality
+    ignores.  The memo holds this order's
     keys only: a composite order keys through its parts' ``_key``, never
     their ``key``, so their memos stay empty.  Each subclass binds
     ``key = TermOrder.key`` in its own class dict, because
     ``perfbench/tracing.py`` patches ``cls.__dict__["key"]`` to count calls.
     """
+
+    def __init__(self, *values):
+        super().__init__(*values)
+        init_attr(self, "_cache", {})
 
     def key(self, exps):
         k = self._cache.get(exps)
@@ -73,10 +78,7 @@ class Lex(TermOrder):
             priority = tuple(range(nvars))
         if sorted(priority) != list(range(nvars)):
             raise DimensionError("priority must be a permutation of the positions")
-        init_attr(self, "nvars", nvars)
-        init_attr(self, "priority", priority)
-        init_attr(self, "_values", (nvars, priority))
-        init_attr(self, "_cache", {})
+        super().__init__(nvars, priority)
 
     key = TermOrder.key
 
@@ -104,11 +106,8 @@ class GrevLex(TermOrder):
             chain = tuple(range(nvars))
         if sorted(chain) != list(range(nvars)):
             raise DimensionError("chain must be a permutation of the positions")
-        init_attr(self, "nvars", nvars)
-        init_attr(self, "chain", chain)
-        init_attr(self, "_values", (nvars, chain))
+        super().__init__(nvars, chain)
         init_attr(self, "_scan", tuple(reversed(chain)))
-        init_attr(self, "_cache", {})
 
     key = TermOrder.key
 
@@ -135,11 +134,8 @@ class GammaRevLex(TermOrder):
     _fields = ("s", "d")
 
     def __init__(self, s, d):
-        init_attr(self, "s", s)
-        init_attr(self, "d", d)
-        init_attr(self, "_values", (s, d))
+        super().__init__(s, d)
         init_attr(self, "nvars", math.comb(d + s - 1, s - 1))
-        init_attr(self, "_cache", {})
 
     key = TermOrder.key
 
@@ -160,10 +156,7 @@ class Weighted(TermOrder):
     def __init__(self, weights, tie):
         if any(w < 0 for w in weights):
             raise DimensionError("weights must be nonnegative")
-        init_attr(self, "weights", weights)
-        init_attr(self, "tie", tie)
-        init_attr(self, "_values", (weights, tie))
-        init_attr(self, "_cache", {})
+        super().__init__(weights, tie)
 
     key = TermOrder.key
 
@@ -189,11 +182,7 @@ class Block(TermOrder):
     _fields = ("front", "front_order", "back_order")
 
     def __init__(self, front, front_order, back_order):
-        init_attr(self, "front", front)
-        init_attr(self, "front_order", front_order)
-        init_attr(self, "back_order", back_order)
-        init_attr(self, "_values", (front, front_order, back_order))
-        init_attr(self, "_cache", {})
+        super().__init__(front, front_order, back_order)
 
     key = TermOrder.key
 

@@ -15,7 +15,7 @@ from operator import add, le, sub
 
 from .errors import DimensionError, DomainError, ParseError, RingMismatchError
 from .orders import GammaRevLex, GrevLex, multi_indices
-from .values import Value, init_attr
+from .values import Value
 
 MAX_EXPONENT = 2**31 - 1
 # Largest ring any constructor builds.  The shapes in use have at most a few
@@ -36,12 +36,7 @@ class Ring(Value):
     _fields = ("names", "kind", "s", "d", "indices")
 
     def __init__(self, names, kind="generic", s=None, d=None, indices=None):
-        init_attr(self, "names", names)
-        init_attr(self, "kind", kind)
-        init_attr(self, "s", s)
-        init_attr(self, "d", d)
-        init_attr(self, "indices", indices)
-        init_attr(self, "_values", (names, kind, s, d, indices))
+        super().__init__(names, kind, s, d, indices)
 
     @property
     def nvars(self):

@@ -14,7 +14,7 @@ from .errors import DimensionError, DomainError, NotAConfigurationError
 from .groebner import (Budget, Ideal, _DivisorIndex, eliminate, graph_ideal,
                        monomial_image)
 from .polyring import as_fraction, as_integer, base_ring
-from .values import Record, Value, init_attr
+from .values import Record, Value
 from .veronese import VeroneseMap, multi_indices, pullback_homogeneous_ideal
 
 
@@ -68,9 +68,7 @@ class Configuration(Value):
     _fields = ("points", "grading")
 
     def __init__(self, points, grading):
-        init_attr(self, "points", points)
-        init_attr(self, "grading", grading)
-        init_attr(self, "_values", (points, grading))
+        super().__init__(points, grading)
 
     @classmethod
     def from_points(cls, points, grading=None):
@@ -145,10 +143,7 @@ class VeroneseLayer(Value):
     _fields = ("base", "d", "configuration")
 
     def __init__(self, base, d, configuration):
-        init_attr(self, "base", base)
-        init_attr(self, "d", d)
-        init_attr(self, "configuration", configuration)
-        init_attr(self, "_values", (base, d, configuration))
+        super().__init__(base, d, configuration)
 
     @property
     def unique_points(self):

@@ -1,6 +1,8 @@
 """Plain-class bases for the package's value types and result records.
 
-Every subclass writes its own ``__init__``.  Nothing here generates code:
+``Value.__init__`` stores a value's fields; a subclass writes ``__init__``
+only for its signature, defaults, validation and derived attributes.  A
+record's ``__init__`` sets its own attributes.  Nothing here generates code:
 every CLI command starts a process, and the dataclass machinery (importing
 ``dataclasses`` and ``inspect``, then compiling methods for each class) cost
 a fifth of a small command.
@@ -22,16 +24,25 @@ def _repr(obj, items):
 class Value:
     """An immutable value, equal to another of its class with equal fields.
 
-    A subclass names its fields, in constructor order, in ``_fields``.  Its
-    ``__init__`` sets each field, and ``_values``, the tuple of the fields,
-    with ``init_attr``.  That keeps the attributes in the instance's inline
-    storage, from which the order-key memo is read millions of times;
-    writing to ``__dict__`` would make every later read slower.  Other
-    attributes, derived in ``__init__`` or filled by ``cached_property``,
-    stay out of equality, hashing and repr.
+    A subclass names its fields, in constructor order, in ``_fields``, and
+    its ``__init__`` hands their values to ``Value.__init__``, which sets
+    each field and ``_values``, the tuple that equality, hashing and repr
+    read, with ``init_attr``.  That keeps the attributes in the instance's
+    inline storage, from which the order-key memo is read millions of times;
+    writing to ``__dict__`` would make every later read slower.  Derived
+    attributes, set after it with ``init_attr`` or filled by
+    ``cached_property``, stay out of equality, hashing and repr.
     """
 
     _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} has "
+                            f"{len(self._fields)} fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            init_attr(self, name, value)
+        init_attr(self, "_values", values)
 
     def __eq__(self, other):
         if self is other:

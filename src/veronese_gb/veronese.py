@@ -54,9 +54,7 @@ class VeroneseMap(Value):
     def __init__(self, s, d):
         if s < 1 or d < 1:
             raise DomainError(f"need s >= 1 and d >= 1, got s={s}, d={d}")
-        init_attr(self, "s", s)
-        init_attr(self, "d", d)
-        init_attr(self, "_values", (s, d))
+        super().__init__(s, d)
         init_attr(self, "ring", veronese_ring(s, d))
         candidates = math.comb(d + s - 2, s - 1) ** 2 * math.comb(s, 2)
         if candidates * self.ring.nvars > MAX_EXCHANGE_WORK:
@@ -102,6 +100,9 @@ class VeroneseMap(Value):
         Peels off the least dividing variable one factor at a time, which for
         a revlex order is exactly the minimum preimage.
         """
+        if len(c) != self.s:
+            raise DomainError(f"need an image with {self.s} entries, "
+                              f"got {len(c)}")
         total = sum(c)
         if total % self.d:
             raise DomainError("degree must be a multiple of d to lift")
@@ -116,12 +117,13 @@ class VeroneseMap(Value):
         return tuple(exps)
 
     def lift(self, poly):
-        """Termwise minimum preimage of a base polynomial of d-divisible degrees."""
-        terms = {}
-        for e, coeff in poly.terms.items():
-            u = self.min_preimage(e)
-            terms[u] = terms.get(u, 0) + coeff
-        return Polynomial(self.ring, terms)
+        """Termwise minimum preimage of a base polynomial of d-divisible
+        degrees; distinct terms have distinct preimages, so none are summed."""
+        if poly.ring != self.base:
+            raise RingMismatchError("polynomial is not in the base ring")
+        return Polynomial(self.ring, {self.min_preimage(e): coeff
+                                      for e, coeff in poly.terms.items()},
+                          _clean=True)
 
 
 @lru_cache(maxsize=None)
@@ -190,8 +192,7 @@ def kernel_groebner_basis(s, d):
     """
     vmap = VeroneseMap(s, d)
     ring, key = vmap.ring, vmap.order.key
-    mons, images = _standard_table(s, d, 2)
-    least = dict(zip(images, mons))
+    least = _standard_table(s, d, 2)
     indices = ring.indices
     n = ring.nvars
     out = []
@@ -385,8 +386,8 @@ STANDARD_TABLE_SIZE = 64
 
 @lru_cache(maxsize=STANDARD_TABLE_SIZE)
 def _standard_table(s, d, degree):
-    """The standard monomials of the given degree in ascending position
-    order, and their images, as two tuples of the same length.
+    """The standard monomials of the given degree, keyed by their images,
+    in ascending position order.
 
     The kernel is toric, so a monomial is standard exactly when it is the
     least monomial of its fiber, the monomials with its image; there is one
@@ -399,9 +400,8 @@ def _standard_table(s, d, degree):
         raise DomainError(f"need degree >= 0, got {degree}")
     vmap = VeroneseMap(s, d)
     if degree == 0:
-        return ((0,) * vmap.ring.nvars,), ((0,) * s,)
-    mons, images = _standard_table(s, d, degree - 1)
-    lower = dict(zip(images, mons))
+        return {(0,) * s: (0,) * vmap.ring.nvars}
+    lower = _standard_table(s, d, degree - 1)
     pos_of = vmap.ring.index_position
     rows = []
     # undecorated, so that no unbounded cache keeps what the table evicts
@@ -411,7 +411,7 @@ def _standard_table(s, d, degree):
         p = pos_of[a]
         rows.append((e[:p] + (e[p] + 1,) + e[p + 1:], c))
     rows.sort(reverse=True)
-    return tuple(zip(*rows))
+    return {c: e for e, c in rows}
 
 
 def standard_monomials(s, d, degree):
@@ -427,7 +427,7 @@ def standard_monomials(s, d, degree):
     """
     for lower in range(degree):
         _standard_table(s, d, lower)
-    yield from _standard_table(s, d, degree)[0]
+    yield from _standard_table(s, d, degree).values()
 
 
 # Read only by perfbench's cache counters.
@@ -476,7 +476,7 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     accepted = []
     found = _ExponentIndex()
     for degree in range(degree_cap + 1):
-        for e, image in zip(*_standard_table(s, d, degree)):
+        for image, e in _standard_table(s, d, degree).items():
             # the lookup over s variables before the one over the ring's
             if ideal.contains(image) and not found.divisors(e):
                 accepted.append(e)

@@ -11,6 +11,7 @@ from veronese_gb.orders import Block, GammaRevLex, GrevLex, Lex, Weighted
 from veronese_gb.polyring import Ring, base_ring
 from veronese_gb.toric import (Configuration, ToricVeroneseCertificate,
                                VeroneseLayer)
+from veronese_gb.values import Value
 from veronese_gb.veronese import (BoundsReport, KernelCertificate,
                                   PullbackResult, VeroneseMap)
 
@@ -76,6 +77,22 @@ def test_orders_of_different_classes_differ():
     assert len({Lex(3), GrevLex(3), Lex(3)}) == 2
     assert repr(Lex(2)) == "Lex(nvars=2, priority=(0, 1))"
     assert repr(GammaRevLex(2, 3)) == "GammaRevLex(s=2, d=3)"
+
+
+class _Pair(Value):
+    _fields = ("first", "second")
+
+
+def test_value_stores_one_value_per_field():
+    # Value.__init__ stores the fields in _fields order; a count that
+    # differs is refused rather than shifted into other fields
+    pair = _Pair(1, (2, 3))
+    assert (pair.first, pair.second) == (1, (2, 3))
+    assert repr(pair) == "_Pair(first=1, second=(2, 3))"
+    assert pair == _Pair(1, (2, 3)) != _Pair((2, 3), 1)
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError, match=f"2 fields, got {len(values)}"):
+            _Pair(*values)
 
 
 def test_cached_attributes_stay_out_of_equality():

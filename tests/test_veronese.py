@@ -863,7 +863,8 @@ def test_standard_monomials_match_exhaustive_filter():
     for s, d, top in shapes:
         vmap = VeroneseMap(s, d)
         for degree in range(top + 1):
-            mons, images = veronese._standard_table(s, d, degree)
+            table = veronese._standard_table(s, d, degree)
+            mons, images = tuple(table.values()), tuple(table)
             assert list(standard_monomials(s, d, degree)) == list(mons) == \
                 _standard_monomials_reference(s, d, degree), (s, d, degree)
             assert images == tuple(vmap.image_exps(e) for e in mons)
