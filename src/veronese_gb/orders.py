@@ -38,9 +38,9 @@ class TermOrder(Value):
 
     ``key`` memoizes ``_key`` in ``_cache``, a plain instance attribute that
     ``TermOrder.__init__`` makes, empty, after the fields, and that equality
-    ignores.  The memo holds this order's
-    keys only: a composite order keys through its parts' ``_key``, never
-    their ``key``, so their memos stay empty.  Each subclass binds
+    ignores.  The memo holds this order's keys only: a composite order keys
+    through its parts' ``_key``, never their ``key``, so their memos stay
+    empty.  Each subclass binds
     ``key = TermOrder.key`` in its own class dict, because
     ``perfbench/tracing.py`` patches ``cls.__dict__["key"]`` to count calls.
     """
