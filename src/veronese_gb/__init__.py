@@ -17,8 +17,8 @@ from .polyring import (Polynomial, Ring, base_ring, format_polynomial,
 from .toric import (Configuration, ToricVeroneseCertificate, certify_grading,
                     point_rank, toric_groebner_basis, toric_ideal,
                     veronese_layer, verify_veronese_toric)
-from .veronese import (BoundsReport, KernelCertificate, PullbackResult,
-                       VeroneseMap, degree_bounds, exchange_binomials,
+from .veronese import (BoundsReport, PullbackResult, VeroneseMap,
+                       degree_bounds, exchange_binomials,
                        kernel_groebner_basis, kernel_initial,
                        kernel_oracle_basis, monomial_pullback_generators,
                        preimage_oracle, pullback_homogeneous_ideal,

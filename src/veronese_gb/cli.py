@@ -343,17 +343,9 @@ def cmd_veronese(args, budget):
                "size": len(basis)}
     if args.verify:
         cert = verify_exchange_basis(args.s, args.d, budget)
-        outputs["certificate"] = {
-            "in_kernel": cert.in_kernel,
-            "is_groebner": cert.is_groebner,
-            "matches_oracle": cert.matches_oracle,
-            "spairs_checked": cert.spairs,
-            "reduced_size": cert.reduced_size,
-            "ok": cert.ok}
-        fail_on_false("veronese", {"in_kernel": cert.in_kernel,
-                                   "is_groebner": cert.is_groebner,
-                                   "matches_oracle": cert.matches_oracle,
-                                   "ok": cert.ok})
+        fail_on_false("veronese", {name: cert[name] for name in (
+            "in_kernel", "is_groebner", "matches_oracle", "ok")})
+        outputs["certificate"] = cert
     return {"s": args.s, "d": args.d, "verify": bool(args.verify)}, outputs
 
 
@@ -403,25 +395,27 @@ def cmd_toric(args, budget):
     if args.veronese is not None:
         cert = verify_veronese_toric(config, args.veronese,
                                      method=args.method, budget=budget)
+        pb = cert.pullback
+        meets_bound, max_degree = pb.certificate["meets_bound"], pb.max_degree
         fail_on_false("toric", {
             "all_binomial": cert.all_binomial,
             "images_equal": cert.images_equal,
             "duplicates_linear": cert.duplicates_linear,
-            f"max_degree {cert.max_degree} at the bound":
-                not cert.meets_bound or cert.max_degree <= 2,
+            f"max_degree {max_degree} at the bound":
+                not meets_bound or max_degree <= 2,
             "ok": cert.ok})
         outputs["veronese"] = {
             "d": args.veronese,
-            "omega": list(cert.omega),
-            "bound": cert.bound,
-            "meets_bound": cert.meets_bound,
+            "omega": list(pb.omega),
+            "bound": pb.certificate["bound"],
+            "meets_bound": meets_bound,
             "all_binomial": cert.all_binomial,
-            "max_degree": cert.max_degree,
+            "max_degree": max_degree,
             "images_equal": cert.images_equal,
             "duplicates_linear": cert.duplicates_linear,
             "ok": cert.ok,
-            "groebner_basis": gb_block(list(cert.pullback.reduced),
-                                       cert.pullback.order, vmap.ring, budget)}
+            "groebner_basis": gb_block(list(pb.reduced), pb.order, vmap.ring,
+                                       budget)}
     return {"file": args.config, "veronese": args.veronese}, outputs
 
 

@@ -345,9 +345,11 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
     than i and j divides the lcm and is a treated partner of both, which is
     one ``&`` of four sets.
 
-    A heap entry is the flat tuple ``(deg, key, i, j)`` under a ``Block``
-    order and ``(key, deg, i, j)`` otherwise, with ``deg`` and ``key`` the
-    degree and order key of the pair's lcm; the key is the memo's own tuple.
+    A heap entry is the flat tuple ``(deg, key, i, j)``, with ``key`` the
+    order key of the pair's lcm, the memo's own tuple, and ``deg`` its
+    degree under a ``Block`` order and 0 otherwise: under any other order
+    equal keys mean equal lcms, so a degree after the key would decide
+    nothing.
     The lcm itself is not kept: one more tuple per pending pair raised the
     peak RSS of the (3,4) elimination oracle from 78 to 101 MB.  It is
     computed once when the pair is popped, and the chain test and
@@ -378,7 +380,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
     # the queue, which empirically keeps the joint-ring runs shallow.
     degree_first = isinstance(order, Block)
     key = order.key
-    queue = []            # heap of (deg, key, i, j) or (key, deg, i, j)
+    queue = []            # heap of (deg, key, i, j)
 
     def add_remainder(terms):
         """A nonzero remainder of the terms joins the basis, with its pairs;
@@ -399,9 +401,8 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
         stats.skipped_coprime += coprime.bit_count()
         for i in _bits((bj - 1) & ~coprime):
             lcm = mono_lcm(items[i][2], lt)
-            heapq.heappush(queue, (mono_deg(lcm), key(lcm), i, j)
-                           if degree_first else
-                           (key(lcm), mono_deg(lcm), i, j))
+            heapq.heappush(queue, (mono_deg(lcm) if degree_first else 0,
+                                   key(lcm), i, j))
         stats.basis_peak = max(stats.basis_peak, len(items))
 
     for f in generators:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, le, sub
 
 from .errors import DimensionError, DomainError, ParseError, RingMismatchError
@@ -94,8 +94,10 @@ def base_ring(s):
     return Ring(tuple(f"y{i + 1}" for i in range(s)), kind="S", s=s)
 
 
+@lru_cache(maxsize=None)
 def veronese_ring(s, d):
-    """The ring with one variable per degree-d multi-index, in chain order."""
+    """The ring with one variable per degree-d multi-index, in chain order;
+    one ring per shape, so rings of a shape compare by identity."""
     if s >= 1 and d >= 1:
         # the enumeration holds d+s-1 cut points for binomial(d+s-1, s-1)
         # variables; the count rises with s, so clamping s just past the cap

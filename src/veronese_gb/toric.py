@@ -171,25 +171,25 @@ def veronese_layer(config, d):
 
 
 class ToricVeroneseCertificate(Record):
-    """Checks for the quadratic-basis claim on a configuration's layer;
-    ``bound`` is None for a zero kernel."""
+    """Checks for the quadratic-basis claim on a configuration's layer.
 
-    def __init__(self, config, d, omega, bound, meets_bound, pullback,
-                 all_binomial, max_degree, images_equal, duplicates_linear):
-        self.config = config
-        self.d = d
-        self.omega = omega
-        self.bound = bound
-        self.meets_bound = meets_bound
+    The weights, the bound, whether d meets it and the largest degree are
+    the pullback's: ``pullback.omega``, ``pullback.certificate["bound"]``
+    (None for a zero kernel) and ``["meets_bound"]``, and
+    ``pullback.max_degree``.
+    """
+
+    def __init__(self, pullback, all_binomial, images_equal,
+                 duplicates_linear):
         self.pullback = pullback
         self.all_binomial = all_binomial
-        self.max_degree = max_degree
         self.images_equal = images_equal
         self.duplicates_linear = duplicates_linear
 
     @property
     def ok(self):
-        quadratic = (not self.meets_bound) or self.max_degree <= 2
+        pb = self.pullback
+        quadratic = (not pb.certificate["meets_bound"]) or pb.max_degree <= 2
         return (self.all_binomial and self.images_equal
                 and self.duplicates_linear and quadratic)
 
@@ -200,8 +200,8 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
     Computes the kernel ideal, pulls it back under the weights derived from
     the default order, and checks binomiality, image equality under the
     layer's monomial map, and the recorded duplicate-point identifications.
-    The weights and the bound are the pullback's, the bound None for a zero
-    kernel.  A shape that the exchange cap refuses is refused by
+    The certificate keeps the pullback and reads the weights, the bound
+    (None for a zero kernel) and the largest degree from it.  A shape that the exchange cap refuses is refused by
     :class:`VeroneseMap` before the kernel is computed.
     """
     if budget is None:
@@ -227,7 +227,5 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
                                 budget)
             for i, j in layer.duplicate_pairs)
 
-    return ToricVeroneseCertificate(
-        config, d, pb.omega, pb.certificate["bound"],
-        pb.certificate["meets_bound"], pb,
-        all_binomial, pb.max_degree, images_equal, duplicates_linear)
+    return ToricVeroneseCertificate(pb, all_binomial, images_equal,
+                                    duplicates_linear)

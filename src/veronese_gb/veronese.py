@@ -337,27 +337,14 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
 # kernel certification
 
 
-class KernelCertificate(Record):
-    def __init__(self, s, d, basis_size, reduced_size, in_kernel, is_groebner,
-                 matches_oracle, spairs):
-        self.s = s
-        self.d = d
-        self.basis_size = basis_size
-        self.reduced_size = reduced_size
-        self.in_kernel = in_kernel
-        self.is_groebner = is_groebner
-        self.matches_oracle = matches_oracle
-        self.spairs = spairs
-
-    @property
-    def ok(self):
-        return self.in_kernel and self.is_groebner and self.matches_oracle
-
-
 def verify_exchange_basis(s, d, budget=None):
     """Certify the exchange binomials: kernel membership, S-pair closure,
     and agreement with the elimination oracle.
 
+    Returns the certificate that ``veronese --verify`` reports: the
+    verdicts ``in_kernel``, ``is_groebner`` and ``matches_oracle``, the
+    S-pairs of the closure check in ``spairs_checked``, the size of the
+    interreduction in ``reduced_size``, and ``ok``, all three verdicts.
     The exchange binomials are interreduced here, so that the closure check
     proves they generate the kernel whose reduced basis is compared;
     ``matches_oracle`` holds only when that interreduction,
@@ -372,8 +359,10 @@ def verify_exchange_basis(s, d, budget=None):
     reduced = _reduce_basis(list(basis), vmap.order)
     matches = reduced == kernel_groebner_basis(s, d) == \
         tuple(kernel_oracle_basis(s, d))
-    return KernelCertificate(s, d, len(basis), len(reduced), in_kernel,
-                             check.ok, matches, check.spairs)
+    return {"in_kernel": in_kernel, "is_groebner": check.ok,
+            "matches_oracle": matches, "spairs_checked": check.spairs,
+            "reduced_size": len(reduced),
+            "ok": in_kernel and check.ok and matches}
 
 
 # ---------------------------------------------------------------------------

@@ -594,6 +594,29 @@ def test_toric_zero_kernel_has_no_bound(tmp_path):
     assert out["bound"] is None and out["meets_bound"] and out["ok"]
 
 
+def test_veronese_verify_prints_the_library_certificate(capsys):
+    from veronese_gb import cli
+    assert cli.main(["--json", "veronese", "--s", "3", "--d", "2",
+                     "--verify"]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["certificate"] == veronese_gb.verify_exchange_basis(3, 2)
+
+
+def test_toric_reports_the_weights_and_bound_of_its_pullback(capsys):
+    from veronese_gb import cli
+    assert cli.main(["--json", "toric", str(DATA / "curve_config.json"),
+                     "--veronese", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]["veronese"]
+    pb = veronese_gb.verify_veronese_toric(
+        veronese_gb.Configuration.from_points(((1, 0), (1, 1), (1, 2))),
+        5).pullback
+    assert (out["omega"], out["bound"], out["meets_bound"],
+            out["max_degree"]) == (list(pb.omega), pb.certificate["bound"],
+                                   pb.certificate["meets_bound"],
+                                   pb.max_degree)
+    assert (out["bound"], out["meets_bound"], out["max_degree"]) == (5, True, 2)
+
+
 def _limit_address_space():
     # 800 MB, so that a run enumerating what the cap refuses dies with a
     # MemoryError instead of taking the machine's memory

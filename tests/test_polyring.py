@@ -204,6 +204,13 @@ def test_json_integer_fields_reject_fractions():
         ring_from_json({"kind": "Rd", "s": 2, "d": "1.5"})
 
 
+def test_one_veronese_ring_per_shape():
+    from veronese_gb.veronese import VeroneseMap
+    R = veronese_ring(3, 3)
+    assert VeroneseMap(3, 3).ring is R
+    assert ring_from_json(ring_to_json(R)) is R
+
+
 def test_json_rejects_wrong_index_table():
     obj = ring_to_json(veronese_ring(2, 2))
     obj["index_table"][0] = [9, 9]

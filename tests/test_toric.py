@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
+import json
+import pathlib
+
 import pytest
 
+from veronese_gb import cli
 from veronese_gb.errors import (BudgetExceededError, DimensionError,
                                 DomainError, NotAConfigurationError)
 from veronese_gb.groebner import Ideal, eliminate
@@ -16,6 +20,7 @@ from veronese_gb.veronese import (_joint_graph_gb, kernel_initial,
                                   pullback_homogeneous_ideal)
 
 CURVE = ((1, 0), (1, 1), (1, 2))
+CURVE_CONFIG = pathlib.Path(__file__).parent / "data" / "curve_config.json"
 
 
 def test_certify_grading_examples():
@@ -194,27 +199,33 @@ def test_layer_kernel_equals_pullback():
 def test_verify_pipeline_independent_points():
     cfg = Configuration.from_points([(1, 0), (0, 1)])
     cert = verify_veronese_toric(cfg, 2)
-    assert cert.ok and cert.all_binomial and cert.max_degree <= 2
-    # a zero kernel has no bound, in the toric certificate as in the pullback's
-    assert cert.bound is None and cert.meets_bound
-    assert cert.pullback.certificate["bound"] is None
+    assert cert.ok and cert.all_binomial and cert.pullback.max_degree <= 2
+    # a zero kernel has no bound, and meets it
+    pb = cert.pullback.certificate
+    assert pb["bound"] is None and pb["meets_bound"]
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
-def test_toric_bound_is_the_pullback_certificates(d):
+def test_toric_bound_is_the_pullback_certificates(d, capsys):
     # the kernel y1*y3 - y2^2 has initial ideal (y2^2): bound ceil(3*3/2) = 5
     cert = verify_veronese_toric(Configuration.from_points(CURVE), d)
     pb = cert.pullback.certificate
-    assert (cert.bound, cert.meets_bound) == (pb["bound"], pb["meets_bound"])
-    assert (cert.bound, cert.meets_bound) == (5, d >= 5)
+    assert cli.main(["--json", "toric", str(CURVE_CONFIG),
+                     "--veronese", str(d)]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]["veronese"]
+    assert (out["bound"], out["meets_bound"]) == (pb["bound"],
+                                                  pb["meets_bound"])
+    assert (out["bound"], out["meets_bound"]) == (5, d >= 5)
 
 
 def test_verify_pipeline_identity_degree():
     cfg = Configuration.from_points(CURVE)
     cert = verify_veronese_toric(cfg, 1)
-    assert not cert.meets_bound      # the computed bound exceeds 1
+    # the computed bound exceeds 1
+    assert not cert.pullback.certificate["meets_bound"]
     assert cert.all_binomial and cert.images_equal
-    assert cert.max_degree == 2      # this kernel happens to be quadratic already
+    # this kernel happens to be quadratic already
+    assert cert.pullback.max_degree == 2
 
 
 def test_verify_pipeline_curve_small_degree():
@@ -278,7 +289,7 @@ def test_below_bound_certificates_eliminate_nothing_for_the_initial_ideal(
     monkeypatch.setattr(veronese, "preimage_oracle", refuse)
     cert = verify_veronese_toric(Configuration.from_points(CURVE + ((1, 3),)),
                                  2)
-    assert cert.ok and not cert.meets_bound
+    assert cert.ok and not cert.pullback.certificate["meets_bound"]
     assert cert.pullback.certificate["initial_matches_monomial_pullback"]
     res = pullback_homogeneous_ideal(conic, 3)
     assert not res.certificate["meets_bound"]
