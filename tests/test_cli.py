@@ -602,21 +602,6 @@ def test_veronese_verify_prints_the_library_certificate(capsys):
     assert out["certificate"] == veronese_gb.verify_exchange_basis(3, 2)
 
 
-def test_toric_reports_the_weights_and_bound_of_its_pullback(capsys):
-    from veronese_gb import cli
-    assert cli.main(["--json", "toric", str(DATA / "curve_config.json"),
-                     "--veronese", "5"]) == 0
-    out = json.loads(capsys.readouterr().out)["outputs"]["veronese"]
-    pb = veronese_gb.verify_veronese_toric(
-        veronese_gb.Configuration.from_points(((1, 0), (1, 1), (1, 2))),
-        5).pullback
-    assert (out["omega"], out["bound"], out["meets_bound"],
-            out["max_degree"]) == (list(pb.omega), pb.certificate["bound"],
-                                   pb.certificate["meets_bound"],
-                                   pb.max_degree)
-    assert (out["bound"], out["meets_bound"], out["max_degree"]) == (5, True, 2)
-
-
 def _limit_address_space():
     # 800 MB, so that a run enumerating what the cap refuses dies with a
     # MemoryError instead of taking the machine's memory

@@ -207,14 +207,16 @@ def test_verify_pipeline_independent_points():
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_toric_bound_is_the_pullback_certificates(d, capsys):
-    # the kernel y1*y3 - y2^2 has initial ideal (y2^2): bound ceil(3*3/2) = 5
-    cert = verify_veronese_toric(Configuration.from_points(CURVE), d)
-    pb = cert.pullback.certificate
+    # the kernel y1*y3 - y2^2 has initial ideal (y2^2): bound ceil(3*3/2) = 5;
+    # the report's weights, bound and degree are the pullback's
+    pb = verify_veronese_toric(Configuration.from_points(CURVE), d).pullback
     assert cli.main(["--json", "toric", str(CURVE_CONFIG),
                      "--veronese", str(d)]) == 0
     out = json.loads(capsys.readouterr().out)["outputs"]["veronese"]
-    assert (out["bound"], out["meets_bound"]) == (pb["bound"],
-                                                  pb["meets_bound"])
+    assert (out["omega"], out["bound"], out["meets_bound"],
+            out["max_degree"]) == (list(pb.omega), pb.certificate["bound"],
+                                   pb.certificate["meets_bound"],
+                                   pb.max_degree)
     assert (out["bound"], out["meets_bound"]) == (5, d >= 5)
 
 
