@@ -171,13 +171,9 @@ def veronese_layer(config, d):
 
 
 class ToricVeroneseCertificate(Record):
-    """Checks for the quadratic-basis claim on a configuration's layer.
-
-    The weights, the bound, whether d meets it and the largest degree are
-    the pullback's: ``pullback.omega``, ``pullback.certificate["bound"]``
-    (None for a zero kernel) and ``["meets_bound"]``, and
-    ``pullback.max_degree``.
-    """
+    """Checks for the quadratic-basis claim on a configuration's layer; the
+    weights, the bound (None for a zero kernel), ``meets_bound`` and the
+    largest degree are read from ``pullback``."""
 
     def __init__(self, pullback, all_binomial, images_equal,
                  duplicates_linear):
@@ -201,8 +197,9 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
     the default order, and checks binomiality, image equality under the
     layer's monomial map, and the recorded duplicate-point identifications.
     The certificate keeps the pullback and reads the weights, the bound
-    (None for a zero kernel) and the largest degree from it.  A shape that the exchange cap refuses is refused by
-    :class:`VeroneseMap` before the kernel is computed.
+    (None for a zero kernel) and the largest degree from it.  A shape that
+    the exchange cap refuses is refused by :class:`VeroneseMap` before the
+    kernel is computed.
     """
     if budget is None:
         budget = Budget()
