@@ -1,9 +1,8 @@
 """Configurations, toric kernels, Veronese layers, and the full pipeline."""
 
-from fractions import Fraction
-
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
