@@ -7,10 +7,11 @@ coefficients +-1), and builds a ``Fraction`` only for a quotient that is not
 integral.
 
 Buchberger takes the pair with the smallest lcm first: smallest degree, ties
-broken by the order, under a ``Block`` order, and smallest under the order
-itself otherwise.  It drops pairs by the coprimality and chain criteria, caps
-the processed S-pairs, and guards the coefficient size; hitting either cap
-raises ``BudgetExceededError`` instead of returning a truncated basis.
+broken by the order, under a ``Block`` order or a given grading (in the
+grading's degree then), and smallest under the order itself otherwise.  It
+drops pairs by the coprimality and chain criteria, caps the processed
+S-pairs, and guards the coefficient size; hitting either cap raises
+``BudgetExceededError`` instead of returning a truncated basis.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import os
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 
 from .errors import (BudgetExceededError, DimensionError, DomainError,
                      InternalCheckError, RingMismatchError)
@@ -321,7 +323,7 @@ class GBStats(Record):
 
 
 def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
-               front=0):
+               front=0, grading=None):
     """Reduced Gröbner basis of the generated ideal, ascending by leading term.
 
     ``seed_gb`` may carry a list already known to be a Gröbner basis under
@@ -347,9 +349,12 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
 
     A heap entry is the flat tuple ``(deg, key, i, j)``, with ``key`` the
     order key of the pair's lcm, the memo's own tuple, and ``deg`` its
-    degree under a ``Block`` order and 0 otherwise: under any other order
-    equal keys mean equal lcms, so a degree after the key would decide
-    nothing.
+    degree: sum(grading_i * lcm_i) when ``grading``, one entry per
+    variable, is given; otherwise the plain degree under a ``Block`` order
+    and 0 under any other, where equal keys mean equal lcms, so a degree
+    after the key would decide nothing.  Under a grading in which the ideal
+    is homogeneous, pairs go degree by degree: the sugar strategy of
+    Giovini, Mora, Niesi, Robbiano and Traverso (ISSAC 1991).
     The lcm itself is not kept: one more tuple per pending pair raised the
     peak RSS of the (3,4) elimination oracle from 78 to 101 MB.  It is
     computed once when the pair is popped, and the chain test and
@@ -373,11 +378,15 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
         ring = generators[0].ring
     else:
         return ()
+    if grading is not None and len(grading) != ring.nvars:
+        raise DimensionError(f"a grading of {len(grading)} entries for a "
+                             f"{ring.nvars}-variable ring")
     treated = [lts.every] * len(items)
 
     # Selection: smallest lcm under the order (what the tie-sensitive plain
-    # lex case needs), except that elimination blocks go degree-first inside
-    # the queue, which empirically keeps the joint-ring runs shallow.
+    # lex case needs), except that elimination blocks and runs given a
+    # grading go degree-first inside the queue, which empirically keeps the
+    # joint-ring runs shallow.
     degree_first = isinstance(order, Block)
     key = order.key
     queue = []            # heap of (deg, key, i, j)
@@ -401,8 +410,11 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
         stats.skipped_coprime += coprime.bit_count()
         for i in _bits((bj - 1) & ~coprime):
             lcm = mono_lcm(items[i][2], lt)
-            heapq.heappush(queue, (mono_deg(lcm) if degree_first else 0,
-                                   key(lcm), i, j))
+            if grading is not None:
+                deg = sum(map(mul, grading, lcm))
+            else:
+                deg = mono_deg(lcm) if degree_first else 0
+            heapq.heappush(queue, (deg, key(lcm), i, j))
         stats.basis_peak = max(stats.basis_peak, len(items))
 
     for f in generators:
@@ -510,7 +522,7 @@ def elimination_order(front, back_order):
 
 
 def eliminate(generators, front, back_ring, back_order, *, budget=None,
-              seed_gb=None):
+              seed_gb=None, grading=None):
     """Intersect the ideal with the subring on the trailing variables.
 
     The generators live in a ring whose first ``front`` positions are the
@@ -519,7 +531,9 @@ def eliminate(generators, front, back_ring, back_order, *, budget=None,
     A ``_DivisorIndex`` passed as ``seed_gb`` (see :func:`buchberger`) must
     be under an order equal to ``elimination_order(front, back_order)``, and
     the run uses that order object, so that the keys its memo holds are not
-    computed again.
+    computed again.  ``grading``, one entry per variable of the joint ring,
+    goes to :func:`buchberger`: pairs are then taken by their lcm's degree
+    in it, which changes the S-pairs reduced but not the basis.
     """
     generators = list(generators)
     if generators and back_ring.nvars + front != generators[0].ring.nvars:
@@ -527,7 +541,7 @@ def eliminate(generators, front, back_ring, back_order, *, budget=None,
     order = seed_gb.order if isinstance(seed_gb, _DivisorIndex) else \
         elimination_order(front, back_order)
     gb = buchberger(generators, order, budget=budget, seed_gb=seed_gb,
-                    front=front)
+                    front=front, grading=grading)
     return _front_free(gb, front, back_ring)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .errors import DimensionError, DomainError
 from .values import Value, init_attr
@@ -162,8 +163,7 @@ class Weighted(TermOrder):
 
     def _key(self, exps):
         _check_len(exps, len(self.weights))
-        w = sum(wi * ei for wi, ei in zip(self.weights, exps))
-        return (w, *self.tie._key(exps))
+        return (sum(map(mul, self.weights, exps)), *self.tie._key(exps))
 
     @property
     def fingerprint(self):

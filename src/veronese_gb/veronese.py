@@ -286,7 +286,10 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
     have the same pulled-back weight, so the chain tie decides.
     The graph ideal is homogeneous for deg z = 1, deg x = d, so with the
     same leading terms both initial ideals have its Hilbert function, and
-    one contains the other.
+    one contains the other.  With ω the elimination takes pairs by their
+    lcm's degree in that grading, in which the embedded generators are
+    homogeneous too, and so reduces fewer S-pairs for the same basis;
+    without ω it takes them by plain lcm degree.
 
     Each run starts from the context of (s, d, ω), one of the latest
     ``ORACLE_MEMO_SIZE``: the joint ring and graph generators, built once,
@@ -321,9 +324,13 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
     embedded = [g.map_positions(context.joint, position_map)
                 for g in ideal.generators]
     index = context.index
+    # the chain case takes the same grading with the counter revision that
+    # moves its pinned S-pair counts (ROADMAP item 2)
+    grading = None if omega is None else (1,) * s + (d,) * vmap.ring.nvars
     try:
         gb = eliminate(embedded + context.gens, s, vmap.ring,
-                       index.order.back_order, budget=budget, seed_gb=index)
+                       index.order.back_order, budget=budget, seed_gb=index,
+                       grading=grading)
     finally:
         if len(index.order._cache) > ORACLE_KEY_MEMO_CAP:
             index.order._cache.clear()

@@ -80,6 +80,33 @@ def test_buchberger_elimination_curve():
     assert [str(g) for g in elim] == ["y1^2 - y2"]
 
 
+def test_buchberger_takes_a_grading():
+    # the curve's ideal is homogeneous for deg t = deg y1 = 1, deg y2 = 2;
+    # a grading changes the order pairs are taken in, not the basis
+    ring = generic_ring(("t", "y1", "y2"))
+    gens = [parse_polynomial("y1 - t", ring),
+            parse_polynomial("y2 - t^2", ring)]
+    order = Block(1, GrevLex(1), GrevLex(2))
+    back = generic_ring(("y1", "y2"))
+    assert buchberger(gens, order, grading=(1, 1, 2)) == \
+        buchberger(gens, order)
+    assert eliminate(gens, 1, back, GrevLex(2), grading=(1, 1, 2)) == \
+        eliminate(gens, 1, back, GrevLex(2))
+
+
+@pytest.mark.parametrize("grading", [(1, 1), (1, 1, 2, 1)],
+                         ids=["short", "long"])
+def test_buchberger_refuses_a_grading_of_the_wrong_length(grading):
+    ring = generic_ring(("t", "y1", "y2"))
+    gens = [parse_polynomial("y1 - t", ring),
+            parse_polynomial("y2 - t^2", ring)]
+    with pytest.raises(DimensionError, match="3-variable"):
+        buchberger(gens, GrevLex(3), grading=grading)
+    with pytest.raises(DimensionError, match="3-variable"):
+        eliminate(gens, 1, generic_ring(("y1", "y2")), GrevLex(2),
+                  grading=grading)
+
+
 def test_eliminate_zero_front_is_identity():
     S = base_ring(2)
     gens = [parse_polynomial("y1^2 - y2^2", S), parse_polynomial("y1*y2", S)]

@@ -977,6 +977,16 @@ def _seeded_weighted_run(d):
             pullback_order(vmap, omega), list(kernel_groebner_basis(3, d)))
 
 
+def _weighted_oracle_run(s, d, omega, *base_gens):
+    """The run ``preimage_oracle`` makes for base weights ``omega``: the
+    seeded run under the pullback order's elimination order, graded by
+    deg y = 1, deg x = d."""
+    gens, _, seed = _seeded_oracle_run(s, d, *base_gens)
+    vmap = VeroneseMap(s, d)
+    return (gens, Block(s, GrevLex(s), pullback_order(vmap, omega)), seed,
+            (1,) * s + (d,) * vmap.ring.nvars)
+
+
 # (spairs, skipped_coprime, skipped_chain, basis_peak, output size) of the
 # Buchberger runs behind the oracles and the weighted pullbacks; a change to
 # pair selection, to either criterion or to the bookkeeping of seeded pairs
@@ -998,23 +1008,31 @@ BUCHBERGER_COUNTERS = {
                    (56, 649, 215, 66, 55)),
     "weighted-2": (_seeded_weighted_run, (2,), (9, 21, 0, 10, 7)),
     "weighted-3": (_seeded_weighted_run, (3,), (27, 144, 6, 33, 18)),
+    # (81, 656, 82, 66, 27) without the grading
+    "weighted-oracle-3-3": (_weighted_oracle_run,
+                            (3, 3, (2, 1, 1), "y1^2", "y1*y3 - y2*y3"),
+                            (58, 465, 42, 62, 27)),
 }
 
 
 @pytest.mark.parametrize("case", BUCHBERGER_COUNTERS)
 def test_graph_ideal_buchberger_counters(case):
     build, args, expected = BUCHBERGER_COUNTERS[case]
-    gens, order, seed = build(*args)
+    # only the weighted oracle's run comes with a grading
+    gens, order, seed, *grading = build(*args)
+    grading = grading[0] if grading else None
     runs = [(order, seed)]
-    if build is _seeded_oracle_run:
+    if build in (_seeded_oracle_run, _weighted_oracle_run):
         # twice more from the oracle's context of the shape: the copied seed
         # index, and the second time every order key from the memo
-        index = veronese._oracle_context(args[0], args[1], None).index
+        omega = args[2] if build is _weighted_oracle_run else None
+        index = veronese._oracle_context(args[0], args[1], omega).index
         runs += [(index.order, index)] * 2
     bases = set()
     for order, seed in runs:
         stats = GBStats()
-        gb = buchberger(gens, order, seed_gb=seed, stats=stats)
+        gb = buchberger(gens, order, seed_gb=seed, stats=stats,
+                        grading=grading)
         assert (stats.spairs, stats.skipped_coprime, stats.skipped_chain,
                 stats.basis_peak, len(gb)) == expected
         bases.add(gb)
@@ -1037,6 +1055,18 @@ def test_seeded_preimage_oracle_spairs(s, d, gens, spairs):
     veronese._oracle_context(s, d, None).results.clear()
     assert preimage_oracle(ideal, VeroneseMap(s, d), budget=warm) == gb
     assert warm.spairs == spairs
+
+
+def test_weighted_preimage_oracle_is_graded():
+    # the weighted-oracle-3-3 row of BUCHBERGER_COUNTERS: 58 S-pairs graded,
+    # 81 by plain lcm degree
+    S3, vmap = base_ring(3), VeroneseMap(3, 3)
+    ideal = Ideal(S3, [parse_polynomial(g, S3)
+                       for g in ("y1^2", "y1*y3 - y2*y3")])
+    graded, plain = Budget(), Budget()
+    gb = preimage_oracle(ideal, vmap, (2, 1, 1), budget=graded)
+    assert gb == _plain_degree_oracle(ideal, vmap, (2, 1, 1), plain)
+    assert (graded.spairs, plain.spairs) == (58, 81)
 
 
 def test_oracle_context_serves_no_stale_seed(monkeypatch):
@@ -1129,16 +1159,32 @@ def _weighted_oracle_cases(rng):
             yield ideal, d, find_weight_vector(ideal, S.default_order())
 
 
+def _plain_degree_oracle(ideal, vmap, omega, budget):
+    """The weighted oracle's seeded elimination from its context, with pairs
+    taken by plain lcm degree instead of the grading deg y = 1, deg x = d."""
+    context = veronese._oracle_context(vmap.s, vmap.d, omega)
+    position_map = list(range(vmap.s)) + [-1] * vmap.ring.nvars
+    embedded = [g.map_positions(context.joint, position_map)
+                for g in ideal.generators]
+    return eliminate(embedded + context.gens, vmap.s, vmap.ring,
+                     context.index.order.back_order, budget=budget,
+                     seed_gb=context.index)
+
+
 def test_weighted_oracle_equals_two_step_route(rng):
     checked = 0
     for ideal, d, omega in _weighted_oracle_cases(rng):
         vmap = VeroneseMap(ideal.ring.s, d)
-        one, two = Budget(), Budget()
+        one, two, plain = Budget(), Budget(), Budget()
         got = preimage_oracle(ideal, vmap, omega, budget=one)
         assert got == _two_step_oracle(ideal, vmap,
                                        pullback_order(vmap, omega), two), \
             (d, omega, ideal.generators)
         assert one.spairs <= two.spairs
+        # the grading changes which pairs are reduced, not the basis, and
+        # reduces no more of them
+        assert got == _plain_degree_oracle(ideal, vmap, omega, plain)
+        assert 0 < one.spairs <= plain.spairs, (d, omega, ideal.generators)
         checked += 1
     assert checked == 14
 
