@@ -15,10 +15,12 @@ route and every other input to the weighted route, under ``--omega`` or,
 without it, under weights derived from the default order.  ``bounds``
 reports the bound of a monomial ideal, or of the default-order initial
 ideal of a homogeneous one.  A zero toric kernel reports ``bound: null``.
-``pullback`` returns a complete basis at every d.  ``--method both`` runs
-the elimination oracle once, counts its S-pairs once in ``spairs_used``,
-and exits 6 when the constructive basis disagrees with it; ``--verify``
-checks the returned basis on both routes and under every method.  A
+``pullback`` and ``toric --veronese`` return the constructive basis, which
+is complete at every d.  ``--method both`` runs the elimination oracle
+once, counts its S-pairs once in ``spairs_used``, and exits 6 when the
+constructive basis disagrees with it; ``toric`` refuses ``--method``
+without ``--veronese``.  ``--verify`` checks the returned basis on both
+routes and under every method.  A
 certificate's verdicts are checks, and a false one exits 6 with no report
 and one line naming every false verdict: ``is_groebner``,
 ``members_in_target``, ``initial_matches_monomial_pullback`` and
@@ -373,16 +375,18 @@ def cmd_pullback(args, budget):
                "reduced": gb_block(list(res.reduced), res.order, vmap.ring,
                                    budget),
                "max_degree": res.max_degree,
-               "method": res.method,
+               "method": "constructive",
                "certificate": dict(cert),
                "partial": False}
-    # "partial" and "cap" are constants that the benchmark's pinned digests
-    # hold until it is next revised
+    # "method", "partial" and "cap" are constants that the benchmark's pinned
+    # digests hold until it is next revised
     return {"file": args.ideal, "d": args.d, "omega": args.omega,
             "method": args.method, "cap": 2}, outputs
 
 
 def cmd_toric(args, budget):
+    if args.method is not None and args.veronese is None:
+        raise DomainError("--method needs --veronese")
     config = load_configuration_file(args.config)
     if args.veronese is not None:
         # refuse the layer's shape before computing the kernel
@@ -394,7 +398,8 @@ def cmd_toric(args, budget):
                                           ideal.ring, budget)}
     if args.veronese is not None:
         cert = verify_veronese_toric(config, args.veronese,
-                                     method=args.method, budget=budget)
+                                     method=args.method or "constructive",
+                                     budget=budget)
         pb = cert.pullback
         meets_bound, max_degree = pb.certificate["meets_bound"], pb.max_degree
         fail_on_false("toric", {
@@ -484,7 +489,8 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("--veronese", type=_int_option,
                    help="also certify the degree-d layer")
-    p.add_argument("--method", default="constructive", choices=METHODS)
+    p.add_argument("--method", choices=METHODS,
+                   help="with --veronese (default: constructive)")
     p.set_defaults(fn=cmd_toric)
 
     p = sub.add_parser("bounds", help="degree bounds for a monomial ideal, "

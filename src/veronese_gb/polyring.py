@@ -558,12 +558,12 @@ def read_int(text, where):
 def as_integer(value, field):
     """``value`` as an int: an integer, a whole number such as 2.0, or an
     integer string such as "3", read by :func:`read_int`.  Anything else,
-    2.7 included, is a DomainError naming ``field`` rather than a silent
-    truncation."""
+    2.7 and JSON's ``true`` included, is a DomainError naming ``field``
+    rather than a silent truncation."""
     if isinstance(value, str):
         return read_int(value, field)
     try:
-        number = int(value)
+        number = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value:
@@ -573,11 +573,13 @@ def as_integer(value, field):
 
 def as_fraction(value, field):
     """``value`` as a Fraction: an integer, a finite number such as 0.5, or a
-    rational string such as "-3/2".  Anything else, 1e400 (read as inf) and
-    "1/0" included, is a DomainError naming ``field``, and a string with more
-    digits than ``int()`` reads names the limit (see
+    rational string such as "-3/2".  Anything else, 1e400 (read as inf),
+    "1/0" and JSON's ``true`` included, is a DomainError naming ``field``,
+    and a string with more digits than ``int()`` reads names the limit (see
     :func:`_check_digit_limit`)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         if isinstance(value, str):

@@ -196,6 +196,8 @@ def verify_veronese_toric(config, d, method="constructive", budget=None):
     Computes the kernel ideal, pulls it back under the weights derived from
     the default order, and checks binomiality, image equality under the
     layer's monomial map, and the recorded duplicate-point identifications.
+    ``method`` goes to :func:`pullback_homogeneous_ideal`; "both" checks the
+    constructive basis against the elimination oracle.
     The certificate keeps the pullback and reads the weights, the bound
     (None for a zero kernel) and the largest degree from it.  A shape that
     the exchange cap refuses is refused by :class:`VeroneseMap` before the

@@ -109,6 +109,15 @@ MALFORMED_INPUTS = {
     "ring-size-fraction": ("gbasis", [], '{"ring": {"kind": "S", "s": 2.7}}'),
     "ring-size-over-cap": (
         "gbasis", [], '{"ring": {"kind": "S", "s": 10001}, "generators": []}'),
+    # JSON true and false are not the integers 1 and 0
+    "ring-size-boolean": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": true}, "generators": []}'),
+    "exps-boolean": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        '[{"terms": [{"coeff": "1", "exps": [true, 0]}]}]}'),
+    "coeff-boolean": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        '[{"terms": [{"coeff": true, "exps": [1, 0]}]}]}'),
     "names-not-array": (
         "gbasis", [], '{"ring": {"kind": "generic", "names": 5}}'),
     "duplicate-names": (
@@ -121,7 +130,11 @@ MALFORMED_INPUTS = {
     "points-flat": ("toric", [], '{"points": [1, 2]}'),
     "coordinate-array": ("toric", [], '{"points": [[1, [2]]]}'),
     "coordinate-fraction": ("toric", [], '{"points": [[1, 0.6], [1, 1]]}'),
+    "coordinate-boolean": (
+        "toric", [], '{"points": [[true, false], [true, true]]}'),
     "lambda-number": ("toric", [], '{"points": [[1, 0]], "lambda": 5}'),
+    "lambda-boolean": (
+        "toric", [], '{"points": [[1, 0], [1, 1]], "lambda": [true, false]}'),
     "lambda-too-short": (
         "toric", ["--veronese", "2"],
         '{"points": [[1, 0], [1, 1], [1, 2]], "lambda": [1]}'),
@@ -223,10 +236,36 @@ def test_pullback_has_no_partial_result_options(option):
     assert "unrecognized arguments" in proc.stderr
 
 
-@pytest.mark.parametrize("method", ["constructive", "oracle", "both"])
-def test_pullback_verify_under_every_method(method):
-    args = ["pullback", "tests/data/square_square.json", "--d", "3",
-            "--method", method]
+@pytest.mark.parametrize("args", [
+    ["pullback", "tests/data/square_square.json", "--d", "3"],
+    ["toric", "tests/data/curve_config.json", "--veronese", "2"],
+], ids=["pullback", "toric"])
+def test_no_command_returns_the_oracle_basis(args):
+    # the pullbacks return the constructive basis, which --method both
+    # checks against the elimination oracle
+    proc = run_cli(*args, "--method", "oracle")
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["constructive", "both"])
+def test_toric_method_needs_veronese(method):
+    # without a layer there is no pullback for the method to choose
+    proc = run_cli("toric", "tests/data/curve_config.json", "--method", method)
+    assert_one_error_line(proc, 2)
+    assert "--method needs --veronese" in proc.stderr
+
+
+# "oracle" takes the weighted route, where "both" runs the weighted
+# elimination oracle
+@pytest.mark.parametrize("args", [
+    ["tests/data/square_square.json", "--d", "3", "--method", "constructive"],
+    ["tests/data/conic.json", "--d", "2", "--omega", "2,1,1",
+     "--method", "both"],
+    ["tests/data/square_square.json", "--d", "3", "--method", "both"],
+], ids=["constructive", "oracle", "both"])
+def test_pullback_verify_under_every_method(args):
+    args = ["pullback", *args]
     plain = json.loads(run_cli("--json", *args).stdout)
     proc = run_cli("--json", *args, "--verify")
     assert proc.returncode == 0, proc.stderr
@@ -770,15 +809,6 @@ def test_pullback_refuses_a_generic_ring(generators, tmp_path):
     proc = run_cli("--json", "pullback", str(path), "--d", "2")
     assert_one_error_line(proc, 2)
     assert "pullbacks need a base ring y1..ys" in proc.stderr
-
-
-def test_pullback_oracle_method():
-    proc = run_cli("--json", "pullback", "tests/data/square_square.json",
-                   "--d", "2", "--method", "oracle")
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)["outputs"]
-    assert out["method"] == "elimination-oracle"
-    assert out["groebner_basis"]["polynomials"]
 
 
 def test_out_flag_writes_report(tmp_path):

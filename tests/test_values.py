@@ -125,8 +125,8 @@ RECORDS = {
                "basis_peak": 0}),
     GBCheck: (("ok", "spairs", "pair", "remainder"),
               {"pair": None, "remainder": None}),
-    PullbackResult: (("s", "d", "order", "groebner_basis", "reduced",
-                      "method", "certificate", "omega"), {"omega": None}),
+    PullbackResult: (("order", "groebner_basis", "reduced", "certificate",
+                      "omega"), {"omega": None}),
     BoundsReport: (("s", "max_exponent", "delta", "bound", "bound_raw",
                     "rival_rough", "rival_stated"), {}),
     ToricVeroneseCertificate: (("pullback", "all_binomial", "images_equal",

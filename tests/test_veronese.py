@@ -347,11 +347,10 @@ def test_pullback_monomial_examples():
     assert set(res1.reduced) == {parse_polynomial("x[2,0]", R2),
                                  parse_polynomial("x[1,1]", R2)}
 
-    for method in ("constructive", "oracle", "both"):
+    for method in ("constructive", "both"):
         zero = pullback_monomial_ideal(MonomialIdeal(S2, ()), 3, method=method)
         assert zero.groebner_basis == exchange_binomials(2, 3)
         assert zero.reduced == kernel_groebner_basis(2, 3)
-        assert zero.method == "constructive"
         assert _fraction_coeffs(zero.reduced)
 
 
@@ -362,28 +361,6 @@ def test_pullback_monomial_below_bound_uses_oracle():
     assert not res.certificate["meets_bound"]
     assert res.certificate["complete"]
     assert res.certificate["matches_oracle"]
-
-
-def test_pullback_monomial_oracle_method():
-    S2 = base_ring(2)
-    M = MonomialIdeal.from_exponents(S2, [(2, 2)])
-    res = pullback_monomial_ideal(M, 2, method="oracle")
-    oracle = preimage_oracle(Ideal(S2, M.polynomials()), VeroneseMap(2, 2))
-    assert res.groebner_basis == res.reduced == oracle
-    assert res.method == "elimination-oracle"
-    assert res.certificate == {}
-    assert res.max_degree == max(g.total_degree() for g in oracle)
-
-
-@pytest.mark.parametrize("method, route", [
-    ("constructive", "constructive"), ("oracle", "elimination-oracle"),
-    ("both", "constructive")])
-def test_weighted_pullback_names_the_basis_it_returns(method, route):
-    # as the monomial route does: "both" returns the constructive basis
-    S3 = base_ring(3)
-    conic = Ideal(S3, [parse_polynomial("y1^2 - y2*y3", S3)])
-    res = pullback_homogeneous_ideal(conic, 2, (2, 1, 1), method=method)
-    assert res.method == route
 
 
 def test_pullback_monomial_both_runs_the_oracle_once(monkeypatch):
@@ -399,7 +376,6 @@ def test_pullback_monomial_both_runs_the_oracle_once(monkeypatch):
     monkeypatch.setattr(veronese, "preimage_oracle", counting)
     res = pullback_monomial_ideal(M, 2, method="both")
     assert len(calls) == 1
-    assert res.method == "constructive"
     assert res.certificate["complete"] and res.certificate["matches_oracle"]
 
     monkeypatch.setattr(veronese, "preimage_oracle", lambda *a, **k: ())
@@ -557,16 +533,23 @@ def test_pullback_homogeneous_zero_ideal():
 @pytest.mark.parametrize("method", ["constructive", "oracle", "both"])
 def test_unit_ideal_pulls_back_to_the_unit_ideal(method):
     # the constant monomial's image, the origin, lies in <1>, so the
-    # pullback is <1> on both routes, and the degree-0 standard monomial is
-    # the generator the monomial pullback reads
-    S2, R2 = base_ring(2), VeroneseMap(2, 2).ring
+    # pullback is <1> on both routes and from the elimination oracle, and
+    # the degree-0 standard monomial is the generator the monomial pullback
+    # reads
+    S2, vmap = base_ring(2), VeroneseMap(2, 2)
+    R2 = vmap.ring
     unit = MonomialIdeal.from_exponents(S2, [(0, 0)])
+    homogeneous = Ideal(S2, [parse_polynomial(g, S2) for g in ("y1 - y2", "1")])
+    if method == "oracle":
+        assert tuple(preimage_oracle(Ideal(S2, unit.polynomials()),
+                                     vmap)) == (R2.one,)
+        assert tuple(preimage_oracle(homogeneous, vmap, (1, 1))) == (R2.one,)
+        return
     assert monomial_pullback_generators(unit, 2) == ((0, 0, 0),)
     res = pullback_monomial_ideal(unit, 2, verify=True, method=method)
     assert res.reduced == (R2.one,)
     assert res.certificate.get("matches_oracle", True)
     assert res.certificate["is_groebner"]
-    homogeneous = Ideal(S2, [parse_polynomial(g, S2) for g in ("y1 - y2", "1")])
     res = pullback_homogeneous_ideal(homogeneous, 2, method=method,
                                      verify=True)
     assert tuple(res.reduced) == (R2.one,)
@@ -768,6 +751,20 @@ def test_degree_bounds_odd_delta_verdict():
 def test_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("pullback", [
+    lambda method: pullback_monomial_ideal(
+        MonomialIdeal.from_exponents(base_ring(2), [(1, 1)]), 2, method=method),
+    lambda method: pullback_homogeneous_ideal(
+        Ideal(base_ring(2), [base_ring(2).monomial((1, 1))]), 2, (1, 1),
+        method=method),
+], ids=["monomial", "homogeneous"])
+def test_pullbacks_refuse_the_oracle_method(pullback):
+    # both return the constructive basis; "both" checks it against the
+    # elimination oracle
+    with pytest.raises(DomainError, match="constructive, both, got 'oracle'"):
+        pullback("oracle")
 
 
 def test_quadratic_bound_and_degree_bounds():
