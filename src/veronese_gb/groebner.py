@@ -244,6 +244,10 @@ def _reduce_terms(terms, index, order, budget=None, scale_ok=False):
     guaranteed up to a nonzero scalar: long division chains get their
     content stripped periodically, which keeps coefficient growth additive
     instead of compounding.
+
+    The remainder's terms come out in strictly descending order, so its
+    first key is its leading term: each step pops the greatest term left and
+    adds only terms below it, and the rescaling keeps dict order.
     """
     p = dict(terms)
     r = {}
@@ -313,6 +317,16 @@ def _spoly(a, b, lcm):
     return terms
 
 
+def _raised(exps, support):
+    """lcm of ``exps`` and the monomial whose nonzero exponents are the
+    (position, exponent) pairs of ``support``, in a pass over the support."""
+    lcm = list(exps)
+    for v, x in support:
+        if x > lcm[v]:
+            lcm[v] = x
+    return tuple(lcm)
+
+
 class GBStats(Record):
     def __init__(self, spairs=0, skipped_coprime=0, skipped_chain=0,
                  basis_peak=0):
@@ -357,8 +371,12 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
     Giovini, Mora, Niesi, Robbiano and Traverso (ISSAC 1991).
     The lcm itself is not kept: one more tuple per pending pair raised the
     peak RSS of the (3,4) elimination oracle from 78 to 101 MB.  It is
-    computed once when the pair is popped, and the chain test and
-    ``_spoly`` share it.
+    computed when the pair is pushed, for its degree and key, and again when
+    it is popped, where the chain test and ``_spoly`` share it.  Both times
+    it is the older element's leading term raised at the support of the
+    newer one's, which the run keeps as (position, exponent) pairs for each
+    element it adds: a pass over a few positions instead of all of them.
+    Seed elements need none, since the newer element of a pair is never one.
     """
     if budget is None:
         budget = Budget()
@@ -382,6 +400,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
         raise DimensionError(f"a grading of {len(grading)} entries for a "
                              f"{ring.nvars}-variable ring")
     treated = [lts.every] * len(items)
+    supports = [None] * len(items)
 
     # Selection: smallest lcm under the order (what the tie-sensitive plain
     # lex case needs), except that elimination blocks and runs given a
@@ -394,12 +413,11 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
     def add_remainder(terms):
         """A nonzero remainder of the terms joins the basis, with its pairs;
         a nonzero multiple of the terms gives the same element."""
-        r = Polynomial(ring, _reduce_terms(terms, index, order, budget,
-                                           scale_ok=True), _clean=True)
+        r = _reduce_terms(terms, index, order, budget, scale_ok=True)
         if not r:
             return
-        lt, _ = r.leading_term(order)
-        poly = _primitive(r, lt)
+        lt = next(iter(r))
+        poly = _primitive(Polynomial(ring, r, _clean=True), lt)
         coprime = lts.coprime(lt)
         j = len(items)
         index.add(poly, lt)
@@ -407,9 +425,11 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
         for i in _bits(coprime):
             treated[i] |= bj
         treated.append(coprime)
+        support = [(v, x) for v, x in enumerate(lt) if x]
+        supports.append(support)
         stats.skipped_coprime += coprime.bit_count()
         for i in _bits((bj - 1) & ~coprime):
-            lcm = mono_lcm(items[i][2], lt)
+            lcm = _raised(items[i][2], support)
             if grading is not None:
                 deg = sum(map(mul, grading, lcm))
             else:
@@ -426,7 +446,7 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
     while queue:
         _, _, i, j = heapq.heappop(queue)
         a, b = items[i], items[j]
-        lcm = mono_lcm(a[2], b[2])
+        lcm = _raised(a[2], supports[j])
         bi, bj = 1 << i, 1 << j
         treated[i] |= bj
         treated[j] |= bi

@@ -543,7 +543,8 @@ def pullback_monomial_ideal(ideal, d, verify=False, budget=None,
     generators, is a Gröbner basis, through its reduced basis, whose
     S-pairs ``spairs_checked`` counts (see :func:`_record_groebner_check`).
     The elimination runs at most once, and the zero ideal pulls back to the
-    kernel under every method.
+    kernel under every method; under ``"both"`` it too is compared with the
+    oracle.
     """
     _check_method(method)
     if budget is None:
@@ -562,13 +563,13 @@ def pullback_monomial_ideal(ideal, d, verify=False, budget=None,
     cert = dict(bounds, complete=True, method_note="exchange binomials plus "
                 "standard-monomial generators")
     oracle_gb = None
+    if below or method == "both":
+        oracle_gb = preimage_oracle(Ideal(ring, ideal.polynomials()), vmap,
+                                    budget=budget)
     if ideal.is_zero:
         basis = tuple(kernel)
         reduced = kernel_groebner_basis(s, d)
     else:
-        if below or method == "both":
-            oracle_gb = preimage_oracle(Ideal(ring, ideal.polynomials()), vmap,
-                                        budget=budget)
         cap = 2
         if below:
             cap = max(cap, max((g.total_degree() for g in oracle_gb),

@@ -570,6 +570,19 @@ def test_pullback_of_zero_ideal_is_kernel_basis():
     assert len(obj["outputs"]["groebner_basis"]["polynomials"]) == 3
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_pullback_of_zero_ideal_is_compared_with_the_oracle(d):
+    # the preimage of the zero ideal is the kernel, below the bound and at it
+    args = ("--json", "pullback", "tests/data/empty_ideal.json", "--d", str(d))
+    both = run_cli(*args, "--method", "both")
+    assert both.returncode == 0, both.stderr
+    assert json.loads(both.stdout)["outputs"]["certificate"][
+        "matches_oracle"] is True
+    constructive = run_cli(*args)
+    assert "matches_oracle" not in \
+        json.loads(constructive.stdout)["outputs"]["certificate"]
+
+
 def test_pullback_of_zero_ideal_verifies():
     proc = run_cli("--json", "pullback", "tests/data/empty_ideal.json",
                    "--d", "3", "--verify")

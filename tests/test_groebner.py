@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from veronese_gb import groebner
 from veronese_gb.errors import (BudgetExceededError, DimensionError,
                                 DomainError, RingMismatchError)
 from veronese_gb.groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
-                                  _ExponentIndex, _bits, _reduce_basis,
-                                  buchberger, eliminate, find_weight_vector,
+                                  _ExponentIndex, _bits, _raised,
+                                  _reduce_basis, _reduce_terms, buchberger,
+                                  eliminate, find_weight_vector,
                                   is_groebner_basis, normal_form,
                                   s_polynomial)
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, Lex, Weighted
@@ -280,6 +282,35 @@ def test_term_primitives_match_dict_reference(order, rng):
         assert _fraction_coeffs(outputs)
 
 
+@pytest.mark.parametrize("ring, order", [
+    (base_ring(3), Lex(3)), (base_ring(3), GrevLex(3)),
+    (base_ring(3), Weighted((1, 2, 3), GrevLex(3))),
+    (base_ring(3), Block(1, GrevLex(1), GrevLex(2))),
+    (veronese_ring(2, 2), GammaRevLex(2, 2))],
+    ids=["lex", "grevlex", "weighted", "block", "gamma"])
+def test_remainder_terms_descend(ring, order, rng, monkeypatch):
+    # buchberger reads a remainder's leading term off its first key
+    rescales = []
+    rescale = groebner._rescale_content
+    monkeypatch.setattr(groebner, "_rescale_content",
+                        lambda p, r: rescales.append(1) or rescale(p, r))
+    for _ in range(40):
+        f = _random_poly(rng, ring, terms=4, top=4) * \
+            _random_poly(rng, ring, terms=4, top=3)
+        divisors = [p for p in (_random_poly(rng, ring, top=3)
+                                for _ in range(3)) if p]
+        index = _DivisorIndex.of(divisors, order, ring)
+        for scale_ok in (False, True):
+            r = _reduce_terms(f.terms, index, order, scale_ok=scale_ok)
+            keys = [order.key(e) for e in r]
+            assert all(a > b for a, b in zip(keys, keys[1:]))
+            if r:
+                assert next(iter(r)) == \
+                    Polynomial(ring, r, _clean=True).leading_term(order)[0]
+    # some of the chains were long enough to have their content stripped
+    assert rescales
+
+
 @ORDERS
 def test_reduce_basis_matches_division_by_the_others(order, rng):
     S = base_ring(3)
@@ -525,6 +556,8 @@ def test_mono_helpers_match_zip_references():
         b = tuple(rng.randrange(4) for _ in range(n))
         lcm = tuple(max(x, y) for x, y in zip(a, b))
         assert mono_lcm(a, b) == lcm
+        # buchberger's lcm: a raised at the support of b
+        assert _raised(a, [(v, y) for v, y in enumerate(b) if y]) == lcm
         assert mono_divides(a, b) == all(x <= y for x, y in zip(a, b))
         assert mono_divides(a, lcm) and mono_divides(b, lcm)
         assert mono_div(lcm, a) == tuple(x - y for x, y in zip(lcm, a))

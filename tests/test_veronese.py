@@ -5,11 +5,12 @@ import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 import suites
-from veronese_gb import groebner, veronese
+from veronese_gb import cli, groebner, veronese
 from veronese_gb.errors import (BudgetExceededError, DomainError,
                                 InternalCheckError, NonMonomialInitialError,
                                 RingMismatchError)
@@ -347,11 +348,16 @@ def test_pullback_monomial_examples():
     assert set(res1.reduced) == {parse_polynomial("x[2,0]", R2),
                                  parse_polynomial("x[1,1]", R2)}
 
-    for method in ("constructive", "both"):
-        zero = pullback_monomial_ideal(MonomialIdeal(S2, ()), 3, method=method)
-        assert zero.groebner_basis == exchange_binomials(2, 3)
-        assert zero.reduced == kernel_groebner_basis(2, 3)
-        assert _fraction_coeffs(zero.reduced)
+    for s, d in ((2, 2), (2, 3), (3, 2)):
+        for method in ("constructive", "both"):
+            zero = pullback_monomial_ideal(MonomialIdeal(base_ring(s), ()), d,
+                                           method=method)
+            assert zero.groebner_basis == exchange_binomials(s, d)
+            assert zero.reduced == kernel_groebner_basis(s, d)
+            assert _fraction_coeffs(zero.reduced)
+            # "both" compares the kernel with the oracle's preimage of zero
+            assert zero.certificate.get("matches_oracle") is \
+                (True if method == "both" else None)
 
 
 def test_pullback_monomial_below_bound_uses_oracle():
@@ -984,6 +990,30 @@ def _weighted_oracle_run(s, d, omega, *base_gens):
             (1,) * s + (d,) * vmap.ring.nvars)
 
 
+def _captured_run(call, *args):
+    """The generators, order, seed and grading of the one Buchberger run
+    that the call makes."""
+    runs = []
+
+    def capture(gens, order, **kwargs):
+        runs.append((list(gens), order, kwargs["seed_gb"], kwargs["grading"]))
+        return buchberger(gens, order, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "buchberger", capture)
+        call(*args)
+    (run,) = runs
+    return run
+
+
+def _cli_run(*argv):
+    """The run behind a CLI command, on a file in tests/data."""
+    args = cli.build_parser().parse_args(
+        [str(Path(__file__).parent / "data" / a) if a.endswith(".json")
+         else a for a in argv])
+    return _captured_run(args.fn, args, Budget())
+
+
 # (spairs, skipped_coprime, skipped_chain, basis_peak, output size) of the
 # Buchberger runs behind the oracles and the weighted pullbacks; a change to
 # pair selection, to either criterion or to the bookkeeping of seeded pairs
@@ -1009,6 +1039,19 @@ BUCHBERGER_COUNTERS = {
     "weighted-oracle-3-3": (_weighted_oracle_run,
                             (3, 3, (2, 1, 1), "y1^2", "y1*y3 - y2*y3"),
                             (58, 465, 42, 62, 27)),
+    # the toric kernel's elimination and gbasis --eliminate, of whose
+    # counters the digests pin only spairs_used; the output is the whole
+    # basis in the joint ring
+    "toric-curve": (_cli_run, ("toric", "curve_config.json"), (2, 4, 0, 4, 4)),
+    "elim-curve-block-1": (_cli_run, ("gbasis", "elim_curve.json", "--order",
+                                      "block:1", "--eliminate"),
+                           (0, 1, 0, 2, 2)),
+    # points with a negative coordinate are shifted before the elimination
+    "toric-shifted": (_captured_run,
+                      (toric_groebner_basis, ((1, -1, 2), (1, 0, 1),
+                                              (1, 2, -1), (1, 1, 0),
+                                              (1, 0, 0))),
+                      (206, 606, 958, 60, 17)),
 }
 
 
