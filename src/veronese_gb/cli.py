@@ -47,9 +47,9 @@ from .errors import (DimensionError, DomainError, InternalCheckError,
 from .groebner import (Budget, Ideal, MonomialIdeal, eliminate,
                        elimination_order)
 from .orders import Block, GammaRevLex, GrevLex, Lex, Weighted
-from .polyring import (SCALAR, format_terms, generic_ring, json_shape,
-                       parse_polynomial, poly_from_json, poly_to_json,
-                       read_int, ring_from_json, ring_to_json)
+from .polyring import (SCALAR, format_terms, generic_ring, json_field,
+                       json_shape, parse_polynomial, poly_from_json,
+                       poly_to_json, read_int, ring_from_json, ring_to_json)
 from .toric import Configuration, toric_ideal, verify_veronese_toric
 from .veronese import (METHODS, VeroneseMap, degree_bounds,
                        exchange_binomials, pullback_homogeneous_ideal,
@@ -97,7 +97,7 @@ def _load_json(path):
 
 def load_ideal_file(path):
     obj = json_shape(_load_json(path), dict, "ideal file")
-    ring = ring_from_json(obj["ring"])
+    ring = ring_from_json(json_field(obj, "ring", "the ideal file"))
     gens = []
     for item in json_shape(obj.get("generators", []), list, "generators"):
         if isinstance(item, str):
@@ -110,7 +110,9 @@ def load_ideal_file(path):
 def load_configuration_file(path):
     obj = json_shape(_load_json(path), dict, "configuration file")
     points = [json_shape(p, list, "each point", SCALAR)
-              for p in json_shape(obj["points"], list, "points")]
+              for p in json_shape(json_field(
+                  obj, "points", "the configuration file"),
+                  list, "points")]
     grading = obj.get("lambda")
     if grading is not None:
         json_shape(grading, list, "lambda", SCALAR)
@@ -517,8 +519,9 @@ def main(argv=None):
         print(f"error: {exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code
     except (KeyError, ValueError) as exc:
-        # malformed input that no reader names: a missing JSON key or a file
-        # that is not UTF-8 (read_int names every number it refuses)
+        # malformed input that no reader names: a file that is not UTF-8
+        # (read_int names every number it refuses, and json_field every
+        # missing JSON key)
         print(f"error: {exc}", file=sys.stderr)
         return VeroneseGBError.exit_code
     return 0

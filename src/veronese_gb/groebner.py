@@ -377,6 +377,13 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
     newer one's, which the run keeps as (position, exponent) pairs for each
     element it adds: a pass over a few positions instead of all of them.
     Seed elements need none, since the newer element of a pair is never one.
+    Pairs of one lcm leave the heap one after another, and a pop whose key
+    is the previous pop's, with no element added since, reuses that pop's
+    lcm and the set of elements dividing it: the order's memo hands out one
+    key tuple per monomial, so an identical key means an equal lcm, and
+    with the basis unchanged the set is the same.  An identity test costs
+    nothing on the pops whose keys differ; a key computed afresh only
+    misses a reuse.
     """
     if budget is None:
         budget = Budget()
@@ -443,14 +450,18 @@ def buchberger(generators, order, *, budget=None, seed_gb=None, stats=None,
         if f:
             add_remainder(f.terms)
 
+    last_key = last_size = None
     while queue:
-        _, _, i, j = heapq.heappop(queue)
+        _, lcm_key, i, j = heapq.heappop(queue)
         a, b = items[i], items[j]
-        lcm = _raised(a[2], supports[j])
+        if lcm_key is not last_key or len(items) != last_size:
+            lcm = _raised(a[2], supports[j])
+            divisors = lts.divisors(lcm)
+            last_key, last_size = lcm_key, len(items)
         bi, bj = 1 << i, 1 << j
         treated[i] |= bj
         treated[j] |= bi
-        if lts.divisors(lcm) & treated[i] & treated[j] & ~(bi | bj):
+        if divisors & treated[i] & treated[j] & ~(bi | bj):
             stats.skipped_chain += 1
         else:
             budget.charge_spair()

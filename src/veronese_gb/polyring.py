@@ -532,6 +532,16 @@ def json_shape(value, shape, field, entries=None):
     return value
 
 
+def json_field(obj, field, where):
+    """The value of ``obj`` at ``field``'s last dotted part, or a
+    DomainError saying that ``field`` is missing from ``where``, so that a
+    missing key is reported by name rather than as a bare KeyError."""
+    try:
+        return obj[field.rpartition(".")[2]]
+    except KeyError:
+        raise DomainError(f"{field} is missing from {where}") from None
+
+
 def _check_digit_limit(text, where):
     """Raises a DomainError naming ``where`` and ``int()``'s digit limit
     (``sys.get_int_max_str_digits()``), without echoing ``text``, when the
@@ -600,16 +610,20 @@ def ring_to_json(ring):
 def ring_from_json(obj):
     kind = json_shape(obj, dict, "ring").get("kind")
     if kind == "S":
-        return base_ring(as_integer(obj["s"], "ring.s"))
+        return base_ring(as_integer(json_field(obj, "ring.s", "the ring"),
+                                    "ring.s"))
     if kind == "Rd":
-        ring = veronese_ring(as_integer(obj["s"], "ring.s"),
-                             as_integer(obj["d"], "ring.d"))
+        ring = veronese_ring(
+            as_integer(json_field(obj, "ring.s", "the ring"), "ring.s"),
+            as_integer(json_field(obj, "ring.d", "the ring"), "ring.d"))
         table = obj.get("index_table")
         if table is not None and [list(a) for a in ring.indices] != table:
             raise DomainError("index_table does not match the canonical enumeration")
         return ring
     if kind == "generic":
-        return generic_ring(json_shape(obj["names"], list, "ring.names", str))
+        return generic_ring(json_shape(
+            json_field(obj, "ring.names", "the ring"), list,
+            "ring.names", str))
     raise DomainError(f"unknown ring kind {kind!r}")
 
 
@@ -624,15 +638,17 @@ def poly_to_json(poly, order=None):
 def poly_from_json(obj, ring=None):
     json_shape(obj, dict, "polynomial")
     if ring is None:
-        ring = ring_from_json(obj["ring"])
+        ring = ring_from_json(json_field(obj, "ring", "a polynomial"))
     terms = {}
-    for t in json_shape(obj["terms"], list, "terms", dict):
-        exps = tuple(as_integer(x, "entries of exps")
-                     for x in json_shape(t["exps"], list, "exps"))
+    for t in json_shape(json_field(obj, "terms", "a polynomial"),
+                        list, "terms", dict):
+        exps = tuple(as_integer(x, "entries of exps") for x in json_shape(
+            json_field(t, "exps", "a term"), list, "exps"))
         if any(x < 0 for x in exps):
             raise DomainError("negative exponent in JSON term")
         if any(x > MAX_EXPONENT for x in exps):
             raise DomainError("exponent overflow")
         terms[exps] = terms.get(exps, 0) + as_fraction(
-            json_shape(t["coeff"], SCALAR, "coeff"), "coeff")
+            json_shape(json_field(t, "coeff", "a term"), SCALAR,
+                       "coeff"), "coeff")
     return Polynomial(ring, terms)

@@ -184,9 +184,10 @@ def kernel_groebner_basis(s, d):
     *Gröbner Bases and Convex Polytopes*, ch. 4 and 14; Conti and Traverso,
     AAECC-9, 1991).  The kernel holds no linear form, so every quadratic
     monomial m that is not its fiber's minimum is a minimal leading term,
-    and the basis is {m - min fiber(m)}; :func:`_standard_table` holds the
-    minima.  A shape past ``MAX_EXCHANGE_WORK`` is refused by
-    :class:`VeroneseMap` before the table is read.
+    and the basis is {m - min fiber(m)}, each element with its leading term
+    m first; :func:`_standard_table` holds the minima.  A shape past
+    ``MAX_EXCHANGE_WORK`` is refused by :class:`VeroneseMap` before the
+    table is read.
     :func:`verify_exchange_basis` certifies that this basis is the
     interreduced exchange binomials and the oracle's.
     """
@@ -426,6 +427,17 @@ def standard_monomials(s, d, degree):
     yield from _standard_table(s, d, degree).values()
 
 
+@lru_cache(maxsize=STANDARD_TABLE_SIZE)
+def _exchange_image_terms(s, d):
+    """The base monomials in the images of the exchange binomials of a
+    shape, each once, for the certificate of every pullback of the shape:
+    none, when every exchange binomial lies in the kernel.  Kept for the
+    latest ``STANDARD_TABLE_SIZE`` shapes."""
+    vmap = VeroneseMap(s, d)
+    return tuple(dict.fromkeys(c for g in exchange_binomials(s, d)
+                               for c in vmap.image(g).terms))
+
+
 # Read only by perfbench's cache counters.
 @lru_cache(maxsize=None)
 def _kernel_initial_for(s, d):
@@ -506,26 +518,56 @@ def _check_method(method):
 
 def _record_groebner_check(cert, basis, reduced, order, budget):
     """Adds to a certificate whether ``basis`` is a Gröbner basis, checked
-    through ``reduced``, its interreduction, and the S-pairs that took.
+    through ``reduced``, its claimed reduced basis, and the S-pairs that
+    took.
 
     The verdict is true exactly when ``reduced`` passes the S-pair test,
     each of its leading terms is a multiple of one of ``basis``, and every
     element of ``basis`` reduces to zero on it.  Then in(⟨reduced⟩) =
     ⟨lt reduced⟩ ⊆ ⟨lt basis⟩ ⊆ in(⟨basis⟩) ⊆ in(⟨reduced⟩), by the three
     conditions in turn, so ⟨lt basis⟩ = in(⟨basis⟩): ``basis`` is a Gröbner
-    basis whether or not the interreduction was right.  The S-pair test
-    alone would not do: minimalizing a basis that is not a Gröbner basis
-    can drop one of its generators.
+    basis however ``reduced`` was made.  The S-pair test alone would not
+    do: minimalizing a basis that is not a Gröbner basis can drop one of
+    its generators.  An element of ``basis`` that is itself
+    an element of ``reduced`` is not reduced: once ``reduced`` passes the
+    S-pair test it is a Gröbner basis, on which each of its elements
+    reduces to zero, and when the test fails the verdict is false anyway.
     """
     index = _DivisorIndex.of(reduced, order, basis[0].ring if basis else None)
     check = is_groebner_basis(index, order, budget=budget)
+    reduced_at = {item[2]: item[5] for item in index.items}
     lts = _ExponentIndex()
+    rest = []
     for g in basis:
-        lts.add(g.leading_term(order)[0])
+        lt = g.leading_term(order)[0]
+        lts.add(lt)
+        if reduced_at.get(lt) != g:
+            rest.append(g)
     cert["is_groebner"] = (
         check.ok and all(lts.divisors(item[2]) for item in index.items)
-        and not any(index.remainder(g, budget) for g in basis))
+        and not any(index.remainder(g, budget) for g in rest))
     cert["spairs_checked"] = check.spairs
+
+
+def _reduced_pullback(vmap, ideal, gens, monomials):
+    """The reduced basis of the pullback of a nonzero monomial ideal from
+    the kernel basis and its generators ``gens``, the exponent vectors of
+    ``monomials``, ascending; :func:`pullback_monomial_ideal` proves it."""
+    key = vmap.order.key
+    low_degree = _ExponentIndex()
+    for e in gens:
+        if sum(e) <= 1:
+            low_degree.add(e)
+    out = [(key(e), g) for e, g in zip(gens, monomials)]
+    for g in kernel_groebner_basis(vmap.s, vmap.d):
+        m = next(iter(g.terms))
+        if low_degree.divisors(m):
+            continue
+        if ideal.contains(vmap.image_exps(m)):
+            g = vmap.ring.monomial(m)
+        out.append((key(m), g))
+    out.sort(key=lambda item: item[0])
+    return tuple(g for _, g in out)
 
 
 def pullback_monomial_ideal(ideal, d, verify=False, budget=None,
@@ -544,7 +586,23 @@ def pullback_monomial_ideal(ideal, d, verify=False, budget=None,
     S-pairs ``spairs_checked`` counts (see :func:`_record_groebner_check`).
     The elimination runs at most once, and the zero ideal pulls back to the
     kernel under every method; under ``"both"`` it too is compared with the
-    oracle.
+    oracle.  The certificate's ``members_in_target`` images the exchange
+    binomials once per shape (:func:`_exchange_image_terms`) and the
+    generators for each ideal.
+
+    The reduced basis is assembled from :func:`kernel_groebner_basis` and
+    the generators M, with no interreduction (Sturmfels, *Gröbner Bases and
+    Convex Polytopes*, ch. 14).  Let P be the pullback of J.  A standard
+    monomial lies in in(P) exactly when its image lies in J (see
+    :func:`pullback_homogeneous_ideal`), so the minimal generators of in(P)
+    are M and the non-standard quadratics m that no element of M divides;
+    an element of M is standard, so one dividing m has degree 0 or 1.  Each
+    such m leads the kernel element m − low, low the least monomial of the
+    fiber of m, which is standard.  If φ(m) ∈ J, then m is a monomial of P,
+    and m itself is the basis element.  Otherwise low, with the image of m,
+    is not in in(P), so it is the normal form of m, and m − low is the
+    element.  Each element of M is a monomial of P, so it is its own
+    element.  Sorted by leading term, they are the reduced basis of P.
     """
     _check_method(method)
     if budget is None:
@@ -567,7 +625,7 @@ def pullback_monomial_ideal(ideal, d, verify=False, budget=None,
         oracle_gb = preimage_oracle(Ideal(ring, ideal.polynomials()), vmap,
                                     budget=budget)
     if ideal.is_zero:
-        basis = tuple(kernel)
+        monomials = ()
         reduced = kernel_groebner_basis(s, d)
     else:
         cap = 2
@@ -575,11 +633,13 @@ def pullback_monomial_ideal(ideal, d, verify=False, budget=None,
             cap = max(cap, max((g.total_degree() for g in oracle_gb),
                                default=1))
         gens = monomial_pullback_generators(ideal, d, degree_cap=cap)
-        basis = tuple(kernel) + tuple(vmap.ring.monomial(e) for e in gens)
-        reduced = _reduce_basis(list(basis), order, budget)
+        monomials = tuple(vmap.ring.monomial(e) for e in gens)
+        reduced = _reduced_pullback(vmap, ideal, gens, monomials)
         cert["degree_cap"] = cap
-    cert["members_in_target"] = all(_maps_into_monomial(vmap, g, ideal)
-                                    for g in basis)
+    basis = kernel + monomials
+    cert["members_in_target"] = all(
+        ideal.contains(c) for c in _exchange_image_terms(s, d)) and all(
+        _maps_into_monomial(vmap, g, ideal) for g in monomials)
     if verify:
         _record_groebner_check(cert, basis, reduced, order, budget)
     if oracle_gb is not None:

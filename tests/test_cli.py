@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -152,6 +153,31 @@ MALFORMED_INPUTS = {
     "generators-nested-deep": (
         "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
         + "[" * 100_000 + "]" * 100_000 + "}"),
+    # a missing key is named with the object it belongs to (MISSING_FIELDS)
+    "ring-missing": ("gbasis", [], '{"generators": []}'),
+    "ring-size-missing": ("gbasis", [], '{"ring": {"kind": "S"}}'),
+    "ring-degree-missing": ("gbasis", [], '{"ring": {"kind": "Rd", "s": 2}}'),
+    "names-missing": ("gbasis", [], '{"ring": {"kind": "generic"}}'),
+    "terms-missing": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": [{}]}'),
+    "coeff-missing": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        '[{"terms": [{"exps": [1, 0]}]}]}'),
+    "exps-missing": (
+        "gbasis", [], '{"ring": {"kind": "S", "s": 2}, "generators": '
+        '[{"terms": [{"coeff": "1"}]}]}'),
+    "points-missing": ("toric", [], '{"lambda": [1]}'),
+}
+# the error line of each missing-key row of MALFORMED_INPUTS
+MISSING_FIELDS = {
+    "ring-missing": "ring is missing from the ideal file",
+    "ring-size-missing": "ring.s is missing from the ring",
+    "ring-degree-missing": "ring.d is missing from the ring",
+    "names-missing": "ring.names is missing from the ring",
+    "terms-missing": "terms is missing from a polynomial",
+    "coeff-missing": "coeff is missing from a term",
+    "exps-missing": "exps is missing from a term",
+    "points-missing": "points is missing from the configuration file",
 }
 
 
@@ -167,7 +193,12 @@ def test_malformed_json_exit_code(name, tmp_path):
     command, extra, text = MALFORMED_INPUTS[name]
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    assert_one_error_line(run_cli(command, str(bad), *extra), 2)
+    proc = run_cli(command, str(bad), *extra)
+    assert_one_error_line(proc, 2)
+    # a KeyError's text is the bare quoted key, which names no field
+    assert not re.fullmatch(r"error: '[^']*'\n", proc.stderr), proc.stderr
+    if name in MISSING_FIELDS:
+        assert proc.stderr == f"error: {MISSING_FIELDS[name]}\n"
 
 
 # TMP stands for a fresh temporary directory

@@ -8,10 +8,10 @@ import pytest
 from veronese_gb import groebner
 from veronese_gb.errors import (BudgetExceededError, DimensionError,
                                 DomainError, RingMismatchError)
-from veronese_gb.groebner import (Budget, Ideal, MonomialIdeal, _DivisorIndex,
-                                  _ExponentIndex, _bits, _raised,
-                                  _reduce_basis, _reduce_terms, buchberger,
-                                  eliminate, find_weight_vector,
+from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
+                                  _DivisorIndex, _ExponentIndex, _bits,
+                                  _raised, _reduce_basis, _reduce_terms,
+                                  buchberger, eliminate, find_weight_vector,
                                   is_groebner_basis, normal_form,
                                   s_polynomial)
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, Lex, Weighted
@@ -94,6 +94,20 @@ def test_buchberger_takes_a_grading():
         buchberger(gens, order)
     assert eliminate(gens, 1, back, GrevLex(2), grading=(1, 1, 2)) == \
         eliminate(gens, 1, back, GrevLex(2))
+
+
+def test_equal_lcm_pops_see_the_element_added_between_them():
+    # the three pairs share the lcm y1*y2*y3, and the first S-polynomial is
+    # 1, which divides that lcm and is coprime to every element: the chain
+    # criterion drops the other two pairs only if their pops read the
+    # divisors of the lcm after the first pop added it
+    S = base_ring(3)
+    gens = [parse_polynomial(g, S) for g in ("y1*y2*y3 + 1", "y2*y3",
+                                              "y1*y3")]
+    stats = GBStats()
+    assert buchberger(gens, GrevLex(3), stats=stats) == (S.monomial((0,) * 3),)
+    assert (stats.spairs, stats.skipped_coprime, stats.skipped_chain,
+            stats.basis_peak) == (1, 3, 2, 4)
 
 
 @pytest.mark.parametrize("grading", [(1, 1), (1, 1, 2, 1)],

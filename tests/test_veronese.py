@@ -443,6 +443,16 @@ def test_groebner_check_needs_the_reduction_leading_terms_from_the_basis():
     assert not _certify(basis, [S2.monomial((0, 0))], order)
 
 
+def test_groebner_check_of_its_own_reduction_needs_the_spair_test():
+    # each element of the basis is an element of the reduction, so none is
+    # reduced on it, and the verdict rests on the S-pair test, which fails:
+    # y1^2 - y2 and y1*y2 - 1 leave y1 - y2^2
+    S2, order = base_ring(2), GrevLex(2)
+    basis = [parse_polynomial(g, S2) for g in ("y1^2 - y2", "y1*y2 - 1")]
+    assert not is_groebner_basis(basis, order).ok
+    assert not _certify(basis, basis, order)
+
+
 def test_groebner_check_of_a_pullback_equals_the_union_check(rng):
     # each pullback's union, and the union of the exchange binomials with
     # the generators of degree at most 2, which below the bound can miss
@@ -703,6 +713,41 @@ def test_table_reads_below_bound_monomial_pullbacks(rng):
     res = pullback_homogeneous_ideal(Ideal(mono.ring, mono.polynomials()), 2,
                                      (1, 1))
     assert res.certificate["initial_matches_monomial_pullback"]
+
+
+def test_reduced_pullback_is_the_interreduced_union(rng):
+    # the basis assembled from the kernel table is _reduce_basis of the
+    # exchange binomials and the generators, at the cap the pullback takes:
+    # 2 at and above the bound, max(2, delta) below it; the unit ideal's
+    # degree-0 generator divides every kernel element's leading term
+    meets = []
+    for s, d in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),
+                 (4, 2)):
+        vmap = VeroneseMap(s, d)
+        ideals = [MonomialIdeal.from_exponents(base_ring(s), [(0,) * s])]
+        while len(ideals) < 9:
+            gens = [tuple(rng.randint(0, 3) for _ in range(s))
+                    for _ in range(rng.randint(1, 3))]
+            gens = [g for g in gens if any(g)]
+            if gens:
+                ideals.append(MonomialIdeal.from_exponents(base_ring(s), gens))
+        for mono in ideals:
+            at_bound = bound_certificate(mono, d)["meets_bound"]
+            cap = 2 if at_bound else max(2, mono.max_total_degree())
+            gens = monomial_pullback_generators(mono, d, cap)
+            monomials = tuple(vmap.ring.monomial(e) for e in gens)
+            got = veronese._reduced_pullback(vmap, mono, gens, monomials)
+            assert got == _reduce_basis(
+                list(exchange_binomials(s, d) + monomials), vmap.order), \
+                (s, d, mono.gens)
+            assert _fraction_coeffs(got)
+            if not any(mono.gens[0]):
+                assert got == (vmap.ring.one,)
+            if at_bound:
+                # no oracle runs at the bound
+                assert pullback_monomial_ideal(mono, d).reduced == got
+            meets.append(at_bound)
+    assert meets.count(False) >= 20 and meets.count(True) >= 20
 
 
 def test_degree_bounds_odd_delta_verdict():
