@@ -355,9 +355,10 @@ def cmd_veronese(args, budget):
 
 def cmd_pullback(args, budget):
     ideal = load_ideal_file(args.ideal)
-    if args.omega or not all(g.is_monomial() for g in ideal.generators):
-        omega = (tuple(read_int(x, "--omega")
-                       for x in args.omega.split(",")) if args.omega else None)
+    if args.omega is not None or not all(g.is_monomial()
+                                         for g in ideal.generators):
+        omega = (tuple(read_int(x, "--omega") for x in args.omega.split(","))
+                 if args.omega is not None else None)
         res = pullback_homogeneous_ideal(ideal, args.d, omega,
                                          method=args.method, budget=budget,
                                          verify=args.verify)

@@ -26,8 +26,8 @@ from operator import mul
 from .errors import (BudgetExceededError, DimensionError, DomainError,
                      InternalCheckError, RingMismatchError)
 from .orders import Block, GrevLex, Weighted
-from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
-                       mono_deg, mono_div, mono_lcm, read_int)
+from .polyring import (MAX_EXPONENT, Polynomial, add_terms, generic_ring,
+                       joint_ring, mono_deg, mono_div, mono_lcm, read_int)
 from .values import Record, Value
 
 DEFAULT_SPAIR_CAP = 10**6
@@ -289,20 +289,6 @@ def normal_form(f, divisors, order, budget=None):
     leading term, so the remainder is deterministic.
     """
     return _DivisorIndex.of(divisors, order, f.ring).remainder(f, budget)
-
-
-def s_polynomial(f, g, order):
-    """lcm(lt f, lt g)/lt(f) * f - lcm/lt(g) * g with monic multipliers."""
-    if f.ring != g.ring:
-        raise RingMismatchError("S-polynomial of polynomials in different rings")
-    if not f or not g:
-        raise DomainError("S-polynomial of the zero polynomial")
-    index = _DivisorIndex(order)
-    for p in (f, g):
-        index.add(p, p.leading_term(order)[0])
-    a, b = index.items
-    return Polynomial(f.ring, _exact(_spoly(a, b, mono_lcm(a[2], b[2])),
-                                     a[3] * b[3]), _clean=True)
 
 
 def _spoly(a, b, lcm):
@@ -592,6 +578,9 @@ def graph_ideal(points, ring):
     ``ring``; eliminating that block leaves the kernel of the map.  The
     generators are x_i - z^p_i in point order.
     """
+    if any(x > MAX_EXPONENT for p in points for x in p):
+        raise DomainError("exponent overflow: a point coordinate, shifted "
+                          f"to be nonnegative, is past {MAX_EXPONENT}")
     n = len(points[0])
     joint = joint_ring(generic_ring(f"z{j + 1}" for j in range(n)), ring)
     no_x = (0,) * ring.nvars

@@ -59,11 +59,6 @@ class TermOrder(Value):
     def _key(self, exps):
         raise NotImplementedError
 
-    def cmp(self, a, b):
-        """-1, 0, or 1 as a precedes, equals, or follows b."""
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     @property
     def fingerprint(self):
         raise NotImplementedError
@@ -197,23 +192,7 @@ class Block(TermOrder):
 
 
 # ---------------------------------------------------------------------------
-# comparator helpers mirroring the library's primitive rules
-
-
-def cmp_lex(a, b, priority=None):
-    """Compare under lex: first disagreeing position (after reordering) decides."""
-    if len(a) != len(b):
-        raise DimensionError("exponent vectors differ in length")
-    order = Lex(len(a), tuple(priority) if priority is not None else None)
-    return order.cmp(a, b)
-
-
-def cmp_rlex(a, b, chain=None):
-    """Compare under graded revlex with the given largest-to-smallest chain."""
-    if len(a) != len(b):
-        raise DimensionError("exponent vectors differ in length")
-    order = GrevLex(len(a), tuple(chain) if chain is not None else None)
-    return order.cmp(a, b)
+# the chain of Veronese variables
 
 
 def gamma_profile(a):
@@ -224,16 +203,6 @@ def gamma_profile(a):
 def variable_chain_key(a):
     """Sort key placing Veronese variable indices along their ascending chain."""
     return (tuple(-g for g in gamma_profile(a)), tuple(-x for x in a))
-
-
-def cmp_gamma_vars(a, b):
-    """Compare two degree-d multi-indices as Veronese ring variables."""
-    if len(a) != len(b):
-        raise DimensionError("exponent vectors differ in length")
-    if sum(a) != sum(b):
-        raise DimensionError("multi-indices of different degree index different rings")
-    ka, kb = variable_chain_key(a), variable_chain_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 @lru_cache(maxsize=None)

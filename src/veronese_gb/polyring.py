@@ -302,14 +302,6 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]),
                       reverse=True)
 
-    def monic(self, order):
-        if not self.terms:
-            return self
-        _, c = self.leading_term(order)
-        if c == 1:
-            return self
-        return self * (Fraction(1) / c)
-
     def initial_form(self, weights):
         """Sub-polynomial of maximal weight; zero stays zero."""
         if not self.terms:

@@ -95,12 +95,6 @@ class Configuration(Value):
         return monomial_image(self.points, exps)
 
 
-def point_rank(points):
-    """Rank of the point matrix over the rationals."""
-    points = list(points)
-    return len(_row_reduce(points, len(points[0]) if points else 0)[1])
-
-
 def toric_groebner_basis(points, ring=None, order=None, budget=None):
     """Reduced basis of the kernel of the monomial map on the given points.
 
@@ -144,10 +138,6 @@ class VeroneseLayer(Value):
 
     def __init__(self, base, d, configuration):
         super().__init__(base, d, configuration)
-
-    @property
-    def unique_points(self):
-        return tuple(dict.fromkeys(self.configuration.points))
 
     @property
     def duplicate_pairs(self):

@@ -81,12 +81,6 @@ class VeroneseMap(Value):
         return Polynomial(self.base, {c: v for c, v in terms.items() if v},
                           _clean=True)
 
-    def min_divisor_variable(self, u):
-        """Least variable whose image divides the image of the monomial u."""
-        if not any(u):
-            raise DomainError("the constant monomial has no dividing variable")
-        return self.min_divisor_of_image(self.image_exps(u))
-
     def min_divisor_of_image(self, c):
         """Least variable whose image divides the base monomial c."""
         for a in self.ring.indices:

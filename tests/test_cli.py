@@ -133,6 +133,14 @@ MALFORMED_INPUTS = {
     "coordinate-fraction": ("toric", [], '{"points": [[1, 0.6], [1, 1]]}'),
     "coordinate-boolean": (
         "toric", [], '{"points": [[true, false], [true, true]]}'),
+    # an exponent of the graph ideal past MAX_EXPONENT, found by the fuzz of
+    # test_input_fuzz.py
+    "coordinate-huge": (
+        "toric", ["--veronese", "2"],
+        '{"points": [[1, 0], [1, 1000000000000000000000000000000], [1, 2]]}'),
+    "coordinate-huge-negative": (
+        "toric", [],
+        '{"points": [[1, 0], [1, -1000000000000000000000000000000], [1, 2]]}'),
     "lambda-number": ("toric", [], '{"points": [[1, 0]], "lambda": 5}'),
     "lambda-boolean": (
         "toric", [], '{"points": [[1, 0], [1, 1]], "lambda": [true, false]}'),
@@ -747,6 +755,14 @@ REFUSED_BEFORE_WORK = [
                   "weighted:NINES,1,1"], f"--order has a number with more "
                  f"than {INT_DIGITS} digits", id="digit-limit-weighted",
                  marks=NEEDS_INT_DIGITS),
+    # an empty --omega is an empty weight, not an absent option: neither
+    # the derived weights nor the monomial route
+    pytest.param(["pullback", "tests/data/conic.json", "--d", "2", "--omega",
+                  ""], "--omega must be an integer, got ''",
+                 id="empty-omega-weighted"),
+    pytest.param(["pullback", "tests/data/square_square.json", "--d", "2",
+                  "--omega", ""], "--omega must be an integer, got ''",
+                 id="empty-omega-monomial"),
 ]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import monic, s_polynomial
 from veronese_gb import groebner
 from veronese_gb.errors import (BudgetExceededError, DimensionError,
                                 DomainError, RingMismatchError)
@@ -12,8 +13,7 @@ from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
                                   _DivisorIndex, _ExponentIndex, _bits,
                                   _raised, _reduce_basis, _reduce_terms,
                                   buchberger, eliminate, find_weight_vector,
-                                  is_groebner_basis, normal_form,
-                                  s_polynomial)
+                                  is_groebner_basis, normal_form)
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, Lex, Weighted
 from veronese_gb.polyring import (Polynomial, base_ring, generic_ring,
                                   mono_div, mono_divides, mono_lcm,
@@ -206,7 +206,7 @@ def _reduce_basis_reference(polys, order):
     for p in sorted((p for p in polys if p), key=lambda p: order.key(lt(p))):
         if not any(mono_divides(lt(q), lt(p)) for q in kept):
             kept.append(p)
-    out = [normal_form(p, kept[:i] + kept[i + 1:], order).monic(order)
+    out = [monic(normal_form(p, kept[:i] + kept[i + 1:], order), order)
            for i, p in enumerate(kept)]
     return tuple(sorted(out, key=lambda p: order.key(lt(p))))
 

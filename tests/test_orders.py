@@ -2,9 +2,10 @@
 
 import pytest
 
+from reference import cmp, cmp_gamma_vars, cmp_lex, cmp_rlex
 from veronese_gb.errors import DimensionError, DomainError
-from veronese_gb.orders import (GammaRevLex, GrevLex, Lex, Weighted, cmp_gamma_vars,
-                                cmp_lex, cmp_rlex, gamma_profile, multi_indices)
+from veronese_gb.orders import (GammaRevLex, GrevLex, Lex, Weighted, gamma_profile,
+                                multi_indices)
 from veronese_gb.polyring import base_ring, parse_polynomial, veronese_ring
 
 CHAIN_2_4 = ((2, 2), (3, 1), (1, 3), (4, 0), (0, 4))
@@ -70,9 +71,9 @@ def test_cmp_gamma_vars_profile_tie():
 def test_weighted_order():
     tie = GrevLex(2)
     w = Weighted((1, 1), tie)
-    assert w.cmp((2, 0), (1, 2)) == -1
+    assert cmp(w, (2, 0), (1, 2)) == -1
     # equal weights fall through to the tiebreak
-    assert w.cmp((2, 0), (0, 2)) == tie.cmp((2, 0), (0, 2))
+    assert cmp(w, (2, 0), (0, 2)) == cmp(tie, (2, 0), (0, 2))
     with pytest.raises(DimensionError):
         Weighted((1, -1), tie)
 
@@ -84,7 +85,7 @@ def test_weighted_all_ones_equals_grevlex(rng):
     for _ in range(300):
         a = tuple(rng.randrange(5) for _ in range(n))
         b = tuple(rng.randrange(5) for _ in range(n))
-        assert w.cmp(a, b) == g.cmp(a, b)
+        assert cmp(w, a, b) == cmp(g, a, b)
 
 
 def test_initial_term_examples():
@@ -158,7 +159,7 @@ def test_block_order_elimination_property(rng):
         a = (0, 0) + tuple(rng.randrange(4) for _ in range(3))
         b = (rng.randrange(1, 3), rng.randrange(3)) + \
             tuple(rng.randrange(4) for _ in range(3))
-        assert block.cmp(a, b) == -1  # front content always dominates
+        assert cmp(block, a, b) == -1  # front content always dominates
 
 
 def _reference_cmp(order, a, b):
@@ -227,5 +228,5 @@ def test_keys_compare_as_defined(order, n, rng):
         ka, kb = order.key(a), order.key(b)
         expected = _reference_cmp(order, a, b)
         assert (ka > kb) - (ka < kb) == expected, (a, b)
-        assert order.cmp(a, b) == expected
+        assert cmp(order, a, b) == expected
         assert (ka == kb) == (a == b)
