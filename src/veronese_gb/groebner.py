@@ -26,8 +26,8 @@ from operator import mul
 from .errors import (BudgetExceededError, DimensionError, DomainError,
                      InternalCheckError, RingMismatchError)
 from .orders import Block, GrevLex, Weighted
-from .polyring import (MAX_EXPONENT, Polynomial, add_terms, generic_ring,
-                       joint_ring, mono_deg, mono_div, mono_lcm, read_int)
+from .polyring import (Polynomial, add_terms, generic_ring, joint_ring,
+                       mono_deg, mono_div, mono_lcm, read_int)
 from .values import Record, Value
 
 DEFAULT_SPAIR_CAP = 10**6
@@ -578,9 +578,6 @@ def graph_ideal(points, ring):
     ``ring``; eliminating that block leaves the kernel of the map.  The
     generators are x_i - z^p_i in point order.
     """
-    if any(x > MAX_EXPONENT for p in points for x in p):
-        raise DomainError("exponent overflow: a point coordinate, shifted "
-                          f"to be nonnegative, is past {MAX_EXPONENT}")
     n = len(points[0])
     joint = joint_ring(generic_ring(f"z{j + 1}" for j in range(n)), ring)
     no_x = (0,) * ring.nvars

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import DimensionError, DomainError, NotAConfigurationError
 from .groebner import (Budget, Ideal, _DivisorIndex, eliminate, graph_ideal,
                        monomial_image)
-from .polyring import as_fraction, as_integer, base_ring
+from .polyring import MAX_EXPONENT, as_fraction, as_integer, base_ring
 from .values import Record, Value
 from .veronese import VeroneseMap, multi_indices, pullback_homogeneous_ideal
 
@@ -117,6 +117,9 @@ def toric_groebner_basis(points, ring=None, order=None, budget=None):
         if 1 + sum(g * v for g, v in zip(grading, shift)) == 0:
             shift[next(j for j, g in enumerate(grading) if g)] += 1
         points = [tuple(x + v for x, v in zip(p, shift)) for p in points]
+    if any(x > MAX_EXPONENT for p in points for x in p):
+        raise DomainError("exponent overflow: a point coordinate, as given, "
+                          f"scaled or shifted, is past {MAX_EXPONENT}")
     joint, gens = graph_ideal(points, ring)
     return eliminate(gens, joint.nvars - s, ring, order, budget=budget)
 

@@ -1,15 +1,16 @@
 """Reference definitions that the tests compare the library with.
 
 The package keeps only what it, its command line or its benchmark reads;
-these helpers are read by tests alone.  Each is written from its definition,
-as a spec, and where it wraps a library order it only reads that order's
-sort key.
+these helpers are read by tests alone.  ``s_polynomial`` is written from
+its textbook definition, as a spec; the others are thin wrappers over the
+library code that they name.
 """
 
 from fractions import Fraction
 
 from veronese_gb.errors import DimensionError, DomainError
 from veronese_gb.orders import GrevLex, Lex, variable_chain_key
+from veronese_gb.toric import _row_reduce
 
 
 def cmp(order, a, b):
@@ -65,19 +66,9 @@ def s_polynomial(f, g, order):
 
 
 def point_rank(points):
-    """Rank of the point matrix over the rationals, by Gaussian elimination."""
-    rows = [[Fraction(x) for x in p] for p in points]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / rows[rank][col]
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    """Rank of the point matrix over the rationals."""
+    points = list(points)
+    return len(_row_reduce(points, len(points[0]) if points else 0)[1])
 
 
 def min_divisor_variable(vmap, u):
@@ -85,6 +76,4 @@ def min_divisor_variable(vmap, u):
     monomial u."""
     if not any(u):
         raise DomainError("the constant monomial has no dividing variable")
-    image = vmap.image_exps(u)
-    return next(a for a in vmap.ring.indices
-                if all(x <= y for x, y in zip(a, image)))
+    return vmap.min_divisor_of_image(vmap.image_exps(u))

@@ -228,12 +228,15 @@ def _dict_sum(*scaled):
     return {e: c for e, c in out.items() if c}
 
 
-def _dict_spoly(f, g, order):
-    ltf, ltg = max(f, key=order.key), max(g, key=order.key)
-    lcm = tuple(max(a, b) for a, b in zip(ltf, ltg))
-    return _dict_sum(
-        (1 / f[ltf], tuple(a - b for a, b in zip(lcm, ltf)), f),
-        (-1 / g[ltg], tuple(a - b for a, b in zip(lcm, ltg)), g))
+def _library_spoly(f, g, order):
+    """The S-pair as Buchberger forms it, from divisor-index items."""
+    index = _DivisorIndex(order)
+    for p in (f, g):
+        index.add(p, p.leading_term(order)[0])
+    a, b = index.items
+    return Polynomial(f.ring, groebner._exact(
+        groebner._spoly(a, b, mono_lcm(a[2], b[2])), a[3] * b[3]),
+        _clean=True)
 
 
 def _dict_normal_form(f, divisors, order):
@@ -277,8 +280,8 @@ def test_term_primitives_match_dict_reference(order, rng):
         assert ((f + g) - g) == f
         if not f or not g:
             continue
-        spoly = s_polynomial(f, g, order)
-        assert spoly.terms == _dict_spoly(f.terms, g.terms, order)
+        spoly = _library_spoly(f, g, order)
+        assert spoly.terms == s_polynomial(f, g, order).terms
         divisors = [p for p in (_random_poly(rng, S, terms=2, top=2)
                                 for _ in range(3)) if p]
         h = f * g + f
