@@ -330,8 +330,7 @@ def cmd_gbasis(args, budget):
     elif isinstance(order, Block):
         out_ring = generic_ring(ideal.ring.names[order.front:])
         out_order = order.back_order
-        gb = eliminate(ideal.generators, order.front, out_ring, out_order,
-                       budget=budget)
+        gb = eliminate(ideal.generators, order, out_ring, budget=budget)
     else:
         raise DomainError("--eliminate needs a block order")
     outputs = {"groebner_basis": gb_block(gb, out_order, out_ring, budget),

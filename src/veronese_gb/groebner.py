@@ -538,25 +538,31 @@ def elimination_order(front, back_order):
     return Block(front, GrevLex(front), back_order)
 
 
-def eliminate(generators, front, back_ring, back_order, *, budget=None,
-              seed_gb=None, grading=None):
+def eliminate(generators, order, back_ring, *, budget=None, seed_gb=None,
+              grading=None):
     """Intersect the ideal with the subring on the trailing variables.
 
-    The generators live in a ring whose first ``front`` positions are the
-    variables to remove.  Returns the reduced Gröbner basis of the
-    intersection under ``back_order``, re-indexed into ``back_ring``.
-    A ``_DivisorIndex`` passed as ``seed_gb`` (see :func:`buchberger`) must
-    be under an order equal to ``elimination_order(front, back_order)``, and
-    the run uses that order object, so that the keys its memo holds are not
-    computed again.  ``grading``, one entry per variable of the joint ring,
-    goes to :func:`buchberger`: pairs are then taken by their lcm's degree
-    in it, which changes the S-pairs reduced but not the basis.
+    ``order`` is the block order to eliminate under, as
+    :func:`elimination_order` builds it: the generators live in a ring whose
+    first ``order.front`` positions are the variables to remove.  Returns
+    the reduced Gröbner basis of the intersection under ``order.back_order``,
+    re-indexed into ``back_ring``.  A ``_DivisorIndex`` passed as ``seed_gb``
+    (see :func:`buchberger`) must be under an order equal to ``order``, or
+    it is refused, and the run uses the index's order object, so that the
+    keys its memo holds are not computed again.  ``grading``, one entry per
+    variable of the joint ring, goes to :func:`buchberger`: pairs are then
+    taken by their lcm's degree in it, which changes the S-pairs reduced but
+    not the basis.
     """
     generators = list(generators)
+    front = order.front
     if generators and back_ring.nvars + front != generators[0].ring.nvars:
         raise DomainError("front block plus back ring must span the joint ring")
-    order = seed_gb.order if isinstance(seed_gb, _DivisorIndex) else \
-        elimination_order(front, back_order)
+    if isinstance(seed_gb, _DivisorIndex):
+        if seed_gb.order != order:
+            raise DomainError("the seed index is under another order than "
+                              "the elimination's")
+        order = seed_gb.order
     gb = buchberger(generators, order, budget=budget, seed_gb=seed_gb,
                     front=front, grading=grading)
     return _front_free(gb, front, back_ring)

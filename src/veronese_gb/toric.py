@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, NotAConfigurationError
-from .groebner import (Budget, Ideal, _DivisorIndex, eliminate, graph_ideal,
-                       monomial_image)
+from .groebner import (Budget, Ideal, _DivisorIndex, eliminate,
+                       elimination_order, graph_ideal, monomial_image)
 from .polyring import MAX_EXPONENT, as_fraction, as_integer, base_ring
 from .values import Record, Value
 from .veronese import VeroneseMap, multi_indices, pullback_homogeneous_ideal
@@ -121,7 +121,8 @@ def toric_groebner_basis(points, ring=None, order=None, budget=None):
         raise DomainError("exponent overflow: a point coordinate, as given, "
                           f"scaled or shifted, is past {MAX_EXPONENT}")
     joint, gens = graph_ideal(points, ring)
-    return eliminate(gens, joint.nvars - s, ring, order, budget=budget)
+    return eliminate(gens, elimination_order(joint.nvars - s, order), ring,
+                     budget=budget)
 
 
 def toric_ideal(config, budget=None):

@@ -88,36 +88,19 @@ class VeroneseMap(Value):
                 return a
         raise DomainError("no variable image divides the given monomial")
 
-    def min_preimage(self, c):
-        """The chain-least monomial of the Veronese ring mapping onto c.
-
-        Peels off the least dividing variable one factor at a time, which for
-        a revlex order is exactly the minimum preimage.
-        """
-        if len(c) != self.s:
-            raise DomainError(f"need an image with {self.s} entries, "
-                              f"got {len(c)}")
-        total = sum(c)
-        if total % self.d:
-            raise DomainError("degree must be a multiple of d to lift")
-        rem = list(c)
-        exps = [0] * self.ring.nvars
-        pos_of = self.ring.index_position
-        for _ in range(total // self.d):
-            a = self.min_divisor_of_image(tuple(rem))
-            exps[pos_of[a]] += 1
-            for j in range(self.s):
-                rem[j] -= a[j]
-        return tuple(exps)
-
     def lift(self, poly):
-        """Termwise minimum preimage of a base polynomial of d-divisible
-        degrees; distinct terms have distinct preimages, so none are summed."""
+        """Termwise least preimage of a base polynomial of d-divisible
+        degrees, read from the standard-monomial table; distinct terms have
+        distinct preimages, so none are summed."""
         if poly.ring != self.base:
             raise RingMismatchError("polynomial is not in the base ring")
-        return Polynomial(self.ring, {self.min_preimage(e): coeff
-                                      for e, coeff in poly.terms.items()},
-                          _clean=True)
+        terms = {}
+        for c, coeff in poly.terms.items():
+            degree, rest = divmod(sum(c), self.d)
+            if rest:
+                raise DomainError("degree must be a multiple of d to lift")
+            terms[_least_preimages(self.s, self.d, degree)[c]] = coeff
+        return Polynomial(self.ring, terms, _clean=True)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +170,7 @@ def kernel_groebner_basis(s, d):
     """
     vmap = VeroneseMap(s, d)
     ring, key = vmap.ring, vmap.order.key
-    least = _standard_table(s, d, 2)
+    least = _least_preimages(s, d, 2)
     indices = ring.indices
     n = ring.nvars
     out = []
@@ -323,9 +306,8 @@ def preimage_oracle(ideal, vmap, omega=None, budget=None):
     # moves its pinned S-pair counts (ROADMAP item 2)
     grading = None if omega is None else (1,) * s + (d,) * vmap.ring.nvars
     try:
-        gb = eliminate(embedded + context.gens, s, vmap.ring,
-                       index.order.back_order, budget=budget, seed_gb=index,
-                       grading=grading)
+        gb = eliminate(embedded + context.gens, index.order, vmap.ring,
+                       budget=budget, seed_gb=index, grading=grading)
     finally:
         if len(index.order._cache) > ORACLE_KEY_MEMO_CAP:
             index.order._cache.clear()
@@ -378,13 +360,14 @@ STANDARD_TABLE_SIZE = 64
 @lru_cache(maxsize=STANDARD_TABLE_SIZE)
 def _standard_table(s, d, degree):
     """The standard monomials of the given degree, keyed by their images,
-    in ascending position order.
+    in ascending position order; read it through :func:`_least_preimages`.
 
     The kernel is toric, so a monomial is standard exactly when it is the
     least monomial of its fiber, the monomials with its image; there is one
     for each base monomial c of degree ``degree * d``.  With a the least
     variable whose image divides c, it is the table's monomial one degree
-    down for c - a, raised at a: the peel of :meth:`VeroneseMap.min_preimage`.
+    down for c - a, raised at a: for a revlex order, peeling off the least
+    dividing variable one factor at a time finds the least preimage.
     Ascending position order is descending order of exponent vectors.
     """
     if degree < 0:
@@ -405,20 +388,25 @@ def _standard_table(s, d, degree):
     return {c: e for e, c in rows}
 
 
-def standard_monomials(s, d, degree):
-    """Monomials of the Veronese ring of the given degree outside the kernel's
-    leading-term ideal, in ascending position order: the least monomial of
-    each fiber of the substitution.
-
-    They are read from a table of the latest ``STANDARD_TABLE_SIZE`` distinct
-    (s, d, degree) keys; a missing key is built from the key one degree
-    down.  The degrees are read in ascending order, so a miss finds the key
-    below in the table and no build recurses further.  Reading the table
-    charges no budget.
+def _least_preimages(s, d, degree):
+    """The least preimage of each base monomial of degree ``degree * d``,
+    keyed by the monomial: the table of the latest ``STANDARD_TABLE_SIZE``
+    distinct (s, d, degree) keys, where a missing key is built from the key
+    one degree down.  The degrees below are read first, in ascending order,
+    so a miss finds the key below in the table and no build recurses
+    further.  Reading the table charges no budget.
     """
     for lower in range(degree):
         _standard_table(s, d, lower)
-    yield from _standard_table(s, d, degree).values()
+    return _standard_table(s, d, degree)
+
+
+def standard_monomials(s, d, degree):
+    """Monomials of the Veronese ring of the given degree outside the kernel's
+    leading-term ideal, in ascending position order: the least monomial of
+    each fiber of the substitution, read by :func:`_least_preimages`.
+    """
+    yield from _least_preimages(s, d, degree).values()
 
 
 @lru_cache(maxsize=STANDARD_TABLE_SIZE)
@@ -478,7 +466,7 @@ def monomial_pullback_generators(ideal, d, degree_cap=2):
     accepted = []
     found = _ExponentIndex()
     for degree in range(degree_cap + 1):
-        for image, e in _standard_table(s, d, degree).items():
+        for image, e in _least_preimages(s, d, degree).items():
             # the lookup over s variables before the one over the ring's
             if ideal.contains(image) and not found.divisors(e):
                 accepted.append(e)
@@ -676,19 +664,15 @@ def homogeneous_pullback_generators(basis, vmap):
     the kernel they generate the ideal's preimage.
 
     Every basis element of degree e, multiplied by all monomials filling it
-    up to the next multiple of d, lands in the image subring; the
-    substitution is onto the subring spanned by d-divisible degrees, so
-    these multiples, lifted termwise, and the kernel generate the preimage.
+    up to the next multiple of d (the one monomial 1 when d divides e),
+    lands in the image subring; the substitution is onto the subring spanned
+    by d-divisible degrees, so these multiples, lifted termwise, and the
+    kernel generate the preimage.
     """
     base = vmap.base
     lifts = []
-    d = vmap.d
     for f in basis:
-        e = f.total_degree()
-        pad = d * math.ceil(Fraction(e, d)) - e
-        if pad == 0:
-            lifts.append(vmap.lift(f))
-            continue
+        pad = -f.total_degree() % vmap.d
         for combo in combinations_with_replacement(range(base.nvars), pad):
             m = [0] * base.nvars
             for i in combo:

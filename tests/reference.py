@@ -77,3 +77,10 @@ def min_divisor_variable(vmap, u):
     if not any(u):
         raise DomainError("the constant monomial has no dividing variable")
     return vmap.min_divisor_of_image(vmap.image_exps(u))
+
+
+def least_preimage(vmap, c):
+    """The least preimage of the base monomial c, the one term of its lift,
+    which ``vmap.lift`` reads from the standard-monomial table."""
+    (u,) = vmap.lift(vmap.base.monomial(c)).terms
+    return u

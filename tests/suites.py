@@ -7,7 +7,8 @@ on the first violation.
 import itertools
 from fractions import Fraction
 
-from reference import cmp, cmp_gamma_vars, min_divisor_variable
+from reference import (cmp, cmp_gamma_vars, least_preimage,
+                       min_divisor_variable)
 from veronese_gb.groebner import buchberger
 from veronese_gb.orders import (Block, GammaRevLex, GrevLex, Lex, Weighted,
                                 gamma_profile, multi_indices)
@@ -182,7 +183,7 @@ def suite_quadratic_witness(rng, samples=600):
         c = list(target)
         for _ in range(k * d - sum(target)):
             c[rng.randrange(s)] += 1
-        u = vmap.min_preimage(tuple(c))
+        u = least_preimage(vmap, tuple(c))
         assert sum(u) == k
         b = min_divisor_variable(vmap, u)
         pos_b = vmap.ring.position["x[%s]" % ",".join(map(str, b))]

@@ -12,8 +12,9 @@ from veronese_gb.errors import (BudgetExceededError, DimensionError,
 from veronese_gb.groebner import (Budget, GBStats, Ideal, MonomialIdeal,
                                   _DivisorIndex, _ExponentIndex, _bits,
                                   _raised, _reduce_basis, _reduce_terms,
-                                  buchberger, eliminate, find_weight_vector,
-                                  is_groebner_basis, normal_form)
+                                  buchberger, eliminate, elimination_order,
+                                  find_weight_vector, is_groebner_basis,
+                                  normal_form)
 from veronese_gb.orders import Block, GammaRevLex, GrevLex, Lex, Weighted
 from veronese_gb.polyring import (Polynomial, base_ring, generic_ring,
                                   mono_div, mono_divides, mono_lcm,
@@ -78,7 +79,7 @@ def test_buchberger_elimination_curve():
     assert texts == ["t - y1", "y1^2 - y2"]
 
     back = generic_ring(("y1", "y2"))
-    elim = eliminate(gens, 1, back, GrevLex(2))
+    elim = eliminate(gens, order, back)
     assert [str(g) for g in elim] == ["y1^2 - y2"]
 
 
@@ -92,8 +93,8 @@ def test_buchberger_takes_a_grading():
     back = generic_ring(("y1", "y2"))
     assert buchberger(gens, order, grading=(1, 1, 2)) == \
         buchberger(gens, order)
-    assert eliminate(gens, 1, back, GrevLex(2), grading=(1, 1, 2)) == \
-        eliminate(gens, 1, back, GrevLex(2))
+    assert eliminate(gens, order, back, grading=(1, 1, 2)) == \
+        eliminate(gens, order, back)
 
 
 def test_equal_lcm_pops_see_the_element_added_between_them():
@@ -119,15 +120,33 @@ def test_buchberger_refuses_a_grading_of_the_wrong_length(grading):
     with pytest.raises(DimensionError, match="3-variable"):
         buchberger(gens, GrevLex(3), grading=grading)
     with pytest.raises(DimensionError, match="3-variable"):
-        eliminate(gens, 1, generic_ring(("y1", "y2")), GrevLex(2),
-                  grading=grading)
+        eliminate(gens, elimination_order(1, GrevLex(2)),
+                  generic_ring(("y1", "y2")), grading=grading)
+
+
+def test_eliminate_refuses_a_seed_index_under_another_order():
+    # the run takes a seed index's order, so an index under an order other
+    # than the one eliminated under is refused, and one under an equal order
+    # gives the unseeded basis
+    ring = generic_ring(("t", "y1", "y2"))
+    gens = [parse_polynomial("y1 - t", ring),
+            parse_polynomial("y2 - t^2", ring)]
+    back = generic_ring(("y1", "y2"))
+    order = elimination_order(1, GrevLex(2))
+    seed = buchberger(gens, order)
+    equal = _DivisorIndex.of(seed, elimination_order(1, GrevLex(2)), ring)
+    assert eliminate(gens, order, back, seed_gb=equal) == \
+        eliminate(gens, order, back)
+    other = _DivisorIndex.of(seed, elimination_order(1, Lex(2)), ring)
+    with pytest.raises(DomainError, match="another order"):
+        eliminate(gens, order, back, seed_gb=other)
 
 
 def test_eliminate_zero_front_is_identity():
     S = base_ring(2)
     gens = [parse_polynomial("y1^2 - y2^2", S), parse_polynomial("y1*y2", S)]
     gb = buchberger(gens, GrevLex(2))
-    assert eliminate(list(gb), 0, S, GrevLex(2)) == gb
+    assert eliminate(list(gb), elimination_order(0, GrevLex(2)), S) == gb
 
 
 def test_is_groebner_basis_certificates():

@@ -10,7 +10,7 @@ from reference import point_rank
 from veronese_gb import cli
 from veronese_gb.errors import (BudgetExceededError, DimensionError,
                                 DomainError, NotAConfigurationError)
-from veronese_gb.groebner import Ideal, eliminate
+from veronese_gb.groebner import Ideal, eliminate, elimination_order
 from veronese_gb.polyring import (Polynomial, base_ring, generic_ring,
                                   joint_ring, parse_polynomial, veronese_ring)
 from veronese_gb.toric import (Configuration, certify_grading,
@@ -99,7 +99,8 @@ def _inverse_product_kernel(points):
     if negative:
         gens.append(Polynomial(joint, {(1,) * len(names) + no_x: Fraction(1),
                                        joint.zero_exps: Fraction(-1)}))
-    return eliminate(gens, len(names), ring, ring.default_order())
+    return eliminate(gens, elimination_order(len(names), ring.default_order()),
+                     ring)
 
 
 def test_shifted_kernel_matches_inverse_product_route(rng):
